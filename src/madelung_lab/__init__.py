@@ -12,9 +12,9 @@ on the line.
 __version__ = "0.1.0"
 
 from .errors import (AmplitudeInfeasible, BoundaryLeak, ConfigError, Diverged,
-                     MadelungLabError, NodeDetected, NormDrift, SupportLeak,
-                     Unsupported, UnwrapInconsistent)
-from .grid_fields import GridSpec, ScalarField, VectorField
+                     MadelungLabError, NodeDetected, NormDrift, OrderingViolated,
+                     SupportLeak, UnwrapInconsistent)
+from .grid_fields import GridSpec, ScalarField
 from .schrodinger import (GaussianPacketSpec, WaveField, free_propagate,
                           gaussian_packet, packet_classical_action,
                           packet_density, packet_initial,

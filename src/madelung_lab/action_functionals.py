@@ -61,8 +61,7 @@ def _coarsen_couple(couple: FluidCouple) -> FluidCouple:
 
 def _couple_action_value(couple: FluidCouple, fisher_weight: float) -> float:
     grid = couple.rho.grid
-    speed_sq = np.sum(couple.v.values**2, axis=-1)
-    kernel = speed_sq.copy()
+    kernel = couple.v.values**2
     if fisher_weight != 0.0:
         u = 0.5 * couple.log_gradient_values()
         kernel += fisher_weight * u**2
@@ -95,8 +94,7 @@ def finite_action_norm(couple: FluidCouple) -> ActionReport:
 
 def _drift_action_value(b: DriftField, rho: ScalarField) -> float:
     grid = rho.grid
-    bx = b.b.component(0)
-    integrand = (bx**2 + b.divergence().values) * rho.values
+    integrand = (b.b.values**2 + b.divergence().values) * rho.values
     ensure_decaying(integrand, grid, "drift action integrand")
     return time_integrate(grid.dx * integrand.sum(axis=-1), grid)
 
@@ -120,8 +118,6 @@ def drift_action(b: DriftField, rho: ScalarField) -> ActionReport:
 def continuity_residual(couple: FluidCouple) -> float:
     """Sup norm of d(rho)/dt + d(rho v)/dx over interior time nodes."""
     grid = couple.rho.grid
-    grid.require_1d("continuity_residual")
-    flux = spectral_dx(couple.rho.values * couple.v.component(0),
-                       grid, "density flux")
+    flux = spectral_dx(couple.rho.values * couple.v.values, grid, "density flux")
     drho = fd_dt(couple.rho.values, grid)
     return float(np.max(np.abs((drho + flux)[1:-1])))

@@ -28,9 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NormDrift
-from .grid_fields import (GridSpec, ScalarField, VectorField, ensure_decaying,
-                          fd_dt, fd_dx, spectral_antiderivative)
+from .action_functionals import classical_action, quantum_action
+from .errors import NormDrift, OrderingViolated
+from .grid_fields import (GridSpec, ScalarField, ensure_decaying, fd_dt, fd_dx,
+                          spectral_antiderivative)
 from .madelung import FluidCouple
 from .schrodinger import GaussianPacketSpec, packet_sigma_sq
 
@@ -128,7 +129,6 @@ def _invert_cdf(cdf1: np.ndarray, rho1: np.ndarray, grid: GridSpec,
 def monge_map_1d(rho0: np.ndarray, rho1: np.ndarray,
                  grid: GridSpec) -> TransportPlan1D:
     """Quantile coupling between two positive normalized grid densities."""
-    grid.require_1d("monge_map_1d")
     rho0 = np.asarray(rho0, dtype=float)
     rho1 = np.asarray(rho1, dtype=float)
     for name, dens in (("source", rho0), ("target", rho1)):
@@ -167,7 +167,6 @@ def transport_cost(plan: TransportPlan1D, rho0: np.ndarray) -> float:
 def displacement_couple(g0: GaussianMeasure, g1: GaussianMeasure,
                         grid: GridSpec) -> FluidCouple:
     """The transport geodesic between two Gaussians as a fluid couple."""
-    grid.require_1d("displacement_couple")
     t = grid.t[:, np.newaxis]
     x = grid.x[np.newaxis, :]
     mean_t = (1.0 - t) * g0.mean + t * g1.mean
@@ -179,9 +178,9 @@ def displacement_couple(g0: GaussianMeasure, g1: GaussianMeasure,
     log_grad = -(x - mean_t) / std_t**2
     return FluidCouple(
         ScalarField(grid, rho),
-        VectorField(grid, v[..., np.newaxis]),
+        ScalarField(grid, v),
         provenance="classical-ot",
-        log_density_gradient=VectorField(grid, log_grad[..., np.newaxis]))
+        log_density_gradient=ScalarField(grid, log_grad))
 
 
 def euler_residual(couple: FluidCouple) -> float:
@@ -191,8 +190,7 @@ def euler_residual(couple: FluidCouple) -> float:
     boundary difference rule.
     """
     grid = couple.rho.grid
-    grid.require_1d("euler_residual")
-    v = couple.v.component(0)
+    v = couple.v.values
     residual = fd_dt(v, grid) + v * fd_dx(v, grid)
     return float(np.max(np.abs(residual[1:-1])))
 
@@ -221,13 +219,11 @@ def quantum_vs_classical(g0: GaussianMeasure, g1: GaussianMeasure,
                          schrodinger_couple: FluidCouple) -> dict:
     """Transport benchmark report for a wave field couple.
 
-    Asserts the two orderings that must hold up to quadrature error:
+    Checks the two orderings that must hold up to quadrature error:
     the squared transport distance is a lower bound for the couple's
     kinetic action, and removing the Fisher term can only lower an
-    action. Raises AssertionError with the margins if either fails.
+    action. Raises OrderingViolated with the values if either fails.
     """
-    from .action_functionals import classical_action, quantum_action
-
     grid = schrodinger_couple.rho.grid
     for name, measure, row in (("initial", g0, 0), ("final", g1, grid.n_t)):
         mismatch = float(np.max(np.abs(
@@ -245,10 +241,12 @@ def quantum_vs_classical(g0: GaussianMeasure, g1: GaussianMeasure,
     lower_bound_margin = classical_wave.value - tau2
     fisher_margin = classical_wave.value - quantum_wave.value
     slack = classical_wave.error_radius + 1e-12
-    assert lower_bound_margin >= -slack, \
-        f"transport distance {tau2} exceeds kinetic action {classical_wave.value}"
-    assert fisher_margin >= -1e-10, \
-        f"quantum action {quantum_wave.value} above classical {classical_wave.value}"
+    if lower_bound_margin < -slack:
+        raise OrderingViolated(f"transport distance {tau2} exceeds kinetic "
+                               f"action {classical_wave.value}")
+    if fisher_margin < -1e-10:
+        raise OrderingViolated(f"quantum action {quantum_wave.value} above "
+                               f"classical {classical_wave.value}")
 
     return {
         "tau2": tau2,

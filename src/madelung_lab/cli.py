@@ -26,13 +26,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .action_functionals import classical_action, drift_action, quantum_action
+from .action_functionals import (classical_action, drift_action, finite_action_norm,
+                                 quantum_action)
 from .benamou_brenier import (GaussianMeasure, displacement_couple, euler_residual,
                               gaussian_w2, monge_map_1d, packet_curvature_term_sup,
                               packet_endpoint_measures, quantum_vs_classical,
                               transport_cost)
 from .competitors import PerturbationSpec, positivity_head_room, verify_theorem1
-from .errors import ConfigError, MadelungLabError
+from .errors import AmplitudeInfeasible, ConfigError, MadelungLabError
 from .grid_fields import GridSpec, box_integral
 from .io_formats import couple_to_csv, transport_to_csv, write_json
 from .madelung import (constant_drift, decompose, drift, madelung_residuals,
@@ -40,7 +41,7 @@ from .madelung import (constant_drift, decompose, drift, madelung_residuals,
 from .nelson_sde import (estimate_I, marginal_histogram, marginal_l1,
                          renormalized_action, simulate_ensemble)
 from .schrodinger import (GaussianPacketSpec, free_propagate, gaussian_packet,
-                          packet_classical_action, packet_initial,
+                          packet_classical_action, packet_density, packet_initial,
                           packet_quantum_action, packet_sigma_sq)
 
 _REQUIRED = object()
@@ -233,7 +234,6 @@ def run_gaussian_benchmark(cfg: Config, out_dir: Path) -> tuple[dict, Checks]:
 
     quantum = quantum_action(couple)
     classical = classical_action(couple)
-    from .action_functionals import finite_action_norm
     finite = finite_action_norm(couple)
     b = drift(couple)
     through_drift = drift_action(b, rho)
@@ -457,7 +457,7 @@ def run_marginal_check(cfg: Config, out_dir: Path) -> tuple[dict, Checks]:
     for frac, value in distances.items():
         checks.within(f"marginal-l1-t{frac:g}", value, 0.03)
 
-    x0 = ens.paths[:, 0, 0]
+    x0 = ens.paths[:, 0]
     checks.within("initial-mean", float(x0.mean()) - spec.mu0,
                   4.0 * spec.sigma0 / np.sqrt(mc["N"]))
     checks.within("initial-variance",
@@ -504,8 +504,6 @@ def _precheck_amplitudes(cfg: Config) -> None:
     """Mirror the build time positivity rescaling, refusing only what it would."""
     grid = _build_grid(cfg)
     spec = _build_packet(cfg)
-    from .errors import AmplitudeInfeasible
-    from .schrodinger import packet_density
     rho = packet_density(spec, grid.x[np.newaxis, :], grid.t[:, np.newaxis])
     for pert in _perturbation_specs(cfg):
         try:

@@ -33,9 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action_functionals import ActionReport, quantum_action
-from .errors import AmplitudeInfeasible, SupportLeak
-from .grid_fields import (ScalarField, VectorField, fd_dt,
-                          spectral_antiderivative, spectral_dx)
+from .errors import AmplitudeInfeasible, MadelungLabError, SupportLeak
+from .grid_fields import ScalarField, fd_dt, spectral_antiderivative, spectral_dx
 from .madelung import FluidCouple
 
 Y_GRID_DEFAULT = (-1.0, -0.75, -0.5, -0.25, -0.125, 0.0,
@@ -80,7 +79,7 @@ class CompetitorFamily:
 
     base: FluidCouple
     g: ScalarField
-    u: VectorField
+    u: ScalarField
     y_grid: tuple
 
     def __post_init__(self) -> None:
@@ -177,7 +176,6 @@ def make_perturbation(spec: PerturbationSpec, base: FluidCouple) -> ScalarField:
     density's minimum over the space support, for every y in [-1, 1].
     """
     grid = base.rho.grid
-    grid.require_1d("make_perturbation")
     g = _raw_perturbation(spec, grid)
     head_room = positivity_head_room(spec, base.rho.values, grid)
     if head_room < 1.0:
@@ -189,7 +187,7 @@ def _correction_at_one(base: FluidCouple, g: ScalarField) -> np.ndarray:
     """Solve the divergence equation at y = 1 and clamp it to the support."""
     grid = base.rho.grid
     rhs = fd_dt(g.values, grid) + spectral_dx(
-        g.values * base.v.component(0), grid, "perturbation flux")
+        g.values * base.v.values, grid, "perturbation flux")
 
     # The continuity data vanishes off the bump support; what the
     # spectral flux derivative leaves there is ringing, gated here at
@@ -215,11 +213,11 @@ def _correction_at_one(base: FluidCouple, g: ScalarField) -> np.ndarray:
 
 
 def _couple_at(base: FluidCouple, g: ScalarField, u_one: np.ndarray,
-               y: float) -> tuple[VectorField, FluidCouple]:
+               y: float) -> tuple[ScalarField, FluidCouple]:
     grid = base.rho.grid
     rho_y = base.rho.values + y * g.values
     x_y = y * u_one / rho_y
-    v_y = base.v.component(0) + x_y
+    v_y = base.v.values + x_y
 
     # d(log rho_y)/dx splits into the base part plus a compactly
     # supported spectral part; plain differences on log(rho + y g) lose
@@ -230,14 +228,14 @@ def _couple_at(base: FluidCouple, g: ScalarField, u_one: np.ndarray,
 
     couple = FluidCouple(
         ScalarField(grid, rho_y),
-        VectorField(grid, v_y[..., np.newaxis]),
+        ScalarField(grid, v_y),
         provenance="competitor",
-        log_density_gradient=VectorField(grid, log_grad[..., np.newaxis]))
-    return VectorField(grid, x_y[..., np.newaxis]), couple
+        log_density_gradient=ScalarField(grid, log_grad))
+    return ScalarField(grid, x_y), couple
 
 
 def solve_velocity_correction(base: FluidCouple, g: ScalarField,
-                              y: float) -> tuple[VectorField, FluidCouple]:
+                              y: float) -> tuple[ScalarField, FluidCouple]:
     """Velocity correction X_y and the repaired couple (rho + y g, v + X_y)."""
     if g.grid != base.rho.grid:
         raise ValueError("perturbation lives on a different grid")
@@ -250,17 +248,15 @@ def make_family(base: FluidCouple, spec: PerturbationSpec,
                 y_grid=Y_GRID_DEFAULT) -> CompetitorFamily:
     g = make_perturbation(spec, base)
     u_one = _correction_at_one(base, g)
-    return CompetitorFamily(base, g,
-                            VectorField(base.rho.grid, u_one[..., np.newaxis]),
+    return CompetitorFamily(base, g, ScalarField(base.rho.grid, u_one),
                             tuple(float(y) for y in y_grid))
 
 
 def evaluate_family(fam: CompetitorFamily) -> list[tuple[float, ActionReport]]:
     """Quantum action along the probe points of the family."""
-    u_one = fam.u.component(0)
     out = []
     for y in fam.y_grid:
-        _, couple = _couple_at(fam.base, fam.g, u_one, y)
+        _, couple = _couple_at(fam.base, fam.g, fam.u.values, y)
         out.append((y, quantum_action(couple)))
     return out
 
@@ -295,7 +291,9 @@ def verify_theorem1(base: FluidCouple, specs, y_grid=Y_GRID_DEFAULT) -> dict:
 
     Verdict per spec: 'violated' only when the minimum margin falls
     below 3 combined error radii; smaller dips are 'inconclusive'.
-    Construction failures are reported as such, never as violations.
+    Construction failures (a lab error or a ValueError from the
+    perturbation recipe) are reported as such, never as violations;
+    any other exception is a bug and propagates.
 
     The minimization claim is expected to hold only for wave field
     derived bases; other couples run fine (that is the negative
@@ -307,7 +305,7 @@ def verify_theorem1(base: FluidCouple, specs, y_grid=Y_GRID_DEFAULT) -> dict:
         try:
             fam = make_family(base, spec, y_grid)
             profile = dict(evaluate_family(fam))
-        except Exception as exc:  # noqa: BLE001 - verdict accounting
+        except (MadelungLabError, ValueError) as exc:
             entry.update(verdict="failed-to-construct", error=str(exc))
             results.append(entry)
             continue

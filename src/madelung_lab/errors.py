@@ -50,5 +50,9 @@ class ConfigError(MadelungLabError):
     """An experiment configuration is missing keys or holds bad values."""
 
 
-class Unsupported(MadelungLabError):
-    """The requested operation is not available in this build (e.g. d > 1)."""
+class OrderingViolated(MadelungLabError):
+    """An action ordering that must hold up to quadrature error fails.
+
+    The squared transport distance bounds a couple's kinetic action from
+    below, and removing the Fisher term can only lower an action.
+    """

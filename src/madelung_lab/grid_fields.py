@@ -1,15 +1,17 @@
 """Space-time grids and discrete calculus for fields on a periodic box.
 
-Fields live on a uniform spatial grid over [x_min, x_max) (the right
-endpoint is identified with the left one and excluded) crossed with
-n_t + 1 uniform time nodes covering the unit interval. Two flavours of
-spatial derivative coexist on purpose:
+The lab is one-dimensional: every field is a :class:`ScalarField`, one
+real sample per time node and grid point. Fields live on a uniform
+spatial grid over [x_min, x_max) (the right endpoint is identified with
+the left one and excluded) crossed with n_t + 1 uniform time nodes
+covering the unit interval. Two flavours of spatial derivative coexist
+on purpose:
 
-* ``spectral_gradient`` differentiates through the FFT and is accurate
-  to machine precision, but only for fields that decay below the grid's
+* ``spectral_dx`` differentiates through the FFT and is accurate to
+  machine precision, but only for fields that decay below the grid's
   boundary tolerance at the box edges. It refuses anything else by
   raising :class:`BoundaryLeak`.
-* ``fd_gradient`` uses second order finite differences with one sided
+* ``fd_dx`` uses second order finite differences with one sided
   stencils at the edges. It has no decay requirement and is exact on
   quadratic profiles, which makes it the right tool for phases and log
   densities of Gaussian type fields. Those grow like x^2 and would be
@@ -27,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BoundaryLeak, Unsupported
+from .errors import BoundaryLeak
 
 
 @dataclass(frozen=True)
@@ -45,9 +47,6 @@ class GridSpec:
         FFT based operators stay fast and unambiguous.
     n_t:
         Number of time steps. Fields carry ``n_t + 1`` nodes on [0, 1].
-    d:
-        Spatial dimension of vector values. Storage supports any d >= 1
-        but the calculus routines are implemented for d = 1 only.
     boundary_tol:
         Relative magnitude a decaying field may show at the box edges
         before spectral operations refuse it.
@@ -57,7 +56,6 @@ class GridSpec:
     x_max: float
     n_x: int
     n_t: int
-    d: int = 1
     boundary_tol: float = 1e-12
 
     def __post_init__(self) -> None:
@@ -67,8 +65,6 @@ class GridSpec:
             raise ValueError(f"n_x must be a power of two >= 8, got {self.n_x}")
         if self.n_t < 2:
             raise ValueError(f"need at least 2 time steps, got {self.n_t}")
-        if self.d < 1:
-            raise ValueError(f"dimension must be positive, got {self.d}")
         if not 0.0 < self.boundary_tol < 1.0:
             raise ValueError(f"boundary_tol out of range: {self.boundary_tol}")
 
@@ -92,16 +88,12 @@ class GridSpec:
     def wavenumbers(self) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.n_x, d=self.dx)
 
-    def require_1d(self, operation: str) -> None:
-        if self.d != 1:
-            raise Unsupported(f"{operation} is implemented for d = 1, grid has d = {self.d}")
-
     def coarsen(self) -> "GridSpec":
         """Grid with every second node removed in both directions."""
         if self.n_x < 16 or self.n_t % 2 or self.n_t < 4:
             raise ValueError("grid too small to coarsen")
         return GridSpec(self.x_min, self.x_max, self.n_x // 2, self.n_t // 2,
-                        d=self.d, boundary_tol=self.boundary_tol)
+                        boundary_tol=self.boundary_tol)
 
 
 def _checked_values(values: np.ndarray, shape: tuple, what: str) -> np.ndarray:
@@ -127,26 +119,6 @@ class ScalarField:
 
     def coarsen(self) -> "ScalarField":
         return ScalarField(self.grid.coarsen(), self.values[::2, ::2])
-
-
-@dataclass(frozen=True)
-class VectorField:
-    """Vector valued samples with a trailing component axis."""
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        g = self.grid
-        object.__setattr__(self, "values",
-                           _checked_values(self.values, (g.n_t + 1, g.n_x, g.d), "vector field"))
-
-    def component(self, axis: int = 0) -> np.ndarray:
-        """Samples of one Cartesian component, shape (n_t + 1, n_x)."""
-        return self.values[..., axis]
-
-    def coarsen(self) -> "VectorField":
-        return VectorField(self.grid.coarsen(), self.values[::2, ::2, :])
 
 
 def edge_leak(values: np.ndarray, grid: GridSpec) -> float:
@@ -214,48 +186,10 @@ def spectral_antiderivative(values: np.ndarray, grid: GridSpec,
     return prim - prim[..., :1]
 
 
-def spectral_gradient(field: ScalarField, t_index: int | None = None):
-    """Spatial gradient of a decaying scalar field via the FFT.
-
-    With ``t_index`` given, returns one slice as an array of shape
-    (n_x, d). Otherwise differentiates every time node and returns a
-    :class:`VectorField`.
-    """
-    grid = field.grid
-    grid.require_1d("spectral_gradient")
-    if t_index is not None:
-        slice_d = spectral_dx(field.values[t_index], grid, "gradient input")
-        return slice_d[:, np.newaxis]
-    out = spectral_dx(field.values, grid, "gradient input")
-    return VectorField(grid, out[..., np.newaxis])
-
-
-def fd_gradient(field: ScalarField, t_index: int | None = None):
-    """Finite difference counterpart of :func:`spectral_gradient`.
-
-    No decay requirement: intended for phases, log densities and other
-    fields with polynomial growth across the box.
-    """
-    grid = field.grid
-    grid.require_1d("fd_gradient")
-    if t_index is not None:
-        return fd_dx(field.values[t_index], grid)[:, np.newaxis]
-    return VectorField(grid, fd_dx(field.values, grid)[..., np.newaxis])
-
-
 def box_integral(values: np.ndarray, grid: GridSpec, what: str = "integrand") -> float:
     """Rectangle rule integral of one decaying spatial slice."""
     ensure_decaying(values, grid, what)
     return float(grid.dx * np.sum(values, axis=-1))
-
-
-def integrate(field: ScalarField, t_index: int | None = None):
-    """Box integral of a decaying scalar field, per slice or for one node."""
-    ensure_decaying(field.values, field.grid, "integrand")
-    sums = field.grid.dx * field.values.sum(axis=-1)
-    if t_index is not None:
-        return float(sums[t_index])
-    return sums
 
 
 def time_integrate(series: np.ndarray, grid: GridSpec) -> float:

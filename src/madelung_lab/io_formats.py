@@ -1,64 +1,19 @@
-"""Serialization helpers: compact binary arrays, CSV tables, JSON reports.
-
-The binary layout is a fixed little-endian header followed by raw array
-bytes in C order:
-
-    magic   4 bytes  b"MDLF"
-    version u32      currently 1
-    dtype   u8       0 = float64, 1 = complex128
-    ndim    u8
-    pad     u16      zero
-    shape   ndim * u64
-    data    prod(shape) * itemsize bytes
+"""Serialization helpers: CSV tables and JSON reports.
 
 CSV tables use one sample per row with a plain header line and repr
-exact float formatting, so a write/read cycle reproduces values bit for
-bit. JSON reports are written with sorted keys so repeated runs of the
-same experiment produce byte identical files.
+exact float formatting, so reading a table back reproduces the values
+bit for bit. JSON reports are written with sorted keys so repeated runs of
+the same experiment produce byte identical files.
 """
 
 from __future__ import annotations
 
 import json
-import struct
 from pathlib import Path
 
 import numpy as np
 
-from .grid_fields import GridSpec, ScalarField
-
-_MAGIC = b"MDLF"
-_VERSION = 1
-_DTYPES = {0: np.dtype("<f8"), 1: np.dtype("<c16")}
-_CODES = {np.dtype(np.float64): 0, np.dtype(np.complex128): 1}
-
-
-def write_binary(path, array: np.ndarray) -> None:
-    """Dump one float64 or complex128 array in the package binary format."""
-    arr = np.ascontiguousarray(array)
-    if arr.dtype not in _CODES:
-        arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64)
-    code = _CODES[arr.dtype]
-    header = struct.pack("<4sIBBH", _MAGIC, _VERSION, code, arr.ndim, 0)
-    header += struct.pack(f"<{arr.ndim}Q", *arr.shape)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(arr.astype(_DTYPES[code], copy=False).tobytes(order="C"))
-
-
-def read_binary(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic, version, code, ndim, _ = struct.unpack("<4sIBBH", fh.read(12))
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a field file (magic {magic!r})")
-        if version != _VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-        if code not in _DTYPES:
-            raise ValueError(f"{path}: unknown dtype code {code}")
-        shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
-        count = int(np.prod(shape)) if ndim else 1
-        data = np.frombuffer(fh.read(), dtype=_DTYPES[code], count=count)
-    return data.reshape(shape).copy()
+from .grid_fields import GridSpec
 
 
 def _table_to_csv(path, header: str, columns) -> None:
@@ -72,44 +27,12 @@ def _tx_columns(grid: GridSpec):
     return tt, xx
 
 
-def scalar_to_csv(path, field: ScalarField) -> None:
-    """Rows of (t, x, value), time major."""
-    tt, xx = _tx_columns(field.grid)
-    _table_to_csv(path, "t,x,value", (tt, xx, field.values.ravel()))
-
-
-def scalar_from_csv(path) -> ScalarField:
-    """Rebuild a scalar field (and its grid) from :func:`scalar_to_csv` output."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    if data.ndim != 2 or data.shape[1] != 3:
-        raise ValueError(f"{path}: expected 3 columns (t, x, value)")
-    t_col, x_col, v_col = data.T
-    n_x = int(np.count_nonzero(t_col == t_col[0]))
-    if n_x < 2 or data.shape[0] % n_x:
-        raise ValueError(f"{path}: rows do not factor into time slices")
-    n_t = data.shape[0] // n_x - 1
-    x = x_col[:n_x]
-    dx = x[1] - x[0]
-    grid = GridSpec(float(x[0]), float(x[0] + n_x * dx), n_x, n_t)
-    return ScalarField(grid, v_col.reshape(n_t + 1, n_x))
-
-
-def complex_to_csv(path, grid: GridSpec, values: np.ndarray) -> None:
-    """Rows of (t, x, re, im) for a complex space-time array."""
-    tt, xx = _tx_columns(grid)
-    flat = np.asarray(values).ravel()
-    _table_to_csv(path, "t,x,re,im", (tt, xx, flat.real, flat.imag))
-
-
 def couple_to_csv(path, grid: GridSpec, rho_values: np.ndarray,
                   v_values: np.ndarray) -> None:
-    """Rows of (t, x, rho, v) for a density and its 1d velocity."""
+    """Rows of (t, x, rho, v) for a density and its velocity."""
     tt, xx = _tx_columns(grid)
-    v_flat = np.asarray(v_values)
-    if v_flat.ndim == 3:
-        v_flat = v_flat[..., 0]
-    _table_to_csv(path, "t,x,rho,v",
-                  (tt, xx, np.asarray(rho_values).ravel(), v_flat.ravel()))
+    _table_to_csv(path, "t,x,rho,v", (tt, xx, np.asarray(rho_values).ravel(),
+                                      np.asarray(v_values).ravel()))
 
 
 def transport_to_csv(path, x: np.ndarray, map_samples: np.ndarray,

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NodeDetected, NormDrift, UnwrapInconsistent
-from .grid_fields import (GridSpec, ScalarField, VectorField, ensure_decaying,
-                          fd_dt, fd_dx, spectral_dx, time_integrate)
+from .grid_fields import (GridSpec, ScalarField, ensure_decaying, fd_dt, fd_dx,
+                          spectral_dx, time_integrate)
 from .schrodinger import (NODE_FLOOR, GaussianPacketSpec, WaveField,
                           packet_density, packet_osmotic)
 
@@ -47,9 +47,9 @@ class FluidCouple:
     """
 
     rho: ScalarField
-    v: VectorField
+    v: ScalarField
     provenance: str = "synthetic"
-    log_density_gradient: VectorField | None = None
+    log_density_gradient: ScalarField | None = None
     finite_action: float = field(init=False, default=0.0)
 
     def __post_init__(self) -> None:
@@ -72,23 +72,22 @@ class FluidCouple:
     def _finite_action(self) -> float:
         grid = self.rho.grid
         u = 0.5 * self.log_gradient_values()
-        speed_sq = np.sum(self.v.values**2, axis=-1)
-        integrand = (speed_sq + u**2) * self.rho.values
+        integrand = (self.v.values**2 + u**2) * self.rho.values
         ensure_decaying(integrand, grid, "finite action integrand")
         return time_integrate(grid.dx * integrand.sum(axis=-1), grid)
 
     def log_gradient_values(self) -> np.ndarray:
         """Samples of d(log rho)/dx, preferring the attached field."""
         if self.log_density_gradient is not None:
-            return self.log_density_gradient.component(0)
+            return self.log_density_gradient.values
         return fd_dx(np.log(self.rho.values), self.rho.grid)
 
 
 @dataclass(frozen=True)
 class DriftField:
-    """A vector field plus the rule for evaluating it off the lattice."""
+    """A drift field plus the rule for evaluating it off the lattice."""
 
-    b: VectorField
+    b: ScalarField
     name: str = "drift"
     interpolation: str = "linear-x,left-t"
 
@@ -99,39 +98,32 @@ class DriftField:
         extends constantly (trajectories essentially never get there).
         """
         grid = self.b.grid
-        grid.require_1d("drift evaluation")
         node = min(int(np.floor(t * grid.n_t + 1e-9)), grid.n_t)
-        return np.interp(positions, grid.x, self.b.values[node, :, 0])
+        return np.interp(positions, grid.x, self.b.values[node])
 
     def divergence(self) -> ScalarField:
         """d(b)/dx by open boundary differences (drifts grow linearly)."""
         grid = self.b.grid
-        grid.require_1d("drift divergence")
-        return ScalarField(grid, fd_dx(self.b.component(0), grid))
+        return ScalarField(grid, fd_dx(self.b.values, grid))
 
 
-def osmotic(rho: ScalarField) -> VectorField:
+def osmotic(rho: ScalarField) -> ScalarField:
     """Half the log density gradient, u = (1/2) d(log rho)/dx."""
     if rho.values.min() <= 0.0:
         raise ValueError("osmotic velocity needs a strictly positive density")
-    grid = rho.grid
-    grid.require_1d("osmotic")
-    u = 0.5 * fd_dx(np.log(rho.values), grid)
-    return VectorField(grid, u[..., np.newaxis])
+    return ScalarField(rho.grid, 0.5 * fd_dx(np.log(rho.values), rho.grid))
 
 
 def drift(couple: FluidCouple) -> DriftField:
     """Forward drift b = v + (1/2) d(log rho)/dx of the couple."""
-    grid = couple.rho.grid
-    grid.require_1d("drift")
-    b = couple.v.component(0) + 0.5 * couple.log_gradient_values()
-    return DriftField(VectorField(grid, b[..., np.newaxis]),
+    b = couple.v.values + 0.5 * couple.log_gradient_values()
+    return DriftField(ScalarField(couple.rho.grid, b),
                       name=f"drift[{couple.provenance}]")
 
 
 def constant_drift(grid: GridSpec, value: float, name: str | None = None) -> DriftField:
-    values = np.full((grid.n_t + 1, grid.n_x, grid.d), float(value))
-    return DriftField(VectorField(grid, values),
+    values = np.full((grid.n_t + 1, grid.n_x), float(value))
+    return DriftField(ScalarField(grid, values),
                       name=name or f"constant({value:g})")
 
 
@@ -145,7 +137,6 @@ def decompose(psi: WaveField, node_floor: float = NODE_FLOOR):
     the couple's velocity is that gradient.
     """
     grid = psi.grid
-    grid.require_1d("decompose")
     dens = psi.density()
     floor = float(dens.min())
     if floor < node_floor:
@@ -166,8 +157,8 @@ def decompose(psi: WaveField, node_floor: float = NODE_FLOOR):
 
     rho = ScalarField(grid, dens)
     s_field = ScalarField(grid, phase)
-    v = VectorField(grid, fd_dx(phase, grid)[..., np.newaxis])
-    log_grad = VectorField(grid, fd_dx(np.log(dens), grid)[..., np.newaxis])
+    v = ScalarField(grid, fd_dx(phase, grid))
+    log_grad = ScalarField(grid, fd_dx(np.log(dens), grid))
     couple = FluidCouple(rho, v, provenance="schrodinger",
                          log_density_gradient=log_grad)
     return rho, s_field, couple
@@ -189,7 +180,6 @@ def madelung_residuals(rho: ScalarField, phase: ScalarField) -> tuple[float, flo
     if rho.grid != phase.grid:
         raise ValueError("fields live on different grids")
     grid = rho.grid
-    grid.require_1d("madelung_residuals")
 
     v = fd_dx(phase.values, grid)
     flux = spectral_dx(rho.values * v, grid, "density flux")
@@ -217,16 +207,15 @@ def _gaussian_density(grid: GridSpec, mean, variance: float) -> np.ndarray:
 def static_gaussian_couple(grid: GridSpec, variance: float = 1.0,
                            mean: float = 0.0) -> FluidCouple:
     """Time independent normal density with zero velocity."""
-    grid.require_1d("static_gaussian_couple")
     means = np.full(grid.n_t + 1, float(mean))
     rho = _gaussian_density(grid, means, variance)
     x = grid.x[np.newaxis, :]
     log_grad = -(x - means[:, np.newaxis]) / variance
     return FluidCouple(
         ScalarField(grid, rho),
-        VectorField(grid, np.zeros((grid.n_t + 1, grid.n_x, 1))),
+        ScalarField(grid, np.zeros((grid.n_t + 1, grid.n_x))),
         provenance="synthetic",
-        log_density_gradient=VectorField(grid, log_grad[..., np.newaxis]))
+        log_density_gradient=ScalarField(grid, log_grad))
 
 
 def translating_gaussian_couple(grid: GridSpec, speed: float,
@@ -237,15 +226,14 @@ def translating_gaussian_couple(grid: GridSpec, speed: float,
     Solves the continuity equation exactly, so it is a legitimate couple;
     it is not a wave field couple unless the width also spreads.
     """
-    grid.require_1d("translating_gaussian_couple")
     means = start + speed * grid.t
     rho = _gaussian_density(grid, means, variance)
     x = grid.x[np.newaxis, :]
     log_grad = -(x - means[:, np.newaxis]) / variance
-    v = np.full((grid.n_t + 1, grid.n_x, 1), float(speed))
-    return FluidCouple(ScalarField(grid, rho), VectorField(grid, v),
+    v = np.full((grid.n_t + 1, grid.n_x), float(speed))
+    return FluidCouple(ScalarField(grid, rho), ScalarField(grid, v),
                        provenance="synthetic",
-                       log_density_gradient=VectorField(grid, log_grad[..., np.newaxis]))
+                       log_density_gradient=ScalarField(grid, log_grad))
 
 
 def spreading_mismatched_couple(spec: GaussianPacketSpec, grid: GridSpec) -> FluidCouple:
@@ -255,15 +243,14 @@ def spreading_mismatched_couple(spec: GaussianPacketSpec, grid: GridSpec) -> Flu
     fails by construction. Deliberate negative control: it is not the
     hydrodynamic couple of any wave field evolution.
     """
-    grid.require_1d("spreading_mismatched_couple")
     x = grid.x[np.newaxis, :]
     t = grid.t[:, np.newaxis]
     rho = packet_density(spec, x, t)
     log_grad = 2.0 * packet_osmotic(spec, x, t)
-    v = np.full((grid.n_t + 1, grid.n_x, 1), float(spec.p))
-    return FluidCouple(ScalarField(grid, rho), VectorField(grid, v),
+    v = np.full((grid.n_t + 1, grid.n_x), float(spec.p))
+    return FluidCouple(ScalarField(grid, rho), ScalarField(grid, v),
                        provenance="synthetic",
-                       log_density_gradient=VectorField(grid, log_grad[..., np.newaxis]))
+                       log_density_gradient=ScalarField(grid, log_grad))
 
 
 def plateau_density(grid: GridSpec, center: float = 0.0,
@@ -290,5 +277,5 @@ def plateau_density(grid: GridSpec, center: float = 0.0,
 
 def plateau_couple(grid: GridSpec, speed: float = 0.0, **kwargs) -> FluidCouple:
     rho = plateau_density(grid, **kwargs)
-    v = np.full((grid.n_t + 1, grid.n_x, 1), float(speed))
-    return FluidCouple(rho, VectorField(grid, v), provenance="synthetic")
+    v = np.full((grid.n_t + 1, grid.n_x), float(speed))
+    return FluidCouple(rho, ScalarField(grid, v), provenance="synthetic")

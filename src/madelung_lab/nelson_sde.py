@@ -10,7 +10,7 @@ size n that defines the discrete action
 
     F_n = n * E[ sum over i of (q_{t_{i+1}} - q_{t_i})^2 ].
 
-Subtracting n*d (the expected quadratic variation of the noise alone)
+Subtracting n (the expected quadratic variation of the noise alone)
 renormalizes F_n; for a Markovian drift the renormalized value
 estimates the expected time integral of b^2 + div b, hence the quantum
 action of the underlying couple.
@@ -26,6 +26,8 @@ path per trajectory. The component diffusions q^{b_j} are co-evolved on
 that common noise, the mixture velocity is the weighted sum of the
 components' drifts evaluated each along its own component, and the
 recorded process integrates that velocity against the shared noise.
+With a single drift the recorded process is that drift's component,
+so it is stepped once.
 """
 
 from __future__ import annotations
@@ -47,9 +49,9 @@ _NOISE_STREAM_BASE = 2
 class Ensemble:
     """Partition node positions and per-interval Brownian sums.
 
-    ``paths`` has shape (N, n + 1, d); ``w_sums`` (float32, shape
-    (N, n, d)) stores each interval's summed noise so an interval
-    increment splits into drift part plus noise part for diagnostics.
+    ``paths`` has shape (N, n + 1); ``w_sums`` (float32, shape (N, n))
+    stores each interval's summed noise so an interval increment splits
+    into drift part plus noise part for diagnostics.
     """
 
     paths: np.ndarray
@@ -61,11 +63,11 @@ class Ensemble:
     grid: GridSpec
 
     def __post_init__(self) -> None:
-        if self.paths.shape != (self.N, self.n + 1, self.grid.d):
+        if self.paths.shape != (self.N, self.n + 1):
             raise ValueError(f"paths shape {self.paths.shape} does not match "
-                             f"(N, n + 1, d) = {(self.N, self.n + 1, self.grid.d)}")
-        if self.w_sums.shape != (self.N, self.n, self.grid.d):
-            raise ValueError("w_sums shape does not match (N, n, d)")
+                             f"(N, n + 1) = {(self.N, self.n + 1)}")
+        if self.w_sums.shape != (self.N, self.n):
+            raise ValueError("w_sums shape does not match (N, n)")
         if not np.all(np.isfinite(self.paths)):
             raise ValueError("ensemble contains non-finite positions")
 
@@ -96,7 +98,6 @@ def sample_initial(rho0: np.ndarray, grid: GridSpec, n_samples: int,
     The CDF comes from the cumulative trapezoid rule and is inverted by
     linear interpolation, so samples never leave the box.
     """
-    grid.require_1d("sample_initial")
     rho0 = np.asarray(rho0, dtype=float)
     if rho0.shape != (grid.n_x,):
         raise ValueError(f"density slice has shape {rho0.shape}, "
@@ -126,7 +127,6 @@ def mixture_ensemble(drifts: list[DriftField], weights, rho0, grid: GridSpec,
     ``rho0`` is the initial density sampled on ``grid.x``; pass None to
     start every trajectory at the origin.
     """
-    grid.require_1d("mixture_ensemble")
     if not drifts:
         raise ValueError("need at least one drift")
     weights = np.asarray(weights, dtype=float)
@@ -145,10 +145,11 @@ def mixture_ensemble(drifts: list[DriftField], weights, rho0, grid: GridSpec,
     else:
         x0 = sample_initial(rho0, grid, N, seed)
 
+    mixing = len(drifts) > 1
     h = 1.0 / (n * substeps)
     root_h = np.sqrt(h)
-    paths = np.empty((N, n + 1, 1))
-    w_sums = np.empty((N, n, 1), dtype=np.float32)
+    paths = np.empty((N, n + 1))
+    w_sums = np.empty((N, n), dtype=np.float32)
 
     for block_index, start in enumerate(range(0, N, BLOCK)):
         stop = min(start + BLOCK, N)
@@ -156,7 +157,7 @@ def mixture_ensemble(drifts: list[DriftField], weights, rho0, grid: GridSpec,
             np.random.Philox(key=[seed, _NOISE_STREAM_BASE + block_index]))
         components = [x0[start:stop].copy() for _ in drifts]
         mixed = x0[start:stop].copy()
-        paths[start:stop, 0, 0] = mixed
+        paths[start:stop, 0] = mixed
         for i in range(n):
             w_acc = np.zeros(stop - start)
             for sub in range(i * substeps, (i + 1) * substeps):
@@ -164,17 +165,19 @@ def mixture_ensemble(drifts: list[DriftField], weights, rho0, grid: GridSpec,
                 dw = rng.normal(0.0, root_h, stop - start)
                 pulls = [b.evaluate(q, t_left)
                          for b, q in zip(drifts, components)]
-                beta = sum(w * pull for w, pull in zip(weights, pulls))
                 for j, pull in enumerate(pulls):
                     components[j] = components[j] + (pull * h + dw)
-                mixed = mixed + (beta * h + dw)
+                if mixing:
+                    beta = sum(w * pull for w, pull in zip(weights, pulls))
+                    mixed = mixed + (beta * h + dw)
                 w_acc += dw
+            # the first track is the recorded one
+            tracks = [mixed, *components] if mixing else components
             t_node = (i + 1) / n
-            _check_inside(mixed, grid, t_node)
-            for q in components:
+            for q in tracks:
                 _check_inside(q, grid, t_node)
-            paths[start:stop, i + 1, 0] = mixed
-            w_sums[start:stop, i, 0] = w_acc
+            paths[start:stop, i + 1] = tracks[0]
+            w_sums[start:stop, i] = w_acc
 
     if len(drifts) == 1:
         drift_id = drifts[0].name
@@ -193,15 +196,15 @@ def simulate_ensemble(b: DriftField, rho0, grid: GridSpec, N: int, n: int,
 def discrete_action(ens: Ensemble) -> MCEstimate:
     """n times the mean summed squared partition increment."""
     dq = np.diff(ens.paths, axis=1)
-    per_path = ens.n * np.einsum("ijk,ijk->i", dq, dq)
+    per_path = ens.n * np.einsum("ij,ij->i", dq, dq)
     std_error = float(per_path.std(ddof=1) / np.sqrt(ens.N)) if ens.N > 1 else 0.0
     return MCEstimate(float(per_path.mean()), std_error, ens.N)
 
 
 def renormalized_action(ens: Ensemble) -> MCEstimate:
-    """Discrete action minus its pure-noise expectation n*d."""
+    """Discrete action minus its pure-noise expectation n."""
     raw = discrete_action(ens)
-    return MCEstimate(raw.mean - ens.n * ens.grid.d, raw.std_error, ens.N)
+    return MCEstimate(raw.mean - ens.n, raw.std_error, ens.N)
 
 
 def _time_node(t: float, grid: GridSpec) -> int:
@@ -222,7 +225,7 @@ def estimate_I(ens: Ensemble, b: DriftField, div_b: ScalarField) -> MCEstimate:
     totals = np.zeros(ens.N)
     for i in range(ens.n + 1):
         t_i = i / ens.n
-        q = ens.paths[:, i, 0]
+        q = ens.paths[:, i]
         node = _time_node(t_i, grid)
         values = (b.evaluate(q, t_i) ** 2
                   + np.interp(q, grid.x, div_b.values[node]))
@@ -242,7 +245,7 @@ def marginal_histogram(ens: Ensemble, fraction: float):
     grid = ens.grid
     edges = np.concatenate([grid.x - 0.5 * grid.dx,
                             [grid.x[-1] + 0.5 * grid.dx]])
-    counts, _ = np.histogram(ens.paths[:, i, 0], bins=edges)
+    counts, _ = np.histogram(ens.paths[:, i], bins=edges)
     return grid.x, counts / (ens.N * grid.dx)
 
 
@@ -261,13 +264,3 @@ def marginal_l1(ens: Ensemble, rho: ScalarField,
         out[float(frac)] = float(grid.dx * np.abs(est - rho.values[j]).sum())
     return out
 
-
-def ensemble_summary(ens: Ensemble) -> dict:
-    """Compact JSON-friendly description (no paths)."""
-    q0 = ens.paths[:, 0, 0]
-    q1 = ens.paths[:, -1, 0]
-    return {
-        "N": ens.N, "n": ens.n, "seed": ens.seed, "drift_id": ens.drift_id,
-        "mean_t0": float(q0.mean()), "var_t0": float(q0.var()),
-        "mean_t1": float(q1.mean()), "var_t1": float(q1.var()),
-    }

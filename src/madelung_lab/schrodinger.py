@@ -79,7 +79,6 @@ class WaveField:
 def free_propagate(psi0: np.ndarray, grid: GridSpec,
                    node_floor: float = NODE_FLOOR) -> WaveField:
     """Evolve one normalized initial state to every time node at once."""
-    grid.require_1d("free_propagate")
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (grid.n_x,):
         raise ValueError(f"initial state has shape {psi0.shape}, "
@@ -101,7 +100,6 @@ def _alpha(spec: GaussianPacketSpec, t):
 def gaussian_packet(spec: GaussianPacketSpec, grid: GridSpec,
                     node_floor: float = NODE_FLOOR) -> WaveField:
     """Closed form packet samples at every node of the grid."""
-    grid.require_1d("gaussian_packet")
     x = grid.x[np.newaxis, :]
     t = grid.t[:, np.newaxis]
     alpha = _alpha(spec, t)

@@ -6,9 +6,15 @@ integral for a two-bump mixture against the standard normal, computed
 with scipy.integrate.quad and scipy.special.ndtri to 1e-12.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import madelung_lab
 from madelung_lab import (GaussianMeasure, GaussianPacketSpec, GridSpec,
                           NormDrift, TransportPlan1D, classical_action,
                           displacement_couple, euler_residual, gaussian_w2,
@@ -16,6 +22,24 @@ from madelung_lab import (GaussianMeasure, GaussianPacketSpec, GridSpec,
                           transport_cost, translating_gaussian_couple)
 from madelung_lab.benamou_brenier import (packet_curvature_term_sup,
                                           packet_endpoint_measures)
+
+# a couple carrying a rigidly translating density N(t, 1) but no
+# velocity: its kinetic action 0 sits below the transport distance 1
+STILL_COUPLE_SCRIPT = """
+import numpy as np
+from madelung_lab import (FluidCouple, GaussianMeasure, GridSpec,
+                          OrderingViolated, ScalarField, quantum_vs_classical,
+                          translating_gaussian_couple)
+grid = GridSpec(-12.0, 12.0, 256, 16)
+moving = translating_gaussian_couple(grid, speed=1.0)
+still = FluidCouple(moving.rho, ScalarField(grid, np.zeros((17, 256))),
+                    log_density_gradient=moving.log_density_gradient)
+try:
+    quantum_vs_classical(GaussianMeasure(0.0, 1.0), GaussianMeasure(1.0, 1.0),
+                         still)
+except OrderingViolated as exc:
+    print("OrderingViolated:", exc)
+"""
 
 # quantile-coupling cost of 0.5 N(-1, 0.5^2) + 0.5 N(1.5, 0.8^2) against
 # N(0, 1), frozen from the scipy oracle
@@ -143,7 +167,7 @@ class TestDisplacementCouple:
         couple = displacement_couple(GaussianMeasure(-1.0, 0.64),
                                      GaussianMeasure(1.5, 1.44), grid)
         for row in (0, grid.n_t // 2, grid.n_t):
-            v = couple.v.values[row, :, 0]
+            v = couple.v.values[row]
             coeffs = np.polyfit(grid.x, v, 1)
             fit = np.polyval(coeffs, grid.x)
             assert np.max(np.abs(v - fit)) < 1e-8
@@ -190,6 +214,20 @@ class TestQuantumVsClassical:
         couple = translating_gaussian_couple(grid, speed=2.0, variance=1.0)
         tau2 = gaussian_w2(GaussianMeasure(0.0, 1.0), GaussianMeasure(2.0, 1.0))
         assert abs(classical_action(couple).value - tau2) < 1e-10
+
+    def test_ordering_check_survives_optimize_flag(self):
+        # the violation must raise the typed error even under -O, where
+        # an assert would vanish and the report would carry a negative
+        # lower-bound margin as if the check had passed
+        src = str(Path(madelung_lab.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-O", "-c", STILL_COUPLE_SCRIPT],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("OrderingViolated: transport distance")
 
     def test_endpoint_mismatch_rejected(self, packet_couple):
         with pytest.raises(ValueError):

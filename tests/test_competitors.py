@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 from madelung_lab import (CompetitorFamily, GaussianPacketSpec, PerturbationSpec,
-                          ScalarField, SupportLeak, VectorField, evaluate_family,
+                          ScalarField, SupportLeak, evaluate_family,
                           make_family, make_perturbation, quantum_action,
                           solve_velocity_correction, spreading_mismatched_couple,
                           verify_theorem1)
 from madelung_lab.action_functionals import continuity_residual
+from madelung_lab import competitors
 from madelung_lab.competitors import positivity_head_room
 
 # head room of the seed-1012 perturbation against the default packet
@@ -107,20 +108,20 @@ class TestVelocityCorrection:
         g = default_family.g
         x_half, couple_half = solve_velocity_correction(packet_couple, g, 0.5)
         x_one, _ = solve_velocity_correction(packet_couple, g, 1.0)
-        flux_half = x_half.component(0) * couple_half.rho.values
-        flux_one = x_one.component(0) * (packet_couple.rho.values + g.values)
+        flux_half = x_half.values * couple_half.rho.values
+        flux_one = x_one.values * (packet_couple.rho.values + g.values)
         assert np.max(np.abs(flux_half - 0.5 * flux_one)) < 1e-14
 
     def test_correction_supported_with_the_bump(self, grid, packet_couple,
                                                 default_family):
         x_one, _ = solve_velocity_correction(packet_couple, default_family.g, 1.0)
         outside = np.abs(default_family.g.values).max(axis=0) == 0.0
-        assert np.all(x_one.component(0)[:, outside] == 0.0)
+        assert np.all(x_one.values[:, outside] == 0.0)
 
     def test_y_zero_returns_base_values(self, packet_couple, default_family):
         x_zero, couple = solve_velocity_correction(
             packet_couple, default_family.g, 0.0)
-        assert np.all(x_zero.component(0) == 0.0)
+        assert np.all(x_zero.values == 0.0)
         assert np.array_equal(couple.rho.values, packet_couple.rho.values)
         assert np.array_equal(couple.v.values, packet_couple.v.values)
 
@@ -167,7 +168,7 @@ class TestFamily:
 
     def test_family_invariants_enforced(self, grid, packet_couple):
         good_g = np.zeros((grid.n_t + 1, grid.n_x))
-        zero_u = VectorField(grid, np.zeros((grid.n_t + 1, grid.n_x, 1)))
+        zero_u = ScalarField(grid, np.zeros((grid.n_t + 1, grid.n_x)))
         bad_y = (0.0, 2.0)
         with pytest.raises(ValueError):
             CompetitorFamily(packet_couple, ScalarField(grid, good_g),
@@ -213,6 +214,15 @@ class TestVerdicts:
         assert report["n_failed"] == 1
         assert not report["all_pass"]
         assert "error" in report["specs"][0]
+
+    def test_code_bugs_propagate(self, packet_couple, monkeypatch):
+        # only lab errors and bad recipes become verdicts; a TypeError
+        # is a bug in the code and must surface
+        def broken(*args, **kwargs):
+            raise TypeError("'float' object cannot be interpreted as an integer")
+        monkeypatch.setattr(competitors, "make_family", broken)
+        with pytest.raises(TypeError):
+            verify_theorem1(packet_couple, [PerturbationSpec(seed=1000)])
 
     def test_no_specs_is_vacuously_true(self, packet_couple):
         report = verify_theorem1(packet_couple, [])

@@ -1,18 +1,11 @@
-"""Serialization roundtrips and on-disk layout.
-
-The binary header layout is pinned byte for byte with struct, so a
-regression in endianness or field order cannot slip past.
-"""
-
-import struct
+"""CSV tables and JSON reports: columns, exact values, stable bytes."""
 
 import numpy as np
 import pytest
 
-from madelung_lab import GridSpec, ScalarField
-from madelung_lab.io_formats import (complex_to_csv, couple_to_csv, read_binary,
-                                     read_json, scalar_from_csv, scalar_to_csv,
-                                     transport_to_csv, write_binary, write_json)
+from madelung_lab import GridSpec
+from madelung_lab.io_formats import (couple_to_csv, read_json, transport_to_csv,
+                                     write_json)
 
 
 @pytest.fixture()
@@ -20,86 +13,21 @@ def grid():
     return GridSpec(-2.0, 2.0, 16, 3)
 
 
-class TestBinary:
-    def test_float_roundtrip_exact(self, tmp_path):
-        rng = np.random.default_rng(7)
-        arr = rng.standard_normal((5, 16))
-        path = tmp_path / "f.mdlf"
-        write_binary(path, arr)
-        assert np.array_equal(read_binary(path), arr)
-
-    def test_complex_roundtrip_exact(self, tmp_path):
-        rng = np.random.default_rng(8)
-        arr = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
-        path = tmp_path / "c.mdlf"
-        write_binary(path, arr)
-        back = read_binary(path)
-        assert back.dtype == np.complex128
-        assert np.array_equal(back, arr)
-
-    def test_header_layout(self, tmp_path):
-        arr = np.arange(6.0).reshape(2, 3)
-        path = tmp_path / "h.mdlf"
-        write_binary(path, arr)
-        raw = path.read_bytes()
-        magic, version, code, ndim, pad = struct.unpack("<4sIBBH", raw[:12])
-        assert magic == b"MDLF"
-        assert version == 1
-        assert code == 0 and ndim == 2 and pad == 0
-        shape = struct.unpack("<2Q", raw[12:28])
-        assert shape == (2, 3)
-        # payload is little-endian float64, C order
-        first = struct.unpack("<d", raw[28:36])[0]
-        assert first == 0.0
-        assert len(raw) == 28 + 6 * 8
-
-    def test_int_input_promoted_to_float(self, tmp_path):
-        path = tmp_path / "i.mdlf"
-        write_binary(path, np.arange(4))
-        back = read_binary(path)
-        assert back.dtype == np.float64
-        assert np.array_equal(back, [0.0, 1.0, 2.0, 3.0])
-
-    def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "bad.mdlf"
-        path.write_bytes(b"NOPE" + b"\x00" * 24)
-        with pytest.raises(ValueError):
-            read_binary(path)
-
-
 class TestCsv:
-    def test_scalar_roundtrip_rebuilds_grid(self, tmp_path, grid):
+    def test_couple_csv_columns(self, tmp_path, grid):
         rng = np.random.default_rng(9)
-        field = ScalarField(grid, rng.standard_normal((grid.n_t + 1, grid.n_x)))
-        path = tmp_path / "s.csv"
-        scalar_to_csv(path, field)
-        back = scalar_from_csv(path)
-        assert back.grid == grid
-        # %.17g prints doubles exactly
-        assert np.array_equal(back.values, field.values)
-
-    def test_scalar_csv_header(self, tmp_path, grid):
-        field = ScalarField(grid, np.ones((grid.n_t + 1, grid.n_x)))
-        path = tmp_path / "s.csv"
-        scalar_to_csv(path, field)
-        assert path.read_text().splitlines()[0] == "t,x,value"
-
-    def test_complex_csv_columns(self, tmp_path, grid):
-        values = np.full((grid.n_t + 1, grid.n_x), 1.5 - 2.5j)
-        path = tmp_path / "c.csv"
-        complex_to_csv(path, grid, values)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,x,re,im"
-        cols = lines[1].split(",")
-        assert float(cols[2]) == 1.5 and float(cols[3]) == -2.5
-
-    def test_couple_csv_accepts_vector_values(self, tmp_path, grid):
         shape = (grid.n_t + 1, grid.n_x)
+        rho, v = rng.random(shape), rng.standard_normal(shape)
         path = tmp_path / "cp.csv"
-        couple_to_csv(path, grid, np.ones(shape), np.full(shape + (1,), 2.0))
+        couple_to_csv(path, grid, rho, v)
+        assert path.read_text().splitlines()[0] == "t,x,rho,v"
         data = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert data.shape == ((grid.n_t + 1) * grid.n_x, 4)
-        assert np.all(data[:, 3] == 2.0)
+        assert data.shape == (rho.size, 4)
+        # time major rows; %.17g prints doubles exactly
+        assert np.array_equal(data[:, 0], np.repeat(grid.t, grid.n_x))
+        assert np.array_equal(data[:, 1], np.tile(grid.x, grid.n_t + 1))
+        assert np.array_equal(data[:, 2], rho.ravel())
+        assert np.array_equal(data[:, 3], v.ravel())
 
     def test_transport_csv(self, tmp_path, grid):
         path = tmp_path / "t.csv"

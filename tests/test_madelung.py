@@ -10,7 +10,7 @@ import pytest
 
 from madelung_lab import (DriftField, FluidCouple, GaussianPacketSpec, GridSpec,
                           NodeDetected, NormDrift, ScalarField,
-                          UnwrapInconsistent, VectorField, WaveField,
+                          UnwrapInconsistent, WaveField,
                           constant_drift, decompose, drift, gaussian_packet,
                           madelung_residuals, osmotic, plateau_couple,
                           spreading_mismatched_couple, static_gaussian_couple,
@@ -40,12 +40,12 @@ class TestDecompose:
     def test_velocity_is_phase_gradient(self, packet_spec, grid, packet_couple):
         exact = packet_velocity(packet_spec, grid.x[np.newaxis, :],
                                 grid.t[:, np.newaxis])
-        assert np.max(np.abs(packet_couple.v.component(0) - exact)) < 1e-10
+        assert np.max(np.abs(packet_couple.v.values - exact)) < 1e-10
 
     def test_osmotic_velocity_closed_form(self, packet_spec, grid, packet_couple):
         exact = packet_osmotic(packet_spec, grid.x[np.newaxis, :],
                                grid.t[:, np.newaxis])
-        got = osmotic(packet_couple.rho).component(0)
+        got = osmotic(packet_couple.rho).values
         assert np.max(np.abs(got - exact)) < 1e-10
 
     def test_provenance_tagged(self, packet_couple):
@@ -95,33 +95,33 @@ class TestResiduals:
 class TestDriftField:
     def test_packet_drift_at_time_zero(self, grid, packet_drift):
         # b = v + u; at t = 0 the packet has v = 0 and u = -x/2
-        got = packet_drift.b.values[0, :, 0]
+        got = packet_drift.b.values[0]
         assert np.max(np.abs(got + grid.x / 2.0)) < 1e-10
 
     def test_static_gaussian_drift(self, grid):
         couple = static_gaussian_couple(grid, variance=2.0)
         b = drift(couple).b.values
         expected = -grid.x / 4.0
-        assert np.max(np.abs(b[:, :, 0] - expected[np.newaxis, :])) < 1e-12
+        assert np.max(np.abs(b - expected[np.newaxis, :])) < 1e-12
 
     def test_plateau_drift_equals_speed_on_top(self, grid):
         couple = plateau_couple(grid, speed=0.75)
-        b = drift(couple).b.values[:, :, 0]
+        b = drift(couple).b.values
         top = np.abs(grid.x) <= 2.0 - 2.0 * grid.dx
         assert np.max(np.abs(b[:, top] - 0.75)) == 0.0
 
     def test_evaluate_interpolates_linearly_in_x(self):
         g = GridSpec(-2.0, 2.0, 8, 4)
-        values = np.broadcast_to(g.x**2, (5, 8))[..., np.newaxis].copy()
-        b = DriftField(VectorField(g, values))
+        values = np.broadcast_to(g.x**2, (5, 8)).copy()
+        b = DriftField(ScalarField(g, values))
         mid = 0.5 * (g.x[2] + g.x[3])
         expected = 0.5 * (g.x[2]**2 + g.x[3]**2)
         assert b.evaluate(np.array([mid]), 0.0)[0] == pytest.approx(expected)
 
     def test_evaluate_freezes_at_left_time_node(self):
         g = GridSpec(-2.0, 2.0, 8, 4)
-        values = np.arange(5.0)[:, np.newaxis, np.newaxis] * np.ones((1, 8, 1))
-        b = DriftField(VectorField(g, values))
+        values = np.arange(5.0)[:, np.newaxis] * np.ones((1, 8))
+        b = DriftField(ScalarField(g, values))
         q = np.zeros(1)
         assert b.evaluate(q, 0.0)[0] == 0.0
         assert b.evaluate(q, 0.3)[0] == 1.0  # inside (1/4, 2/4): left node 1
@@ -130,15 +130,15 @@ class TestDriftField:
 
     def test_evaluate_extends_constantly_outside_box(self):
         g = GridSpec(-2.0, 2.0, 8, 4)
-        values = np.broadcast_to(g.x, (5, 8))[..., np.newaxis].copy()
-        b = DriftField(VectorField(g, values))
+        values = np.broadcast_to(g.x, (5, 8)).copy()
+        b = DriftField(ScalarField(g, values))
         assert b.evaluate(np.array([-50.0]), 0.0)[0] == g.x[0]
         assert b.evaluate(np.array([50.0]), 0.0)[0] == g.x[-1]
 
     def test_divergence_exact_for_linear_field(self):
         g = GridSpec(-2.0, 2.0, 8, 4)
-        values = np.broadcast_to(3.0 * g.x, (5, 8))[..., np.newaxis].copy()
-        div = DriftField(VectorField(g, values)).divergence()
+        values = np.broadcast_to(3.0 * g.x, (5, 8)).copy()
+        div = DriftField(ScalarField(g, values)).divergence()
         assert np.max(np.abs(div.values - 3.0)) < 1e-12
 
     def test_constant_drift(self):
@@ -161,7 +161,7 @@ class TestFluidCouple:
 
     def test_rejects_grid_mismatch(self, grid, packet_couple):
         other = GridSpec(-12.0, 12.0, 512, 128)
-        v = VectorField(other, np.zeros((129, 512, 1)))
+        v = ScalarField(other, np.zeros((129, 512)))
         with pytest.raises(ValueError):
             FluidCouple(packet_couple.rho, v)
 
@@ -170,14 +170,14 @@ class TestFluidCouple:
         values[0, 5] = 0.0
         with pytest.raises(ValueError):
             FluidCouple(ScalarField(grid, values),
-                        VectorField(grid, np.zeros((grid.n_t + 1, grid.n_x, 1))))
+                        ScalarField(grid, np.zeros((grid.n_t + 1, grid.n_x))))
 
     def test_rejects_mass_drift(self, grid):
         rho = np.exp(-grid.x**2 / 2.0) / np.sqrt(2.0 * np.pi)
         values = np.broadcast_to(1.5 * rho, (grid.n_t + 1, grid.n_x)).copy()
         with pytest.raises(NormDrift):
             FluidCouple(ScalarField(grid, values),
-                        VectorField(grid, np.zeros((grid.n_t + 1, grid.n_x, 1))))
+                        ScalarField(grid, np.zeros((grid.n_t + 1, grid.n_x))))
 
     def test_osmotic_rejects_nonpositive_density(self, grid):
         values = np.zeros((grid.n_t + 1, grid.n_x))

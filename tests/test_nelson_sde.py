@@ -13,7 +13,7 @@ from madelung_lab import (Diverged, Ensemble, GridSpec, MCEstimate, NormDrift,
                           constant_drift, discrete_action, estimate_I,
                           marginal_l1, mixture_ensemble, renormalized_action,
                           sample_initial, simulate_ensemble)
-from madelung_lab.nelson_sde import ensemble_summary, marginal_histogram
+from madelung_lab.nelson_sde import marginal_histogram
 
 CONTROL_N = 20_000
 CONTROL_PARTITION = 64
@@ -77,6 +77,17 @@ class TestSimulation:
         mixed = mixture_ensemble([b], [1.0], None, control_grid, 500, 16, 2, 9)
         assert np.array_equal(plain.paths, mixed.paths)
 
+    def test_single_drift_matches_duplicated_mixture(self, grid, packet_drift,
+                                                     packet_couple):
+        # the one-drift ensemble steps its component track only; mixing
+        # a drift with itself runs the general kernel on the same noise
+        rho0 = packet_couple.rho.values[0]
+        single = simulate_ensemble(packet_drift, rho0, grid, 300, 16, 2, 5)
+        doubled = mixture_ensemble([packet_drift, packet_drift], [0.5, 0.5],
+                                   rho0, grid, 300, 16, 2, 5)
+        assert np.array_equal(single.paths, doubled.paths)
+        assert np.array_equal(single.w_sums, doubled.w_sums)
+
     def test_increment_decomposition(self, const3_ensemble):
         # each partition increment is drift * (1/n) plus the stored
         # noise sum; w_sums is float32, hence the loose bound
@@ -86,7 +97,7 @@ class TestSimulation:
         assert np.max(np.abs(residual)) < 1e-6
 
     def test_big_ensemble_end_moments(self, big_ensemble):
-        q1 = big_ensemble.paths[:, -1, 0]
+        q1 = big_ensemble.paths[:, -1]
         n = big_ensemble.N
         # free packet at t = 1: mean 0, variance 1.25
         assert abs(q1.mean()) < 4.0 * np.sqrt(1.25 / n)
@@ -123,7 +134,7 @@ class TestEstimators:
     def test_zero_drift_renormalizes_to_zero(self, zero_drift_ensemble):
         est = renormalized_action(zero_drift_ensemble)
         assert abs(est.mean) < 4.0 * est.std_error
-        # raw discrete action sits at n * d, far from zero
+        # raw discrete action sits at n, far from zero
         raw = discrete_action(zero_drift_ensemble)
         assert abs(raw.mean - CONTROL_PARTITION) < 4.0 * raw.std_error
 
@@ -193,14 +204,14 @@ class TestMarginals:
 class TestContainers:
     def test_ensemble_shape_validation(self, control_grid):
         with pytest.raises(ValueError):
-            Ensemble(np.zeros((10, 5, 1)), np.zeros((10, 3, 1), dtype=np.float32),
+            Ensemble(np.zeros((10, 5)), np.zeros((10, 3), dtype=np.float32),
                      4, 10, 0, "b", control_grid)
 
     def test_ensemble_rejects_nonfinite(self, control_grid):
-        paths = np.zeros((10, 5, 1))
-        paths[0, 0, 0] = np.inf
+        paths = np.zeros((10, 5))
+        paths[0, 0] = np.inf
         with pytest.raises(ValueError):
-            Ensemble(paths, np.zeros((10, 4, 1), dtype=np.float32),
+            Ensemble(paths, np.zeros((10, 4), dtype=np.float32),
                      4, 10, 0, "b", control_grid)
 
     def test_mc_estimate_validation(self):
@@ -209,9 +220,12 @@ class TestContainers:
         assert MCEstimate(1.0, 0.5, 10).as_dict() == {
             "mean": 1.0, "std_error": 0.5, "N": 10}
 
-    def test_summary_keys(self, zero_drift_ensemble):
-        summary = ensemble_summary(zero_drift_ensemble)
-        assert summary["N"] == CONTROL_N
-        assert summary["drift_id"] == "constant(0)"
-        assert summary["var_t0"] == 0.0
-        assert abs(summary["var_t1"] - 1.0) < 0.05
+    def test_zero_drift_end_variance(self, zero_drift_ensemble):
+        ens = zero_drift_ensemble
+        assert ens.N == CONTROL_N
+        assert ens.paths.shape == (CONTROL_N, CONTROL_PARTITION + 1)
+        assert ens.w_sums.shape == (CONTROL_N, CONTROL_PARTITION)
+        assert ens.drift_id == "constant(0)"
+        # started at the origin, pure noise: variance t at t = 1
+        assert np.all(ens.paths[:, 0] == 0.0)
+        assert abs(ens.paths[:, -1].var() - 1.0) < 0.05
