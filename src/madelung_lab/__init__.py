@@ -19,12 +19,12 @@ from .schrodinger import (GaussianPacketSpec, WaveField, free_propagate,
                           gaussian_packet, packet_classical_action,
                           packet_density, packet_initial,
                           packet_quantum_action)
-from .madelung import (DriftField, FluidCouple, constant_drift, decompose, drift,
-                       madelung_residuals, osmotic, plateau_couple,
+from .madelung import (DriftField, FluidCouple, constant_drift, continuity_residual,
+                       decompose, drift, madelung_residuals, osmotic, plateau_couple,
                        spreading_mismatched_couple, static_gaussian_couple,
                        translating_gaussian_couple)
-from .action_functionals import (ActionReport, classical_action, continuity_residual,
-                                 drift_action, finite_action_norm, quantum_action)
+from .action_functionals import (ActionReport, classical_action, drift_action,
+                                 finite_action_norm, quantum_action)
 from .nelson_sde import (Ensemble, MCEstimate, discrete_action, estimate_I,
                          marginal_l1, mixture_ensemble, renormalized_action,
                          sample_initial, simulate_ensemble)

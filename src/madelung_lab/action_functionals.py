@@ -21,9 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .grid_fields import ScalarField, ensure_decaying, fd_dt, spectral_dx, time_integrate
+from .grid_fields import ScalarField, space_time_integral
 from .madelung import DriftField, FluidCouple
 
 
@@ -60,14 +58,12 @@ def _coarsen_couple(couple: FluidCouple) -> FluidCouple:
 
 
 def _couple_action_value(couple: FluidCouple, fisher_weight: float) -> float:
-    grid = couple.rho.grid
     kernel = couple.v.values**2
     if fisher_weight != 0.0:
         u = 0.5 * couple.log_gradient_values()
         kernel += fisher_weight * u**2
-    integrand = kernel * couple.rho.values
-    ensure_decaying(integrand, grid, "action integrand")
-    return time_integrate(grid.dx * integrand.sum(axis=-1), grid)
+    return space_time_integral(kernel * couple.rho.values, couple.rho.grid,
+                               "action integrand")
 
 
 def _couple_report(couple: FluidCouple, fisher_weight: float, kind: str) -> ActionReport:
@@ -93,10 +89,8 @@ def finite_action_norm(couple: FluidCouple) -> ActionReport:
 
 
 def _drift_action_value(b: DriftField, rho: ScalarField) -> float:
-    grid = rho.grid
     integrand = (b.b.values**2 + b.divergence().values) * rho.values
-    ensure_decaying(integrand, grid, "drift action integrand")
-    return time_integrate(grid.dx * integrand.sum(axis=-1), grid)
+    return space_time_integral(integrand, rho.grid, "drift action integrand")
 
 
 def drift_action(b: DriftField, rho: ScalarField) -> ActionReport:
@@ -113,11 +107,3 @@ def drift_action(b: DriftField, rho: ScalarField) -> ActionReport:
                                rho.coarsen())
     return ActionReport(value, abs(value - half), "drift",
                         grid=_grid_tag(rho.grid))
-
-
-def continuity_residual(couple: FluidCouple) -> float:
-    """Sup norm of d(rho)/dt + d(rho v)/dx over interior time nodes."""
-    grid = couple.rho.grid
-    flux = spectral_dx(couple.rho.values * couple.v.values, grid, "density flux")
-    drho = fd_dt(couple.rho.values, grid)
-    return float(np.max(np.abs((drho + flux)[1:-1])))

@@ -30,7 +30,7 @@ import numpy as np
 
 from .action_functionals import classical_action, quantum_action
 from .errors import NormDrift, OrderingViolated
-from .grid_fields import (GridSpec, ScalarField, ensure_decaying, fd_dt, fd_dx,
+from .grid_fields import (GridSpec, ScalarField, box_integral, fd_dt, fd_dx,
                           spectral_antiderivative)
 from .madelung import FluidCouple
 from .schrodinger import GaussianPacketSpec, packet_sigma_sq
@@ -160,8 +160,7 @@ def transport_cost(plan: TransportPlan1D, rho0: np.ndarray) -> float:
     """Quadratic cost of the plan against the source density."""
     grid = plan.grid
     integrand = (plan.map_samples - grid.x) ** 2 * np.asarray(rho0, dtype=float)
-    ensure_decaying(integrand, grid, "transport cost integrand")
-    return float(grid.dx * integrand.sum())
+    return box_integral(integrand, grid, "transport cost integrand")
 
 
 def displacement_couple(g0: GaussianMeasure, g1: GaussianMeasure,

@@ -524,7 +524,6 @@ def validate(config_path) -> int:
     _build_grid(cfg)
     _build_packet(cfg)
     _mc_params(cfg)
-    cfg.get_int("max_parallelism", 1, minimum=1)
     if name == "theorem1-verify":
         base = cfg.get_str("theorem.base", "schrodinger")
         if base not in ("schrodinger", "mismatched"):

@@ -19,7 +19,10 @@ on purpose:
 
 Quadrature over the box is the plain rectangle rule (it is spectrally
 accurate for smooth decaying integrands on a periodic grid) and carries
-the same decay guard. Time quadrature is the trapezoid rule.
+the same decay guard. Time quadrature is the trapezoid rule;
+``space_time_integral`` chains the two for every action functional.
+Off the lattice a field is read by ``ScalarField.at``: linear in x,
+frozen at the time node to the left.
 """
 
 from __future__ import annotations
@@ -120,6 +123,17 @@ class ScalarField:
     def coarsen(self) -> "ScalarField":
         return ScalarField(self.grid.coarsen(), self.values[::2, ::2])
 
+    def at(self, positions: np.ndarray, t: float) -> np.ndarray:
+        """Values at arbitrary positions, frozen at the time node <= t.
+
+        Linear interpolation in x; outside the box the boundary value
+        extends constantly. This is the one off-lattice rule of the lab:
+        drifts and the divergence read by the path estimators use it.
+        """
+        g = self.grid
+        node = min(int(np.floor(t * g.n_t + 1e-9)), g.n_t)
+        return np.interp(positions, g.x, self.values[node])
+
 
 def edge_leak(values: np.ndarray, grid: GridSpec) -> float:
     """Largest edge magnitude relative to the same time slice's peak.
@@ -190,6 +204,13 @@ def box_integral(values: np.ndarray, grid: GridSpec, what: str = "integrand") ->
     """Rectangle rule integral of one decaying spatial slice."""
     ensure_decaying(values, grid, what)
     return float(grid.dx * np.sum(values, axis=-1))
+
+
+def space_time_integral(values: np.ndarray, grid: GridSpec, what: str) -> float:
+    """Rectangle rule over the box at every time node, then the trapezoid
+    rule in time, for a decaying field of shape (n_t + 1, n_x)."""
+    ensure_decaying(values, grid, what)
+    return time_integrate(grid.dx * values.sum(axis=-1), grid)
 
 
 def time_integrate(series: np.ndarray, grid: GridSpec) -> float:

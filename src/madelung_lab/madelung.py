@@ -12,8 +12,8 @@ polynomially across the box, so they use the open boundary finite
 difference rule (exact on quadratics, hence on every Gaussian case).
 
 The drift b = v + (1/2) d(log rho)/dx steers the diffusion ensembles in
-:mod:`madelung_lab.nelson_sde`; its interpolation rule for off grid
-evaluation is part of the contract and recorded on the field.
+:mod:`madelung_lab.nelson_sde`; off the lattice it is read by
+:meth:`ScalarField.at`, the rule the path estimators share.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NodeDetected, NormDrift, UnwrapInconsistent
-from .grid_fields import (GridSpec, ScalarField, ensure_decaying, fd_dt, fd_dx,
-                          spectral_dx, time_integrate)
+from .grid_fields import (GridSpec, ScalarField, fd_dt, fd_dx, space_time_integral,
+                          spectral_dx)
 from .schrodinger import (NODE_FLOOR, GaussianPacketSpec, WaveField,
                           packet_density, packet_osmotic)
 
@@ -70,11 +70,9 @@ class FluidCouple:
         object.__setattr__(self, "finite_action", self._finite_action())
 
     def _finite_action(self) -> float:
-        grid = self.rho.grid
         u = 0.5 * self.log_gradient_values()
         integrand = (self.v.values**2 + u**2) * self.rho.values
-        ensure_decaying(integrand, grid, "finite action integrand")
-        return time_integrate(grid.dx * integrand.sum(axis=-1), grid)
+        return space_time_integral(integrand, self.rho.grid, "finite action integrand")
 
     def log_gradient_values(self) -> np.ndarray:
         """Samples of d(log rho)/dx, preferring the attached field."""
@@ -85,21 +83,14 @@ class FluidCouple:
 
 @dataclass(frozen=True)
 class DriftField:
-    """A drift field plus the rule for evaluating it off the lattice."""
+    """A named drift field."""
 
     b: ScalarField
     name: str = "drift"
-    interpolation: str = "linear-x,left-t"
 
     def evaluate(self, positions: np.ndarray, t: float) -> np.ndarray:
-        """Drift at arbitrary positions, frozen at the time node <= t.
-
-        Linear interpolation in x; outside the box the boundary value
-        extends constantly (trajectories essentially never get there).
-        """
-        grid = self.b.grid
-        node = min(int(np.floor(t * grid.n_t + 1e-9)), grid.n_t)
-        return np.interp(positions, grid.x, self.b.values[node])
+        """Drift at arbitrary positions by :meth:`ScalarField.at`."""
+        return self.b.at(positions, t)
 
     def divergence(self) -> ScalarField:
         """d(b)/dx by open boundary differences (drifts grow linearly)."""
@@ -164,6 +155,13 @@ def decompose(psi: WaveField, node_floor: float = NODE_FLOOR):
     return rho, s_field, couple
 
 
+def continuity_residual(rho: ScalarField, v: ScalarField) -> float:
+    """Sup norm of d(rho)/dt + d(rho v)/dx over interior time nodes."""
+    grid = rho.grid
+    flux = spectral_dx(rho.values * v.values, grid, "density flux")
+    return float(np.max(np.abs((fd_dt(rho.values, grid) + flux)[1:-1])))
+
+
 def madelung_residuals(rho: ScalarField, phase: ScalarField) -> tuple[float, float]:
     """Sup norms of the two fluid equation residuals on interior time nodes.
 
@@ -182,9 +180,7 @@ def madelung_residuals(rho: ScalarField, phase: ScalarField) -> tuple[float, flo
     grid = rho.grid
 
     v = fd_dx(phase.values, grid)
-    flux = spectral_dx(rho.values * v, grid, "density flux")
-    cont = fd_dt(rho.values, grid) + flux
-    r1 = float(np.max(np.abs(cont[1:-1])))
+    r1 = continuity_residual(rho, ScalarField(grid, v))
 
     log_rho = np.log(rho.values)
     lx = fd_dx(log_rho, grid)

@@ -13,7 +13,10 @@ size n that defines the discrete action
 Subtracting n (the expected quadratic variation of the noise alone)
 renormalizes F_n; for a Markovian drift the renormalized value
 estimates the expected time integral of b^2 + div b, hence the quantum
-action of the underlying couple.
+action of the underlying couple. An ensemble therefore keeps only the
+positions at the partition nodes. Drift and divergence are read along
+trajectories by :meth:`ScalarField.at` (linear in x, frozen at the time
+node to the left), so the stepping and the estimators share one rule.
 
 Determinism: initial samples come from a Philox stream keyed by
 (seed, 1); trajectory noise is keyed by (seed, 2 + block) where blocks
@@ -47,34 +50,30 @@ _NOISE_STREAM_BASE = 2
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Partition node positions and per-interval Brownian sums.
+    """Trajectory positions at the partition nodes i/n, i = 0 .. n.
 
-    ``paths`` has shape (N, n + 1); ``w_sums`` (float32, shape (N, n))
-    stores each interval's summed noise so an interval increment splits
-    into drift part plus noise part for diagnostics.
+    ``paths`` has shape (N, n + 1), one row per trajectory; ``N`` and
+    ``n`` are read from that shape.
     """
 
     paths: np.ndarray
-    w_sums: np.ndarray
-    n: int
-    N: int
-    seed: int
-    drift_id: str
     grid: GridSpec
 
     def __post_init__(self) -> None:
-        if self.paths.shape != (self.N, self.n + 1):
-            raise ValueError(f"paths shape {self.paths.shape} does not match "
-                             f"(N, n + 1) = {(self.N, self.n + 1)}")
-        if self.w_sums.shape != (self.N, self.n):
-            raise ValueError("w_sums shape does not match (N, n)")
+        if self.paths.ndim != 2 or self.paths.shape[0] < 1 \
+                or self.paths.shape[1] < 2:
+            raise ValueError(f"paths shape {self.paths.shape} is not (N, n + 1) "
+                             f"with N, n >= 1")
         if not np.all(np.isfinite(self.paths)):
             raise ValueError("ensemble contains non-finite positions")
 
     @property
-    def times(self) -> np.ndarray:
-        """The equipartition nodes i/n of the unit interval."""
-        return np.arange(self.n + 1) / self.n
+    def N(self) -> int:
+        return self.paths.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.paths.shape[1] - 1
 
 
 @dataclass(frozen=True)
@@ -114,8 +113,8 @@ def sample_initial(rho0: np.ndarray, grid: GridSpec, n_samples: int,
 def _check_inside(positions: np.ndarray, grid: GridSpec, t: float) -> None:
     width = grid.x_max - grid.x_min
     low, high = grid.x_min - 0.2 * width, grid.x_max + 0.2 * width
-    worst = float(np.max(np.abs(positions)))
     if np.min(positions) < low or np.max(positions) > high:
+        worst = float(np.max(np.abs(positions)))
         raise Diverged(f"trajectory reached |q| = {worst:.3f} at t = {t:.4f}, "
                        f"outside the 20% margin around the box")
 
@@ -149,7 +148,6 @@ def mixture_ensemble(drifts: list[DriftField], weights, rho0, grid: GridSpec,
     h = 1.0 / (n * substeps)
     root_h = np.sqrt(h)
     paths = np.empty((N, n + 1))
-    w_sums = np.empty((N, n), dtype=np.float32)
 
     for block_index, start in enumerate(range(0, N, BLOCK)):
         stop = min(start + BLOCK, N)
@@ -159,7 +157,6 @@ def mixture_ensemble(drifts: list[DriftField], weights, rho0, grid: GridSpec,
         mixed = x0[start:stop].copy()
         paths[start:stop, 0] = mixed
         for i in range(n):
-            w_acc = np.zeros(stop - start)
             for sub in range(i * substeps, (i + 1) * substeps):
                 t_left = sub * h
                 dw = rng.normal(0.0, root_h, stop - start)
@@ -170,21 +167,14 @@ def mixture_ensemble(drifts: list[DriftField], weights, rho0, grid: GridSpec,
                 if mixing:
                     beta = sum(w * pull for w, pull in zip(weights, pulls))
                     mixed = mixed + (beta * h + dw)
-                w_acc += dw
             # the first track is the recorded one
             tracks = [mixed, *components] if mixing else components
             t_node = (i + 1) / n
             for q in tracks:
                 _check_inside(q, grid, t_node)
             paths[start:stop, i + 1] = tracks[0]
-            w_sums[start:stop, i] = w_acc
 
-    if len(drifts) == 1:
-        drift_id = drifts[0].name
-    else:
-        parts = [f"{w:.6g}*{b.name}" for w, b in zip(weights, drifts)]
-        drift_id = "mixture[" + " + ".join(parts) + "]"
-    return Ensemble(paths, w_sums, n, N, seed, drift_id, grid)
+    return Ensemble(paths, grid)
 
 
 def simulate_ensemble(b: DriftField, rho0, grid: GridSpec, N: int, n: int,
@@ -207,28 +197,21 @@ def renormalized_action(ens: Ensemble) -> MCEstimate:
     return MCEstimate(raw.mean - ens.n, raw.std_error, ens.N)
 
 
-def _time_node(t: float, grid: GridSpec) -> int:
-    return min(int(np.floor(t * grid.n_t + 1e-9)), grid.n_t)
-
-
 def estimate_I(ens: Ensemble, b: DriftField, div_b: ScalarField) -> MCEstimate:
     """Path average of the time integral of b^2 + div b.
 
     The integrand is read along each trajectory at the partition nodes
-    (same interpolation rule as the drift itself) and integrated by the
-    trapezoid rule. Independent of the renormalized action estimator,
-    which never looks at b.
+    by :meth:`ScalarField.at`, the drift's own rule, and integrated by
+    the trapezoid rule. Independent of the renormalized action
+    estimator, which never looks at b.
     """
     if div_b.grid != ens.grid:
         raise ValueError("divergence field lives on a different grid")
-    grid = ens.grid
     totals = np.zeros(ens.N)
     for i in range(ens.n + 1):
         t_i = i / ens.n
         q = ens.paths[:, i]
-        node = _time_node(t_i, grid)
-        values = (b.evaluate(q, t_i) ** 2
-                  + np.interp(q, grid.x, div_b.values[node]))
+        values = b.evaluate(q, t_i) ** 2 + div_b.at(q, t_i)
         weight = 0.5 if i in (0, ens.n) else 1.0
         totals += weight * values
     totals /= ens.n

@@ -11,11 +11,10 @@ import pytest
 from madelung_lab import (DriftField, FluidCouple, GaussianPacketSpec, GridSpec,
                           NodeDetected, NormDrift, ScalarField,
                           UnwrapInconsistent, WaveField,
-                          constant_drift, decompose, drift, gaussian_packet,
-                          madelung_residuals, osmotic, plateau_couple,
-                          spreading_mismatched_couple, static_gaussian_couple,
-                          translating_gaussian_couple)
-from madelung_lab.action_functionals import continuity_residual
+                          constant_drift, continuity_residual, decompose, drift,
+                          gaussian_packet, madelung_residuals, osmotic,
+                          plateau_couple, spreading_mismatched_couple,
+                          static_gaussian_couple, translating_gaussian_couple)
 from madelung_lab.schrodinger import packet_osmotic, packet_phase, packet_velocity
 
 # sup norms of the two fluid equation residuals for the default packet,
@@ -88,8 +87,8 @@ class TestResiduals:
         # the negative control pairs a spreading density with a rigid
         # velocity; its mass residual must sit orders above the packet's
         bad = spreading_mismatched_couple(packet_spec, grid)
-        assert continuity_residual(bad) > 0.01
-        assert continuity_residual(packet_couple) < 1e-6
+        assert continuity_residual(bad.rho, bad.v) > 0.01
+        assert continuity_residual(packet_couple.rho, packet_couple.v) < 1e-6
 
 
 class TestDriftField:
@@ -146,9 +145,6 @@ class TestDriftField:
         b = constant_drift(g, 3.0)
         assert b.name == "constant(3)"
         assert b.evaluate(np.array([0.123, -7.0]), 0.4).tolist() == [3.0, 3.0]
-
-    def test_interpolation_rule_is_declared(self, packet_drift):
-        assert packet_drift.interpolation == "linear-x,left-t"
 
 
 class TestFluidCouple:

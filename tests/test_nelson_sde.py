@@ -9,8 +9,9 @@ windows around the analytic targets.
 import numpy as np
 import pytest
 
-from madelung_lab import (Diverged, Ensemble, GridSpec, MCEstimate, NormDrift,
-                          constant_drift, discrete_action, estimate_I,
+from madelung_lab import (Diverged, DriftField, Ensemble, GridSpec, MCEstimate,
+                          NormDrift, ScalarField, constant_drift,
+                          discrete_action, estimate_I,
                           marginal_l1, mixture_ensemble, renormalized_action,
                           sample_initial, simulate_ensemble)
 from madelung_lab.nelson_sde import marginal_histogram
@@ -69,7 +70,6 @@ class TestSimulation:
         e1 = simulate_ensemble(b, None, control_grid, 500, 16, 2, 9)
         e2 = simulate_ensemble(b, None, control_grid, 500, 16, 2, 9)
         assert np.array_equal(e1.paths, e2.paths)
-        assert np.array_equal(e1.w_sums, e2.w_sums)
 
     def test_single_drift_mixture_is_the_plain_ensemble(self, control_grid):
         b = constant_drift(control_grid, 1.0)
@@ -86,15 +86,19 @@ class TestSimulation:
         doubled = mixture_ensemble([packet_drift, packet_drift], [0.5, 0.5],
                                    rho0, grid, 300, 16, 2, 5)
         assert np.array_equal(single.paths, doubled.paths)
-        assert np.array_equal(single.w_sums, doubled.w_sums)
 
-    def test_increment_decomposition(self, const3_ensemble):
-        # each partition increment is drift * (1/n) plus the stored
-        # noise sum; w_sums is float32, hence the loose bound
-        ens = const3_ensemble
-        dq = np.diff(ens.paths, axis=1)
-        residual = dq - 3.0 / ens.n - ens.w_sums.astype(np.float64)
-        assert np.max(np.abs(residual)) < 1e-6
+    def test_increment_decomposition(self, control_grid):
+        # on common noise a constant drift c moves every path by c * t
+        # away from the driftless one, so the difference at node i is
+        # c i / n up to rounding
+        n = 16
+        shifted = simulate_ensemble(constant_drift(control_grid, 3.0), None,
+                                    control_grid, 500, n, 2, 9)
+        free = simulate_ensemble(constant_drift(control_grid, 0.0), None,
+                                 control_grid, 500, n, 2, 9)
+        offset = 3.0 * np.arange(n + 1) / n
+        residual = shifted.paths - free.paths - offset
+        assert np.max(np.abs(residual)) < 1e-12
 
     def test_big_ensemble_end_moments(self, big_ensemble):
         q1 = big_ensemble.paths[:, -1]
@@ -124,11 +128,6 @@ class TestSimulation:
         with pytest.raises(ValueError):
             simulate_ensemble(b, None, control_grid, 10, 4, 1, 0)
 
-    def test_times_property(self, zero_drift_ensemble):
-        times = zero_drift_ensemble.times
-        assert times[0] == 0.0 and times[-1] == 1.0
-        assert len(times) == CONTROL_PARTITION + 1
-
 
 class TestEstimators:
     def test_zero_drift_renormalizes_to_zero(self, zero_drift_ensemble):
@@ -154,6 +153,23 @@ class TestEstimators:
         b = constant_drift(control_grid, 3.0)
         est = estimate_I(const3_ensemble, b, b.divergence())
         assert est.mean == 9.0
+        assert est.std_error == 0.0
+
+    def test_direct_estimator_reads_left_time_node(self):
+        # b and div b are constant in x but differ at every time node;
+        # partition times 0, 1/3, 2/3, 1 on n_t = 8 fall on or after
+        # nodes 0, 2, 5, 8, and every other node carries a poison value
+        g = GridSpec(-2.0, 2.0, 8, 8)
+        b_nodes = np.full(9, 100.0)
+        div_nodes = np.full(9, 100.0)
+        b_nodes[[0, 2, 5, 8]] = [1.0, 2.0, 3.0, 4.0]
+        div_nodes[[0, 2, 5, 8]] = [1.0, -1.0, 0.0, 0.0]
+        b = DriftField(ScalarField(g, np.repeat(b_nodes[:, None], 8, axis=1)))
+        div_b = ScalarField(g, np.repeat(div_nodes[:, None], 8, axis=1))
+        paths = np.linspace(-1.5, 1.5, 24).reshape(6, 4)
+        est = estimate_I(Ensemble(paths, g), b, div_b)
+        # (1/3) * (2/2 + 3 + 9 + 16/2), b^2 + div b at nodes 0, 2, 5, 8
+        assert est.mean == 7.0
         assert est.std_error == 0.0
 
     def test_direct_estimator_grid_mismatch(self, grid, const3_ensemble):
@@ -194,7 +210,6 @@ class TestMarginals:
         assert dist[1.0] <= 0.02
 
     def test_reference_grid_must_match(self, control_grid, big_ensemble):
-        from madelung_lab import ScalarField
         rho = ScalarField(control_grid,
                           np.full((65, 512), 1.0 / 24.0))
         with pytest.raises(ValueError):
@@ -204,15 +219,15 @@ class TestMarginals:
 class TestContainers:
     def test_ensemble_shape_validation(self, control_grid):
         with pytest.raises(ValueError):
-            Ensemble(np.zeros((10, 5)), np.zeros((10, 3), dtype=np.float32),
-                     4, 10, 0, "b", control_grid)
+            Ensemble(np.zeros(10), control_grid)
+        with pytest.raises(ValueError):
+            Ensemble(np.zeros((10, 1)), control_grid)
 
     def test_ensemble_rejects_nonfinite(self, control_grid):
         paths = np.zeros((10, 5))
         paths[0, 0] = np.inf
         with pytest.raises(ValueError):
-            Ensemble(paths, np.zeros((10, 4), dtype=np.float32),
-                     4, 10, 0, "b", control_grid)
+            Ensemble(paths, control_grid)
 
     def test_mc_estimate_validation(self):
         with pytest.raises(ValueError):
@@ -223,9 +238,8 @@ class TestContainers:
     def test_zero_drift_end_variance(self, zero_drift_ensemble):
         ens = zero_drift_ensemble
         assert ens.N == CONTROL_N
+        assert ens.n == CONTROL_PARTITION
         assert ens.paths.shape == (CONTROL_N, CONTROL_PARTITION + 1)
-        assert ens.w_sums.shape == (CONTROL_N, CONTROL_PARTITION)
-        assert ens.drift_id == "constant(0)"
         # started at the origin, pure noise: variance t at t = 1
         assert np.all(ens.paths[:, 0] == 0.0)
         assert abs(ens.paths[:, -1].var() - 1.0) < 0.05
