@@ -20,7 +20,7 @@ from .schrodinger import (GaussianPacketSpec, WaveField, free_propagate,
                           packet_density, packet_initial,
                           packet_quantum_action)
 from .madelung import (DriftField, FluidCouple, constant_drift, continuity_residual,
-                       decompose, drift, madelung_residuals, osmotic, plateau_couple,
+                       decompose, drift, madelung_residuals, plateau_couple,
                        spreading_mismatched_couple, static_gaussian_couple,
                        translating_gaussian_couple)
 from .action_functionals import (ActionReport, classical_action, drift_action,
@@ -29,8 +29,7 @@ from .nelson_sde import (Ensemble, MCEstimate, discrete_action, estimate_I,
                          marginal_l1, mixture_ensemble, renormalized_action,
                          sample_initial, simulate_ensemble)
 from .competitors import (CompetitorFamily, PerturbationSpec, evaluate_family,
-                          make_family, make_perturbation,
-                          solve_velocity_correction, verify_theorem1)
+                          make_family, make_perturbation, verify_theorem1)
 from .benamou_brenier import (GaussianMeasure, TransportPlan1D, displacement_couple,
                               euler_residual, gaussian_w2, monge_map_1d,
                               quantum_vs_classical, transport_cost)

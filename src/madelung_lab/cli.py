@@ -341,16 +341,26 @@ def run_renormalization_convergence(cfg: Config, out_dir: Path) -> tuple[dict, C
     return summary, checks
 
 
+# theorem.base kind -> builder of the base couple from (packet spec, grid)
+THEOREM_BASES = {
+    "schrodinger": lambda spec, grid: decompose(gaussian_packet(spec, grid))[2],
+    "mismatched": spreading_mismatched_couple,
+}
+
+
+def _theorem_base_kind(cfg: Config) -> str:
+    kind = cfg.get_str("theorem.base", "schrodinger")
+    if kind not in THEOREM_BASES:
+        raise ConfigError(f"theorem.base: unknown kind '{kind}' "
+                          f"(choose from {', '.join(sorted(THEOREM_BASES))})")
+    return kind
+
+
 def run_theorem1_verify(cfg: Config, out_dir: Path) -> tuple[dict, Checks]:
     grid = _build_grid(cfg)
     spec = _build_packet(cfg)
-    base_kind = cfg.get_str("theorem.base", "schrodinger")
-    if base_kind == "schrodinger":
-        _, _, base = decompose(gaussian_packet(spec, grid))
-    elif base_kind == "mismatched":
-        base = spreading_mismatched_couple(spec, grid)
-    else:
-        raise ConfigError(f"theorem.base: unknown kind '{base_kind}'")
+    base_kind = _theorem_base_kind(cfg)
+    base = THEOREM_BASES[base_kind](spec, grid)
 
     specs = _perturbation_specs(cfg)
     report = verify_theorem1(base, specs)
@@ -525,9 +535,7 @@ def validate(config_path) -> int:
     _build_packet(cfg)
     _mc_params(cfg)
     if name == "theorem1-verify":
-        base = cfg.get_str("theorem.base", "schrodinger")
-        if base not in ("schrodinger", "mismatched"):
-            raise ConfigError(f"theorem.base: unknown kind '{base}'")
+        _theorem_base_kind(cfg)
         _precheck_amplitudes(cfg)
     if name == "renormalization-convergence":
         for n in cfg.get_ints("mc.n_list", (64, 128, 256, 512)):

@@ -12,10 +12,13 @@ equation. In one dimension that correction integrates exactly:
     d(u)/dx = -(dg/dt + d(g v)/dx),   X_y = y u / (rho + y g),
 
 with u vanishing outside the support of g because the right hand side
-has zero spatial mean. Evaluating the quantum action along y then
-probes whether the base couple is the minimizer among couples with the
-same endpoint densities: for a wave field couple the derivative at
-y = 0 vanishes (to quadrature accuracy) and the profile is convex.
+has zero spatial mean. A family is just (base, g): it solves u once
+at construction, and ``CompetitorFamily.couple(y)`` builds the member
+at y. Evaluating the quantum action at the fixed probe points
+``Y_GRID`` then probes whether the base couple is the minimizer among
+couples with the same endpoint densities: for a wave field couple the
+derivative at y = 0 vanishes (to quadrature accuracy) and the profile
+is convex.
 
 Construction notes. The bumps are Gaussians cut off at 6.5 widths and
 shifted to zero at the cut, times a window (4 tau (1 - tau))^4 in
@@ -28,7 +31,7 @@ residual at the same level as the base couple's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,8 +40,8 @@ from .errors import AmplitudeInfeasible, MadelungLabError, SupportLeak
 from .grid_fields import ScalarField, fd_dt, spectral_antiderivative, spectral_dx
 from .madelung import FluidCouple
 
-Y_GRID_DEFAULT = (-1.0, -0.75, -0.5, -0.25, -0.125, 0.0,
-                  0.125, 0.25, 0.5, 0.75, 1.0)
+Y_GRID = (-1.0, -0.75, -0.5, -0.25, -0.125, 0.0,
+          0.125, 0.25, 0.5, 0.75, 1.0)
 
 _CUT_RADIUS = 6.5
 _TAPER_WIDTH = 1.5
@@ -71,28 +74,6 @@ class PerturbationSpec:
             raise ValueError(f"amplitude must be nonnegative, got {self.amplitude}")
         if self.modes < 1:
             raise ValueError(f"need at least one mode, got {self.modes}")
-
-
-@dataclass(frozen=True)
-class CompetitorFamily:
-    """Base couple, perturbation, correction at y = 1, and probe points."""
-
-    base: FluidCouple
-    g: ScalarField
-    u: ScalarField
-    y_grid: tuple
-
-    def __post_init__(self) -> None:
-        grid = self.base.rho.grid
-        if self.g.grid != grid or self.u.grid != grid:
-            raise ValueError("family fields live on different grids")
-        if np.any(np.abs(np.asarray(self.y_grid)) > 1.0):
-            raise ValueError("probe points must lie in [-1, 1]")
-        means = grid.dx * self.g.values.sum(axis=-1)
-        if np.max(np.abs(means)) > 1e-10:
-            raise ValueError("perturbation must have zero mass at every time")
-        if np.any(self.g.values[0] != 0.0) or np.any(self.g.values[-1] != 0.0):
-            raise ValueError("perturbation must vanish at both endpoints")
 
 
 def _window(spec: PerturbationSpec, t: np.ndarray) -> np.ndarray:
@@ -212,81 +193,82 @@ def _correction_at_one(base: FluidCouple, g: ScalarField) -> np.ndarray:
     return u
 
 
-def _couple_at(base: FluidCouple, g: ScalarField, u_one: np.ndarray,
-               y: float) -> tuple[ScalarField, FluidCouple]:
-    grid = base.rho.grid
-    rho_y = base.rho.values + y * g.values
-    x_y = y * u_one / rho_y
-    v_y = base.v.values + x_y
+@dataclass(frozen=True)
+class CompetitorFamily:
+    """The couples (rho + y g, v + X_y), y in [-1, 1], around a base couple.
 
-    # d(log rho_y)/dx splits into the base part plus a compactly
-    # supported spectral part; plain differences on log(rho + y g) lose
-    # two orders of stationarity accuracy.
-    ratio = np.where(np.abs(g.values) > 0.0, y * g.values / base.rho.values, 0.0)
-    bump_grad = spectral_dx(np.log1p(ratio), grid, "log density bump")
-    log_grad = base.log_gradient_values() + bump_grad
+    Built from the base couple and the perturbation g alone: after the
+    zero-mass and endpoint checks on g, the correction u at y = 1 is
+    solved here, so every member satisfies the continuity equation.
+    """
 
-    couple = FluidCouple(
-        ScalarField(grid, rho_y),
-        ScalarField(grid, v_y),
-        provenance="competitor",
-        log_density_gradient=ScalarField(grid, log_grad))
-    return ScalarField(grid, x_y), couple
+    base: FluidCouple
+    g: ScalarField
+    u: ScalarField = field(init=False)
+
+    def __post_init__(self) -> None:
+        grid = self.base.rho.grid
+        if self.g.grid != grid:
+            raise ValueError("perturbation lives on a different grid")
+        means = grid.dx * self.g.values.sum(axis=-1)
+        if np.max(np.abs(means)) > 1e-10:
+            raise ValueError("perturbation must have zero mass at every time")
+        if np.any(self.g.values[0] != 0.0) or np.any(self.g.values[-1] != 0.0):
+            raise ValueError("perturbation must vanish at both endpoints")
+        object.__setattr__(self, "u",
+                           ScalarField(grid, _correction_at_one(self.base, self.g)))
+
+    def couple(self, y: float) -> FluidCouple:
+        """The member (rho + y g, v + y u / (rho + y g)) at y."""
+        if abs(y) > 1.0:
+            raise ValueError(f"y must lie in [-1, 1], got {y}")
+        base, g = self.base, self.g
+        grid = base.rho.grid
+        rho_y = base.rho.values + y * g.values
+        v_y = base.v.values + y * self.u.values / rho_y
+
+        # d(log rho_y)/dx splits into the base part plus a compactly
+        # supported spectral part; plain differences on log(rho + y g) lose
+        # two orders of stationarity accuracy.
+        ratio = np.where(np.abs(g.values) > 0.0, y * g.values / base.rho.values, 0.0)
+        bump_grad = spectral_dx(np.log1p(ratio), grid, "log density bump")
+        log_grad = base.log_gradient_values() + bump_grad
+
+        return FluidCouple(
+            ScalarField(grid, rho_y),
+            ScalarField(grid, v_y),
+            provenance="competitor",
+            log_density_gradient=ScalarField(grid, log_grad))
 
 
-def solve_velocity_correction(base: FluidCouple, g: ScalarField,
-                              y: float) -> tuple[ScalarField, FluidCouple]:
-    """Velocity correction X_y and the repaired couple (rho + y g, v + X_y)."""
-    if g.grid != base.rho.grid:
-        raise ValueError("perturbation lives on a different grid")
-    if abs(y) > 1.0:
-        raise ValueError(f"y must lie in [-1, 1], got {y}")
-    return _couple_at(base, g, _correction_at_one(base, g), y)
-
-
-def make_family(base: FluidCouple, spec: PerturbationSpec,
-                y_grid=Y_GRID_DEFAULT) -> CompetitorFamily:
-    g = make_perturbation(spec, base)
-    u_one = _correction_at_one(base, g)
-    return CompetitorFamily(base, g, ScalarField(base.rho.grid, u_one),
-                            tuple(float(y) for y in y_grid))
+def make_family(base: FluidCouple, spec: PerturbationSpec) -> CompetitorFamily:
+    return CompetitorFamily(base, make_perturbation(spec, base))
 
 
 def evaluate_family(fam: CompetitorFamily) -> list[tuple[float, ActionReport]]:
-    """Quantum action along the probe points of the family."""
-    out = []
-    for y in fam.y_grid:
-        _, couple = _couple_at(fam.base, fam.g, fam.u.values, y)
-        out.append((y, quantum_action(couple)))
-    return out
+    """Quantum action at the probe points ``Y_GRID`` of the family."""
+    return [(y, quantum_action(fam.couple(y))) for y in Y_GRID]
 
 
 def _profile_stats(profile: dict[float, ActionReport]) -> dict:
     radius = max(rep.error_radius for rep in profile.values())
     base_rep = profile[0.0]
-    margins = [rep.value - base_rep.value
-               for y, rep in profile.items() if y != 0.0]
-    min_margin = min(margins) if margins else 0.0
-
-    stats = {"min_margin": float(min_margin), "error_radius": float(radius)}
-    if all(y in profile for y in (-0.25, 0.25, -0.125, 0.125)):
-        coarse = (profile[0.25].value - profile[-0.25].value) / 0.5
-        fine = (profile[0.125].value - profile[-0.125].value) / 0.25
-        stats["derivative_coarse"] = float(coarse)
-        stats["derivative_at_0"] = float(fine)
-        stats["derivative_ratio"] = float(coarse / fine) if fine != 0.0 else float("inf")
-
-    steps = [y for y in sorted(profile) if (y * 4.0) == round(y * 4.0)]
+    min_margin = min(rep.value - base_rep.value
+                     for y, rep in profile.items() if y != 0.0)
+    coarse = (profile[0.25].value - profile[-0.25].value) / 0.5
+    fine = (profile[0.125].value - profile[-0.125].value) / 0.25
+    # second differences on the equally spaced quarter points of Y_GRID
+    steps = [y for y in Y_GRID if (y * 4.0) == round(y * 4.0)]
     second = [profile[steps[j + 1]].value - 2.0 * profile[steps[j]].value
               + profile[steps[j - 1]].value
-              for j in range(1, len(steps) - 1)
-              if abs(steps[j + 1] - steps[j]) == abs(steps[j] - steps[j - 1])]
-    if second:
-        stats["second_diff_min"] = float(min(second))
-    return stats
+              for j in range(1, len(steps) - 1)]
+    return {"min_margin": float(min_margin), "error_radius": float(radius),
+            "derivative_coarse": float(coarse), "derivative_at_0": float(fine),
+            "derivative_ratio": float(coarse / fine) if fine != 0.0 else float("inf"),
+            "second_diff_min": float(min(second))}
 
 
-def verify_theorem1(base: FluidCouple, specs, y_grid=Y_GRID_DEFAULT) -> dict:
+def verify_theorem1(base: FluidCouple, specs) -> dict:
     """Stationarity, minimality and convexity of the y-profiles.
 
     Verdict per spec: 'violated' only when the minimum margin falls
@@ -303,7 +285,7 @@ def verify_theorem1(base: FluidCouple, specs, y_grid=Y_GRID_DEFAULT) -> dict:
     for spec in specs:
         entry = {"seed": spec.seed}
         try:
-            fam = make_family(base, spec, y_grid)
+            fam = make_family(base, spec)
             profile = dict(evaluate_family(fam))
         except (MadelungLabError, ValueError) as exc:
             entry.update(verdict="failed-to-construct", error=str(exc))
@@ -311,14 +293,14 @@ def verify_theorem1(base: FluidCouple, specs, y_grid=Y_GRID_DEFAULT) -> dict:
             continue
         stats = _profile_stats(profile)
         entry["y_profile"] = [[y, profile[y].value, profile[y].error_radius]
-                              for y in sorted(profile)]
+                              for y in Y_GRID]
         entry.update(stats)
 
         tol = 3.0 * 2.0 * stats["error_radius"]
         convex_tol = 3.0 * 4.0 * stats["error_radius"]
         if stats["min_margin"] < -tol:
             entry["verdict"] = "violated"
-        elif stats.get("second_diff_min", 0.0) < -convex_tol:
+        elif stats["second_diff_min"] < -convex_tol:
             entry["verdict"] = "inconclusive"
         else:
             entry["verdict"] = "pass"

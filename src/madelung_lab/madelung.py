@@ -18,12 +18,12 @@ The drift b = v + (1/2) d(log rho)/dx steers the diffusion ensembles in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NodeDetected, NormDrift, UnwrapInconsistent
-from .grid_fields import (GridSpec, ScalarField, fd_dt, fd_dx, space_time_integral,
+from .grid_fields import (GridSpec, ScalarField, ensure_decaying, fd_dt, fd_dx,
                           spectral_dx)
 from .schrodinger import (NODE_FLOOR, GaussianPacketSpec, WaveField,
                           packet_density, packet_osmotic)
@@ -42,15 +42,15 @@ class FluidCouple:
     ``log_density_gradient`` optionally carries a higher quality sampling
     of d(log rho)/dx than the default finite difference one; constructors
     attach it when they know a better route (analytic or spectral).
-    The finite action integral of the couple is evaluated once at
-    construction and recorded, mostly as an admissibility guard.
+    Construction refuses a couple whose finite action integrand
+    (v^2 + u^2) rho does not decay at the box edges; the integral itself,
+    with an error radius, is ``finite_action_norm``.
     """
 
     rho: ScalarField
     v: ScalarField
     provenance: str = "synthetic"
     log_density_gradient: ScalarField | None = None
-    finite_action: float = field(init=False, default=0.0)
 
     def __post_init__(self) -> None:
         if self.rho.grid != self.v.grid:
@@ -67,12 +67,9 @@ class FluidCouple:
         worst = float(np.max(np.abs(mass - 1.0)))
         if worst > MASS_TOL:
             raise NormDrift(f"density mass off by {worst:.3e} at some time node")
-        object.__setattr__(self, "finite_action", self._finite_action())
-
-    def _finite_action(self) -> float:
         u = 0.5 * self.log_gradient_values()
-        integrand = (self.v.values**2 + u**2) * self.rho.values
-        return space_time_integral(integrand, self.rho.grid, "finite action integrand")
+        ensure_decaying((self.v.values**2 + u**2) * dens, grid,
+                        "finite action integrand")
 
     def log_gradient_values(self) -> np.ndarray:
         """Samples of d(log rho)/dx, preferring the attached field."""
@@ -96,13 +93,6 @@ class DriftField:
         """d(b)/dx by open boundary differences (drifts grow linearly)."""
         grid = self.b.grid
         return ScalarField(grid, fd_dx(self.b.values, grid))
-
-
-def osmotic(rho: ScalarField) -> ScalarField:
-    """Half the log density gradient, u = (1/2) d(log rho)/dx."""
-    if rho.values.min() <= 0.0:
-        raise ValueError("osmotic velocity needs a strictly positive density")
-    return ScalarField(rho.grid, 0.5 * fd_dx(np.log(rho.values), rho.grid))
 
 
 def drift(couple: FluidCouple) -> DriftField:

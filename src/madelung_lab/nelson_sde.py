@@ -205,6 +205,8 @@ def estimate_I(ens: Ensemble, b: DriftField, div_b: ScalarField) -> MCEstimate:
     the trapezoid rule. Independent of the renormalized action
     estimator, which never looks at b.
     """
+    if b.b.grid != ens.grid:
+        raise ValueError("drift field lives on a different grid")
     if div_b.grid != ens.grid:
         raise ValueError("divergence field lives on a different grid")
     totals = np.zeros(ens.N)

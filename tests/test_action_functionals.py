@@ -56,6 +56,8 @@ class TestClosedForms:
         assert q.value == pytest.approx(QUANTUM_GRID_512x256, rel=1e-12)
         assert c.value == pytest.approx(CLASSICAL_GRID_512x256, rel=1e-12)
         assert abs(q.value - QUANTUM_CLOSED) < 3.0 * q.error_radius + 1e-7
+        # kinetic plus osmotic action of the default packet: 1/4 on this lattice
+        assert finite_action_norm(packet_couple).value == pytest.approx(0.25, abs=1e-12)
 
     def test_second_packet_grid_vs_closed_form(self, grid):
         spec = GaussianPacketSpec(sigma0=0.8, p=-0.5)

@@ -82,6 +82,13 @@ class TestValidate:
         assert run_cli(["validate", path]) == 1
         assert "2" in capsys.readouterr().err
 
+    def test_unknown_theorem_base(self, tmp_path, capsys):
+        path = write_config(tmp_path, (
+            "experiment = theorem1-verify\n"
+            "theorem.base = foo\n"))
+        assert run_cli(["validate", path]) == 1
+        assert "theorem.base" in capsys.readouterr().err
+
     def test_oversized_amplitude_still_validates(self, tmp_path, capsys):
         # amplitudes beyond the positivity budget are rescaled at build
         # time, not refused

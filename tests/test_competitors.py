@@ -12,8 +12,8 @@ import pytest
 from madelung_lab import (CompetitorFamily, GaussianPacketSpec, PerturbationSpec,
                           ScalarField, SupportLeak, continuity_residual,
                           evaluate_family, make_family, make_perturbation,
-                          quantum_action, solve_velocity_correction,
-                          spreading_mismatched_couple, verify_theorem1)
+                          quantum_action, spreading_mismatched_couple,
+                          verify_theorem1)
 from madelung_lab import competitors
 from madelung_lab.competitors import positivity_head_room
 
@@ -96,37 +96,36 @@ class TestPerturbation:
 
 
 class TestVelocityCorrection:
+    # X_y is read off a family member as its velocity minus the base's
     def test_correction_restores_continuity(self, packet_couple, default_family):
         base_residual = continuity_residual(packet_couple.rho, packet_couple.v)
         for y in (-1.0, 0.5, 1.0):
-            _, couple = solve_velocity_correction(
-                packet_couple, default_family.g, y)
+            couple = default_family.couple(y)
             assert continuity_residual(couple.rho, couple.v) < 10.0 * base_residual
 
     def test_flux_correction_linear_in_y(self, packet_couple, default_family):
         g = default_family.g
-        x_half, couple_half = solve_velocity_correction(packet_couple, g, 0.5)
-        x_one, _ = solve_velocity_correction(packet_couple, g, 1.0)
-        flux_half = x_half.values * couple_half.rho.values
-        flux_one = x_one.values * (packet_couple.rho.values + g.values)
+        couple_half = default_family.couple(0.5)
+        x_half = couple_half.v.values - packet_couple.v.values
+        x_one = default_family.couple(1.0).v.values - packet_couple.v.values
+        flux_half = x_half * couple_half.rho.values
+        flux_one = x_one * (packet_couple.rho.values + g.values)
         assert np.max(np.abs(flux_half - 0.5 * flux_one)) < 1e-14
 
     def test_correction_supported_with_the_bump(self, grid, packet_couple,
                                                 default_family):
-        x_one, _ = solve_velocity_correction(packet_couple, default_family.g, 1.0)
+        x_one = default_family.couple(1.0).v.values - packet_couple.v.values
         outside = np.abs(default_family.g.values).max(axis=0) == 0.0
-        assert np.all(x_one.values[:, outside] == 0.0)
+        assert np.all(x_one[:, outside] == 0.0)
 
     def test_y_zero_returns_base_values(self, packet_couple, default_family):
-        x_zero, couple = solve_velocity_correction(
-            packet_couple, default_family.g, 0.0)
-        assert np.all(x_zero.values == 0.0)
+        couple = default_family.couple(0.0)
         assert np.array_equal(couple.rho.values, packet_couple.rho.values)
         assert np.array_equal(couple.v.values, packet_couple.v.values)
 
-    def test_y_outside_range_rejected(self, packet_couple, default_family):
+    def test_y_outside_range_rejected(self, default_family):
         with pytest.raises(ValueError):
-            solve_velocity_correction(packet_couple, default_family.g, 1.5)
+            default_family.couple(1.5)
 
     def test_leaking_continuity_data_rejected(self, packet_couple):
         # a hard-cut odd bump has a value jump at the cut whose spectral
@@ -135,8 +134,7 @@ class TestVelocityCorrection:
         h = np.where(np.abs(grid.x) <= 2.0, grid.x, 0.0) * 0.01
         w = (4.0 * grid.t * (1.0 - grid.t))[:, np.newaxis] ** 2
         with pytest.raises(SupportLeak):
-            solve_velocity_correction(packet_couple,
-                                      ScalarField(grid, w * h[np.newaxis, :]), 1.0)
+            CompetitorFamily(packet_couple, ScalarField(grid, w * h[np.newaxis, :]))
 
 
 class TestFamily:
@@ -167,21 +165,14 @@ class TestFamily:
 
     def test_family_invariants_enforced(self, grid, packet_couple):
         good_g = np.zeros((grid.n_t + 1, grid.n_x))
-        zero_u = ScalarField(grid, np.zeros((grid.n_t + 1, grid.n_x)))
-        bad_y = (0.0, 2.0)
-        with pytest.raises(ValueError):
-            CompetitorFamily(packet_couple, ScalarField(grid, good_g),
-                             zero_u, bad_y)
         lopsided = good_g.copy()
         lopsided[5] = 0.01  # nonzero mass at one time
         with pytest.raises(ValueError):
-            CompetitorFamily(packet_couple, ScalarField(grid, lopsided),
-                             zero_u, (0.0,))
+            CompetitorFamily(packet_couple, ScalarField(grid, lopsided))
         endpoint = good_g.copy()
         endpoint[0] = np.exp(-grid.x**2) - np.exp(-grid.x**2).mean()
         with pytest.raises(ValueError):
-            CompetitorFamily(packet_couple, ScalarField(grid, endpoint),
-                             zero_u, (0.0,))
+            CompetitorFamily(packet_couple, ScalarField(grid, endpoint))
 
 
 class TestVerdicts:

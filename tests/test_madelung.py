@@ -12,9 +12,9 @@ from madelung_lab import (DriftField, FluidCouple, GaussianPacketSpec, GridSpec,
                           NodeDetected, NormDrift, ScalarField,
                           UnwrapInconsistent, WaveField,
                           constant_drift, continuity_residual, decompose, drift,
-                          gaussian_packet, madelung_residuals, osmotic,
+                          gaussian_packet, madelung_residuals,
                           plateau_couple, spreading_mismatched_couple,
-                          static_gaussian_couple, translating_gaussian_couple)
+                          static_gaussian_couple)
 from madelung_lab.schrodinger import packet_osmotic, packet_phase, packet_velocity
 
 # sup norms of the two fluid equation residuals for the default packet,
@@ -44,7 +44,7 @@ class TestDecompose:
     def test_osmotic_velocity_closed_form(self, packet_spec, grid, packet_couple):
         exact = packet_osmotic(packet_spec, grid.x[np.newaxis, :],
                                grid.t[:, np.newaxis])
-        got = osmotic(packet_couple.rho).values
+        got = 0.5 * packet_couple.log_gradient_values()
         assert np.max(np.abs(got - exact)) < 1e-10
 
     def test_provenance_tagged(self, packet_couple):
@@ -148,13 +148,6 @@ class TestDriftField:
 
 
 class TestFluidCouple:
-    def test_finite_action_recorded(self, grid, packet_couple):
-        # for the default packet the action norm is exactly 1/4 on this
-        # lattice; translating adds the speed squared
-        assert packet_couple.finite_action == pytest.approx(0.25, abs=1e-12)
-        tr = translating_gaussian_couple(grid, speed=2.0, variance=1.0)
-        assert tr.finite_action == pytest.approx(4.25, abs=1e-10)
-
     def test_rejects_grid_mismatch(self, grid, packet_couple):
         other = GridSpec(-12.0, 12.0, 512, 128)
         v = ScalarField(other, np.zeros((129, 512)))
@@ -174,11 +167,6 @@ class TestFluidCouple:
         with pytest.raises(NormDrift):
             FluidCouple(ScalarField(grid, values),
                         ScalarField(grid, np.zeros((grid.n_t + 1, grid.n_x))))
-
-    def test_osmotic_rejects_nonpositive_density(self, grid):
-        values = np.zeros((grid.n_t + 1, grid.n_x))
-        with pytest.raises(ValueError):
-            osmotic(ScalarField(grid, values))
 
     def test_synthetic_builders_tag_provenance(self, grid):
         assert static_gaussian_couple(grid).provenance == "synthetic"

@@ -172,10 +172,14 @@ class TestEstimators:
         assert est.mean == 7.0
         assert est.std_error == 0.0
 
-    def test_direct_estimator_grid_mismatch(self, grid, const3_ensemble):
+    def test_direct_estimator_grid_mismatch(self, grid, control_grid, const3_ensemble):
         b = constant_drift(grid, 3.0)
         with pytest.raises(ValueError):
             estimate_I(const3_ensemble, b, b.divergence())
+        # the divergence matches the ensemble, the drift does not
+        on_ensemble_grid = constant_drift(control_grid, 3.0).divergence()
+        with pytest.raises(ValueError):
+            estimate_I(const3_ensemble, b, on_ensemble_grid)
 
     def test_estimate_tracks_renormalized_action(self, big_ensemble,
                                                  packet_drift, packet_couple):

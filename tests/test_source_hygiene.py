@@ -6,6 +6,8 @@
   handlers: a blanket handler turns a code bug into a verdict.
 * No imports inside functions: every dependency is stated at the top
   of its module.
+* Every name the package exports is used by another library module:
+  surface that only tests call is deleted, not maintained.
 """
 
 import ast
@@ -18,6 +20,10 @@ import madelung_lab
 PACKAGE = Path(madelung_lab.__file__).resolve().parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
 BLANKET = {"Exception", "BaseException"}
+# Synthetic couples with closed-form actions: exported as test controls
+# and negative controls, so no library module needs to build them.
+TEST_CONTROLS = {"plateau_couple", "static_gaussian_couple",
+                 "translating_gaussian_couple"}
 
 
 def _caught_names(handler: ast.ExceptHandler) -> list[str]:
@@ -74,3 +80,30 @@ def test_narrow_handlers_pass():
     snippet = ("import json\n\ndef f():\n    try:\n        pass\n"
                "    except (ValueError, KeyError):\n        pass\n")
     assert violations(snippet) == []
+
+
+def _exported_names() -> set[str]:
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def _library_references() -> set[str]:
+    found = set()
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_every_export_is_used_by_the_library():
+    exported = _exported_names()
+    assert TEST_CONTROLS <= exported
+    assert sorted(exported - _library_references() - TEST_CONTROLS) == []
