@@ -1,7 +1,11 @@
 """Named, reproducible experiments over the library modules.
 
-Configs are flat text files of dotted keys ("mc.N = 100000"); the only
-environment override honored is OUTPUT_DIR. Every run writes
+Configs are flat text files of dotted keys ("mc.N = 100000"). Every key
+an experiment reads is declared once, with its default and, where one
+applies, its minimum, in the ``KEYS`` table; a key the table does not
+name is refused with its line number. ``validate`` and ``run`` load a
+config the same way, so a config that validates is the one that runs.
+The only environment override honored is OUTPUT_DIR. Every run writes
 
     summary.json    all computed values and pass/fail checks, sorted
                     keys, no timestamps: byte identical across reruns
@@ -35,7 +39,7 @@ from .benamou_brenier import (GaussianMeasure, displacement_couple, euler_residu
 from .competitors import PerturbationSpec, positivity_head_room, verify_theorem1
 from .errors import AmplitudeInfeasible, ConfigError, MadelungLabError
 from .grid_fields import GridSpec, box_integral
-from .io_formats import couple_to_csv, transport_to_csv, write_json
+from .io_formats import couple_to_csv, table_to_csv, transport_to_csv, write_json
 from .madelung import (constant_drift, decompose, drift, madelung_residuals,
                        spreading_mismatched_couple)
 from .nelson_sde import (estimate_I, marginal_histogram, marginal_l1,
@@ -44,73 +48,97 @@ from .schrodinger import (GaussianPacketSpec, free_propagate, gaussian_packet,
                           packet_classical_action, packet_density, packet_initial,
                           packet_quantum_action, packet_sigma_sq)
 
-_REQUIRED = object()
-
-
 # ---------------------------------------------------------------------------
-# Config handling
+# Config keys
 
-class Config:
-    """Typed access to the flat dotted-key config format."""
-
-    def __init__(self, entries: dict[str, str], path: str):
-        self.entries = entries
-        self.path = path
-
-    def _raw(self, key: str, default):
-        if key in self.entries:
-            return self.entries[key]
-        if default is _REQUIRED:
-            raise ConfigError(f"{key}: required key missing from {self.path}")
-        return None
-
-    def get_str(self, key: str, default=_REQUIRED) -> str:
-        raw = self._raw(key, default)
-        return default if raw is None else raw
-
-    def _cast(self, key: str, default, kind: str, caster):
-        raw = self._raw(key, default)
-        if raw is None:
-            return default
-        try:
-            return caster(raw)
-        except ValueError:
-            raise ConfigError(f"{key}: expected {kind}, got '{raw}'") from None
-
-    def get_int(self, key: str, default=_REQUIRED, minimum=None) -> int:
-        value = self._cast(key, default, "an integer", int)
-        if minimum is not None and value < minimum:
-            raise ConfigError(f"{key}: must be at least {minimum}, got {value}")
-        return value
-
-    def get_float(self, key: str, default=_REQUIRED) -> float:
-        return self._cast(key, default, "a number", float)
-
-    def get_bool(self, key: str, default=_REQUIRED) -> bool:
-        def parse(raw: str) -> bool:
-            low = raw.lower()
-            if low in ("true", "yes", "1"):
-                return True
-            if low in ("false", "no", "0"):
-                return False
-            raise ValueError(raw)
-        return self._cast(key, default, "a boolean", parse)
-
-    def get_floats(self, key: str, default=_REQUIRED) -> tuple:
-        def parse(raw: str) -> tuple:
-            return tuple(float(part) for part in raw.split(","))
-        return self._cast(key, default, "comma separated numbers", parse)
-
-    def get_ints(self, key: str, default=_REQUIRED) -> tuple:
-        def parse(raw: str) -> tuple:
-            return tuple(int(part) for part in raw.split(","))
-        return self._cast(key, default, "comma separated integers", parse)
+# theorem.base kind -> builder of the base couple from (packet spec, grid)
+THEOREM_BASES = {
+    "schrodinger": lambda spec, grid: decompose(gaussian_packet(spec, grid))[2],
+    "mismatched": spreading_mismatched_couple,
+}
 
 
-def parse_config(path) -> Config:
+def _boolean(raw: str) -> bool:
+    low = raw.lower()
+    if low in ("true", "yes", "1"):
+        return True
+    if low in ("false", "no", "0"):
+        return False
+    raise ValueError(raw)
+
+
+def _integers(raw: str) -> tuple:
+    return tuple(int(part) for part in raw.split(","))
+
+
+def _interval(raw: str) -> tuple:
+    low, high = (float(part) for part in raw.split(","))
+    return low, high
+
+
+def _theorem_base(raw: str) -> str:
+    if raw not in THEOREM_BASES:
+        raise ValueError(raw)
+    return raw
+
+
+# parser -> what a value it refuses should have been
+_EXPECTED = {int: "an integer", float: "a number", _boolean: "a boolean",
+             _integers: "comma separated integers",
+             _interval: "two comma separated numbers",
+             _theorem_base: "one of " + ", ".join(sorted(THEOREM_BASES))}
+
+# key -> (parser, default, minimum or None); a minimum bounds every entry
+# of a list. Runners read cfg[key]; a file may set only these keys.
+KEYS = {
+    "experiment": (str, None, None),  # required
+    "output_dir": (str, None, None),  # unset: out/<experiment>
+    "write_fields": (_boolean, False, None),
+    "grid.x_min": (float, -12.0, None),
+    "grid.x_max": (float, 12.0, None),
+    "grid.n_x": (int, 512, None),
+    "grid.n_t": (int, 256, None),
+    "packet.sigma0": (float, 1.0, None),
+    "packet.mu0": (float, 0.0, None),
+    "packet.p": (float, 0.0, None),
+    "mc.N": (int, 100000, 1),
+    "mc.n": (int, 256, 1),
+    "mc.substeps": (int, 4, 1),
+    "mc.seed": (int, 2025, None),
+    "mc.n_list": (_integers, (64, 128, 256, 512), 1),
+    "theorem.base": (_theorem_base, "schrodinger", None),
+    "theorem.n_specs": (int, 20, 0),
+    "theorem.seed": (int, 1000, None),
+    "perturbations.space_support": (_interval, (-4.0, 4.0), None),
+    "perturbations.time_window": (_interval, (0.1, 0.9), None),
+    "perturbations.amplitude": (float, 0.08, None),
+    "perturbations.modes": (int, 3, 1),
+    "transport.n_pairs": (int, 10, 1),
+    "transport.seed": (int, 7, None),
+}
+
+
+def _typed(key: str, raw: str):
+    parse, _, minimum = KEYS[key]
+    try:
+        value = parse(raw)
+    except ValueError:
+        raise ConfigError(f"{key}: expected {_EXPECTED[parse]}, got '{raw}'") from None
+    lowest = min(value) if isinstance(value, tuple) else value
+    if minimum is not None and lowest < minimum:
+        raise ConfigError(f"{key}: must be at least {minimum}, got {lowest}")
+    return value
+
+
+def parse_config(path) -> tuple[dict, dict]:
+    """The value of every key in KEYS, and the raw text of those the file sets.
+
+    Keys the file leaves out take their defaults from KEYS.
+    """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
+    cfg = {key: default for key, (_, default, _) in KEYS.items()}
     entries: dict[str, str] = {}
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         stripped = line.strip()
@@ -120,56 +148,46 @@ def parse_config(path) -> Config:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if not key:
-            raise ConfigError(f"{path}:{lineno}: empty key")
+        if key not in KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
         if key in entries:
             raise ConfigError(f"{key}: duplicated at {path}:{lineno}")
         entries[key] = value
-    return Config(entries, str(path))
+        cfg[key] = _typed(key, value)
+    if cfg["experiment"] is None:
+        raise ConfigError(f"experiment: required key missing from {path}")
+    return cfg, entries
 
 
-def _build_grid(cfg: Config) -> GridSpec:
+def _build_grid(cfg: dict) -> GridSpec:
     try:
-        return GridSpec(cfg.get_float("grid.x_min", -12.0),
-                        cfg.get_float("grid.x_max", 12.0),
-                        cfg.get_int("grid.n_x", 512),
-                        cfg.get_int("grid.n_t", 256),
-                        boundary_tol=cfg.get_float("grid.boundary_tol", 1e-12))
+        return GridSpec(cfg["grid.x_min"], cfg["grid.x_max"], cfg["grid.n_x"],
+                        cfg["grid.n_t"])
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from None
 
 
-def _build_packet(cfg: Config) -> GaussianPacketSpec:
+def _build_packet(cfg: dict) -> GaussianPacketSpec:
     try:
-        return GaussianPacketSpec(cfg.get_float("packet.sigma0", 1.0),
-                                  cfg.get_float("packet.mu0", 0.0),
-                                  cfg.get_float("packet.p", 0.0))
+        return GaussianPacketSpec(cfg["packet.sigma0"], cfg["packet.mu0"],
+                                  cfg["packet.p"])
     except ValueError as exc:
         raise ConfigError(f"packet: {exc}") from None
 
 
-def _mc_params(cfg: Config) -> dict:
-    return {"N": cfg.get_int("mc.N", 100000, minimum=1),
-            "n": cfg.get_int("mc.n", 256, minimum=1),
-            "substeps": cfg.get_int("mc.substeps", 4, minimum=1),
-            "seed": cfg.get_int("mc.seed", 2025)}
+def _mc_params(cfg: dict) -> dict:
+    return {"N": cfg["mc.N"], "n": cfg["mc.n"], "substeps": cfg["mc.substeps"],
+            "seed": cfg["mc.seed"]}
 
 
-def _perturbation_specs(cfg: Config) -> list[PerturbationSpec]:
-    count = cfg.get_int("theorem.n_specs", 20, minimum=0)
-    seed0 = cfg.get_int("theorem.seed", 1000)
-    support = cfg.get_floats("perturbations.space_support", (-4.0, 4.0))
-    window = cfg.get_floats("perturbations.time_window", (0.1, 0.9))
-    amplitude = cfg.get_float("perturbations.amplitude", 0.08)
-    modes = cfg.get_int("perturbations.modes", 3, minimum=1)
-    if len(support) != 2:
-        raise ConfigError("perturbations.space_support: expected two numbers")
-    if len(window) != 2:
-        raise ConfigError("perturbations.time_window: expected two numbers")
+def _perturbation_specs(cfg: dict) -> list[PerturbationSpec]:
     try:
-        return [PerturbationSpec(seed0 + k, tuple(support), tuple(window),
-                                 amplitude, modes)
-                for k in range(count)]
+        return [PerturbationSpec(cfg["theorem.seed"] + k,
+                                 cfg["perturbations.space_support"],
+                                 cfg["perturbations.time_window"],
+                                 cfg["perturbations.amplitude"],
+                                 cfg["perturbations.modes"])
+                for k in range(cfg["theorem.n_specs"])]
     except ValueError as exc:
         raise ConfigError(f"perturbations: {exc}") from None
 
@@ -181,16 +199,13 @@ class Checks:
     def __init__(self):
         self.results: dict[str, dict] = {}
 
-    def record(self, name: str, ok: bool, observed: float, bound: float) -> None:
-        self.results[name] = {"ok": bool(ok), "observed": float(observed),
+    def holds(self, name: str, condition: bool, observed: float,
+              bound: float = 0.0) -> None:
+        self.results[name] = {"ok": bool(condition), "observed": float(observed),
                               "bound": float(bound)}
 
     def within(self, name: str, observed: float, bound: float) -> None:
-        self.record(name, abs(observed) <= bound, observed, bound)
-
-    def holds(self, name: str, condition: bool, observed: float,
-              bound: float = 0.0) -> None:
-        self.record(name, condition, observed, bound)
+        self.holds(name, abs(observed) <= bound, observed, bound)
 
     def failures(self) -> list[str]:
         return [f"{name}: observed {entry['observed']:.6g} "
@@ -198,10 +213,25 @@ class Checks:
                 for name, entry in self.results.items() if not entry["ok"]]
 
 
+def _mc_band(estimate, quantum) -> float:
+    """Four standard errors, but no tighter than 2% of the quantum action."""
+    return max(4.0 * estimate.std_error, 0.02 * abs(quantum.value))
+
+
+def _pair_band(a, b) -> float:
+    """Four standard errors of a difference, the two combined in quadrature."""
+    return 4.0 * float(np.hypot(a.std_error, b.std_error))
+
+
+def _half_nt(grid: GridSpec) -> GridSpec:
+    """The same box with half the time steps, for residual order checks."""
+    return GridSpec(grid.x_min, grid.x_max, grid.n_x, grid.n_t // 2)
+
+
 # ---------------------------------------------------------------------------
 # Experiments
 
-def _packet_couple(cfg: Config):
+def _packet_couple(cfg: dict):
     grid = _build_grid(cfg)
     spec = _build_packet(cfg)
     psi = gaussian_packet(spec, grid)
@@ -209,7 +239,7 @@ def _packet_couple(cfg: Config):
     return grid, spec, psi, rho, phase, couple
 
 
-def run_gaussian_benchmark(cfg: Config, out_dir: Path) -> tuple[dict, Checks]:
+def run_gaussian_benchmark(cfg: dict, out_dir: Path) -> tuple[dict, Checks]:
     grid, spec, psi, rho, phase, couple = _packet_couple(cfg)
     checks = Checks()
 
@@ -225,9 +255,7 @@ def run_gaussian_benchmark(cfg: Config, out_dir: Path) -> tuple[dict, Checks]:
     checks.within("second-moment", second - expected, 1e-6)
 
     r1, r2 = madelung_residuals(rho, phase)
-    half_grid = GridSpec(grid.x_min, grid.x_max, grid.n_x, grid.n_t // 2,
-                         boundary_tol=grid.boundary_tol)
-    rho_h, phase_h, _ = decompose(gaussian_packet(spec, half_grid))
+    rho_h, phase_h, _ = decompose(gaussian_packet(spec, _half_nt(grid)))
     r1_h, r2_h = madelung_residuals(rho_h, phase_h)
     checks.holds("residual-order-r1", 3.5 <= r1_h / r1 <= 4.5, r1_h / r1, 4.0)
     checks.holds("residual-order-r2", 3.5 <= r2_h / r2 <= 4.5, r2_h / r2, 4.0)
@@ -267,29 +295,29 @@ def run_gaussian_benchmark(cfg: Config, out_dir: Path) -> tuple[dict, Checks]:
                             mc["substeps"], mc["seed"])
     ren = renormalized_action(ens)
     mc_i = estimate_I(ens, b, b.divergence())
-    band_q = max(4.0 * ren.std_error, 0.02 * abs(quantum.value))
-    checks.within("mc-renormalized-vs-quantum", ren.mean - quantum.value, band_q)
-    band_i = max(4.0 * mc_i.std_error, 0.02 * abs(quantum.value))
-    checks.within("mc-pathwise-vs-quantum", mc_i.mean - quantum.value, band_i)
-    both = 4.0 * float(np.hypot(ren.std_error, mc_i.std_error))
-    checks.within("mc-pathwise-vs-renormalized", mc_i.mean - ren.mean, both)
+    checks.within("mc-renormalized-vs-quantum", ren.mean - quantum.value,
+                  _mc_band(ren, quantum))
+    checks.within("mc-pathwise-vs-quantum", mc_i.mean - quantum.value,
+                  _mc_band(mc_i, quantum))
+    checks.within("mc-pathwise-vs-renormalized", mc_i.mean - ren.mean,
+                  _pair_band(ren, mc_i))
     distances = marginal_l1(ens, rho)
     checks.within("mc-marginals", max(distances.values()), 0.03)
     summary["mc"] = {"renormalized": ren.as_dict(), "pathwise": mc_i.as_dict(),
                      "marginal_l1": {f"{k:g}": v for k, v in distances.items()},
                      "params": mc}
 
-    if cfg.get_bool("write_fields", False):
+    if cfg["write_fields"]:
         couple_to_csv(out_dir / "packet_couple.csv", grid, rho.values,
                       couple.v.values)
     return summary, checks
 
 
-def run_renormalization_convergence(cfg: Config, out_dir: Path) -> tuple[dict, Checks]:
+def run_renormalization_convergence(cfg: dict, out_dir: Path) -> tuple[dict, Checks]:
     grid, spec, psi, rho, phase, couple = _packet_couple(cfg)
     checks = Checks()
     mc = _mc_params(cfg)
-    n_list = cfg.get_ints("mc.n_list", (64, 128, 256, 512))
+    n_list = cfg["mc.n_list"]
 
     b = drift(couple)
     quantum = quantum_action(couple)
@@ -304,22 +332,22 @@ def run_renormalization_convergence(cfg: Config, out_dir: Path) -> tuple[dict, C
         if n == mc["n"]:
             mc_i = estimate_I(ens, b, b.divergence())
             entry["pathwise"] = mc_i.as_dict()
-            band = max(4.0 * mc_i.std_error, 0.02 * abs(quantum.value))
-            checks.within("pathwise-vs-quantum", mc_i.mean - quantum.value, band)
-            both = 4.0 * float(np.hypot(ren.std_error, mc_i.std_error))
-            checks.within("pathwise-vs-renormalized", mc_i.mean - ren.mean, both)
+            checks.within("pathwise-vs-quantum", mc_i.mean - quantum.value,
+                          _mc_band(mc_i, quantum))
+            checks.within("pathwise-vs-renormalized", mc_i.mean - ren.mean,
+                          _pair_band(ren, mc_i))
         table.append(entry)
 
     settled = [n for n in sorted(n_list) if n >= 256]
     for i, n_a in enumerate(settled):
         for n_b in settled[i + 1:]:
             ea, eb = estimates[n_a], estimates[n_b]
-            band = 4.0 * float(np.hypot(ea.std_error, eb.std_error))
-            checks.within(f"stabilized-{n_a}-{n_b}", ea.mean - eb.mean, band)
+            checks.within(f"stabilized-{n_a}-{n_b}", ea.mean - eb.mean,
+                          _pair_band(ea, eb))
     if mc["n"] in estimates:
         ren = estimates[mc["n"]]
-        band = max(4.0 * ren.std_error, 0.02 * abs(quantum.value))
-        checks.within("renormalized-vs-quantum", ren.mean - quantum.value, band)
+        checks.within("renormalized-vs-quantum", ren.mean - quantum.value,
+                      _mc_band(ren, quantum))
 
     zero = simulate_ensemble(constant_drift(grid, 0.0), rho.values[0], grid,
                              mc["N"], mc["n"], mc["substeps"], mc["seed"])
@@ -341,25 +369,10 @@ def run_renormalization_convergence(cfg: Config, out_dir: Path) -> tuple[dict, C
     return summary, checks
 
 
-# theorem.base kind -> builder of the base couple from (packet spec, grid)
-THEOREM_BASES = {
-    "schrodinger": lambda spec, grid: decompose(gaussian_packet(spec, grid))[2],
-    "mismatched": spreading_mismatched_couple,
-}
-
-
-def _theorem_base_kind(cfg: Config) -> str:
-    kind = cfg.get_str("theorem.base", "schrodinger")
-    if kind not in THEOREM_BASES:
-        raise ConfigError(f"theorem.base: unknown kind '{kind}' "
-                          f"(choose from {', '.join(sorted(THEOREM_BASES))})")
-    return kind
-
-
-def run_theorem1_verify(cfg: Config, out_dir: Path) -> tuple[dict, Checks]:
+def run_theorem1_verify(cfg: dict, out_dir: Path) -> tuple[dict, Checks]:
     grid = _build_grid(cfg)
     spec = _build_packet(cfg)
-    base_kind = _theorem_base_kind(cfg)
+    base_kind = cfg["theorem.base"]
     base = THEOREM_BASES[base_kind](spec, grid)
 
     specs = _perturbation_specs(cfg)
@@ -384,31 +397,24 @@ def run_theorem1_verify(cfg: Config, out_dir: Path) -> tuple[dict, Checks]:
         checks.holds("detects-non-minimizer", len(detections) >= 1,
                      len(detections), 1.0)
 
-    rows = []
-    for r in constructed:
-        for y, value, radius in r["y_profile"]:
-            rows.append((r["seed"], y, value, radius))
+    rows = [(r["seed"], *point) for r in constructed for point in r["y_profile"]]
     if rows:
-        arr = np.array(rows)
-        np.savetxt(out_dir / "y_profiles.csv", arr, delimiter=",",
-                   header="seed,y,quantum_action,error_radius", comments="",
-                   fmt="%.17g")
+        table_to_csv(out_dir / "y_profiles.csv", "seed,y,quantum_action,error_radius",
+                     np.array(rows).T)
 
     summary = {"experiment": "theorem1-verify", "base": base_kind,
                "report": report}
     return summary, checks
 
 
-def run_bb_compare(cfg: Config, out_dir: Path) -> tuple[dict, Checks]:
+def run_bb_compare(cfg: dict, out_dir: Path) -> tuple[dict, Checks]:
     grid, spec, psi, rho, phase, couple = _packet_couple(cfg)
     checks = Checks()
-    n_pairs = cfg.get_int("transport.n_pairs", 10, minimum=1)
-    rng = np.random.default_rng(cfg.get_int("transport.seed", 7))
+    rng = np.random.default_rng(cfg["transport.seed"])
 
-    pair_rows = []
+    pair_rows, plans = [], []
     worst_w2 = worst_bb = 0.0
-    first_plan = None
-    for _ in range(n_pairs):
+    for _ in range(cfg["transport.n_pairs"]):
         g0 = GaussianMeasure(rng.uniform(-2.0, 2.0), rng.uniform(0.6, 1.3) ** 2)
         g1 = GaussianMeasure(rng.uniform(-2.0, 2.0), rng.uniform(0.6, 1.3) ** 2)
         tau2 = gaussian_w2(g0, g1)
@@ -420,8 +426,7 @@ def run_bb_compare(cfg: Config, out_dir: Path) -> tuple[dict, Checks]:
         pair_rows.append({"g0": [g0.mean, g0.variance], "g1": [g1.mean, g1.variance],
                           "tau2": tau2, "map_cost": cost,
                           "geodesic_action": geo.as_dict()})
-        if first_plan is None:
-            first_plan = plan
+        plans.append(plan)
     checks.within("w2-vs-map-cost", worst_w2, 1e-5)
     checks.within("bb-identity", worst_bb, 1e-4)
 
@@ -430,9 +435,7 @@ def run_bb_compare(cfg: Config, out_dir: Path) -> tuple[dict, Checks]:
 
     geodesic = displacement_couple(g0, g1, grid)
     res_full = euler_residual(geodesic)
-    half_grid = GridSpec(grid.x_min, grid.x_max, grid.n_x, grid.n_t // 2,
-                         boundary_tol=grid.boundary_tol)
-    res_half = euler_residual(displacement_couple(g0, g1, half_grid))
+    res_half = euler_residual(displacement_couple(g0, g1, _half_nt(grid)))
     ratio = res_half / res_full if res_full > 0.0 else float("inf")
     checks.holds("geodesic-euler-order", 3.0 <= ratio <= 5.0, ratio, 4.0)
 
@@ -440,9 +443,9 @@ def run_bb_compare(cfg: Config, out_dir: Path) -> tuple[dict, Checks]:
     limit = packet_curvature_term_sup(spec, grid)
     checks.within("packet-euler-limit", (packet_res - limit) / limit, 0.05)
 
-    if first_plan is not None:
-        transport_to_csv(out_dir / "first_pair_map.csv", grid.x,
-                         first_plan.map_samples, first_plan.potential_samples)
+    # transport.n_pairs is at least 1, so there is a first pair
+    transport_to_csv(out_dir / "first_pair_map.csv", grid.x,
+                     plans[0].map_samples, plans[0].potential_samples)
 
     summary = {
         "experiment": "bb-compare",
@@ -456,7 +459,7 @@ def run_bb_compare(cfg: Config, out_dir: Path) -> tuple[dict, Checks]:
     return summary, checks
 
 
-def run_marginal_check(cfg: Config, out_dir: Path) -> tuple[dict, Checks]:
+def run_marginal_check(cfg: dict, out_dir: Path) -> tuple[dict, Checks]:
     grid, spec, psi, rho, phase, couple = _packet_couple(cfg)
     checks = Checks()
     mc = _mc_params(cfg)
@@ -479,8 +482,8 @@ def run_marginal_check(cfg: Config, out_dir: Path) -> tuple[dict, Checks]:
         j = int(round(frac * grid.n_t))
         tables.append(np.column_stack([np.full(grid.n_x, frac), x, est,
                                        rho.values[j]]))
-    np.savetxt(out_dir / "marginals.csv", np.vstack(tables), delimiter=",",
-               header="t,x,histogram,reference", comments="", fmt="%.17g")
+    table_to_csv(out_dir / "marginals.csv", "t,x,histogram,reference",
+                 np.vstack(tables).T)
 
     summary = {"experiment": "marginal-check",
                "marginal_l1": {f"{k:g}": v for k, v in distances.items()},
@@ -488,20 +491,21 @@ def run_marginal_check(cfg: Config, out_dir: Path) -> tuple[dict, Checks]:
     return summary, checks
 
 
+# name -> (runner, the key of the seed its random draws start from, description)
 EXPERIMENTS = {
-    "gaussian-benchmark": (run_gaussian_benchmark,
+    "gaussian-benchmark": (run_gaussian_benchmark, "mc.seed",
                            "packet exactness, residual order, action identities, "
                            "renormalized MC agreement"),
-    "renormalization-convergence": (run_renormalization_convergence,
+    "renormalization-convergence": (run_renormalization_convergence, "mc.seed",
                                     "discrete action stabilization over the "
                                     "partition sizes, plus drift controls"),
-    "theorem1-verify": (run_theorem1_verify,
+    "theorem1-verify": (run_theorem1_verify, "theorem.seed",
                         "minimization of the quantum action over competitor "
                         "families (or its failure off the minimizer)"),
-    "bb-compare": (run_bb_compare,
+    "bb-compare": (run_bb_compare, "transport.seed",
                    "transport distance identities and the geodesic versus "
                    "wave couple contrast"),
-    "marginal-check": (run_marginal_check,
+    "marginal-check": (run_marginal_check, "mc.seed",
                        "histogram marginals of the diffusion ensemble against "
                        "the wave density"),
 }
@@ -510,10 +514,17 @@ EXPERIMENTS = {
 # ---------------------------------------------------------------------------
 # Entry points
 
-def _precheck_amplitudes(cfg: Config) -> None:
-    """Mirror the build time positivity rescaling, refusing only what it would."""
-    grid = _build_grid(cfg)
-    spec = _build_packet(cfg)
+def _load(config_path) -> tuple[dict, dict]:
+    """Parse a config and check what its experiment builds, running nothing."""
+    cfg, entries = parse_config(config_path)
+    name = cfg["experiment"]
+    if name not in EXPERIMENTS:
+        raise ConfigError(f"experiment: unknown name '{name}' "
+                          f"(choose from {', '.join(sorted(EXPERIMENTS))})")
+    grid, spec = _build_grid(cfg), _build_packet(cfg)
+    if name != "theorem1-verify":
+        return cfg, entries
+    # mirror the build time positivity rescaling, refusing only what it would
     rho = packet_density(spec, grid.x[np.newaxis, :], grid.t[:, np.newaxis])
     for pert in _perturbation_specs(cfg):
         try:
@@ -522,50 +533,37 @@ def _precheck_amplitudes(cfg: Config) -> None:
             raise ConfigError(
                 f"perturbations.amplitude: {pert.amplitude} cannot keep the "
                 f"density positive for seed {pert.seed}: {exc}") from None
+        except ValueError as exc:
+            raise ConfigError(f"perturbations.space_support: {exc}") from None
+    return cfg, entries
 
 
 def validate(config_path) -> int:
-    """Parse and invariant-check a config without running anything."""
-    cfg = parse_config(config_path)
-    name = cfg.get_str("experiment")
-    if name not in EXPERIMENTS:
-        raise ConfigError(f"experiment: unknown name '{name}' "
-                          f"(choose from {', '.join(sorted(EXPERIMENTS))})")
-    _build_grid(cfg)
-    _build_packet(cfg)
-    _mc_params(cfg)
-    if name == "theorem1-verify":
-        _theorem_base_kind(cfg)
-        _precheck_amplitudes(cfg)
-    if name == "renormalization-convergence":
-        for n in cfg.get_ints("mc.n_list", (64, 128, 256, 512)):
-            if n < 1:
-                raise ConfigError(f"mc.n_list: partition sizes must be "
-                                  f"positive, got {n}")
+    """Load and invariant-check a config without running anything."""
+    _load(config_path)
     return 0
 
 
 def run(config_path) -> int:
-    cfg = parse_config(config_path)
-    validate(config_path)
-    name = cfg.get_str("experiment")
-    out_dir = Path(os.environ.get("OUTPUT_DIR")
-                   or cfg.get_str("output_dir", f"out/{name}"))
+    cfg, entries = _load(config_path)
+    name = cfg["experiment"]
+    runner, seed_key, _ = EXPERIMENTS[name]
+    out_dir = Path(os.environ.get("OUTPUT_DIR") or cfg["output_dir"]
+                   or f"out/{name}")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     started = time.time()
-    runner = EXPERIMENTS[name][0]
     summary, checks = runner(cfg, out_dir)
     elapsed = time.time() - started
 
     summary["checks"] = checks.results
-    summary["config"] = dict(sorted(cfg.entries.items()))
+    summary["config"] = dict(sorted(entries.items()))
     write_json(out_dir / "summary.json", summary)
 
     manifest = {
         "config_sha256": hashlib.sha256(Path(config_path).read_bytes()).hexdigest(),
         "experiment": name,
-        "seed": cfg.get_int("mc.seed", 2025),
+        "seed": cfg[seed_key],
         "versions": {"package": __version__, "numpy": np.__version__,
                      "python": platform.python_version()},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -597,7 +595,7 @@ def main(argv=None) -> None:
 
     if args.command == "list-experiments":
         for name in sorted(EXPERIMENTS):
-            print(f"{name}: {EXPERIMENTS[name][1]}")
+            print(f"{name}: {EXPERIMENTS[name][2]}")
         sys.exit(0)
 
     try:

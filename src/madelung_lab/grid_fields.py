@@ -8,8 +8,8 @@ covering the unit interval. Two flavours of spatial derivative coexist
 on purpose:
 
 * ``spectral_dx`` differentiates through the FFT and is accurate to
-  machine precision, but only for fields that decay below the grid's
-  boundary tolerance at the box edges. It refuses anything else by
+  machine precision, but only for fields that decay below
+  ``BOUNDARY_TOL`` at the box edges. It refuses anything else by
   raising :class:`BoundaryLeak`.
 * ``fd_dx`` uses second order finite differences with one sided
   stencils at the edges. It has no decay requirement and is exact on
@@ -34,6 +34,10 @@ import numpy as np
 
 from .errors import BoundaryLeak
 
+# Relative magnitude a decaying field may show at the box edges before
+# spectral operations and box quadrature refuse it.
+BOUNDARY_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -50,16 +54,12 @@ class GridSpec:
         FFT based operators stay fast and unambiguous.
     n_t:
         Number of time steps. Fields carry ``n_t + 1`` nodes on [0, 1].
-    boundary_tol:
-        Relative magnitude a decaying field may show at the box edges
-        before spectral operations refuse it.
     """
 
     x_min: float
     x_max: float
     n_x: int
     n_t: int
-    boundary_tol: float = 1e-12
 
     def __post_init__(self) -> None:
         if not self.x_max > self.x_min:
@@ -68,8 +68,6 @@ class GridSpec:
             raise ValueError(f"n_x must be a power of two >= 8, got {self.n_x}")
         if self.n_t < 2:
             raise ValueError(f"need at least 2 time steps, got {self.n_t}")
-        if not 0.0 < self.boundary_tol < 1.0:
-            raise ValueError(f"boundary_tol out of range: {self.boundary_tol}")
 
     @cached_property
     def dx(self) -> float:
@@ -95,8 +93,7 @@ class GridSpec:
         """Grid with every second node removed in both directions."""
         if self.n_x < 16 or self.n_t % 2 or self.n_t < 4:
             raise ValueError("grid too small to coarsen")
-        return GridSpec(self.x_min, self.x_max, self.n_x // 2, self.n_t // 2,
-                        boundary_tol=self.boundary_tol)
+        return GridSpec(self.x_min, self.x_max, self.n_x // 2, self.n_t // 2)
 
 
 def _checked_values(values: np.ndarray, shape: tuple, what: str) -> np.ndarray:
@@ -151,10 +148,10 @@ def edge_leak(values: np.ndarray, grid: GridSpec) -> float:
 
 def ensure_decaying(values: np.ndarray, grid: GridSpec, what: str) -> None:
     leak = edge_leak(values, grid)
-    if leak > grid.boundary_tol:
+    if leak > BOUNDARY_TOL:
         raise BoundaryLeak(
             f"{what} has relative boundary magnitude {leak:.3e}, "
-            f"above the tolerance {grid.boundary_tol:.1e}")
+            f"above the tolerance {BOUNDARY_TOL:.1e}")
 
 
 def fd_dx(values: np.ndarray, grid: GridSpec) -> np.ndarray:

@@ -16,7 +16,8 @@ import numpy as np
 from .grid_fields import GridSpec
 
 
-def _table_to_csv(path, header: str, columns) -> None:
+def table_to_csv(path, header: str, columns) -> None:
+    """Rows of the given equal-length columns under a comma separated header."""
     table = np.column_stack(columns)
     np.savetxt(path, table, delimiter=",", header=header, comments="", fmt="%.17g")
 
@@ -31,14 +32,14 @@ def couple_to_csv(path, grid: GridSpec, rho_values: np.ndarray,
                   v_values: np.ndarray) -> None:
     """Rows of (t, x, rho, v) for a density and its velocity."""
     tt, xx = _tx_columns(grid)
-    _table_to_csv(path, "t,x,rho,v", (tt, xx, np.asarray(rho_values).ravel(),
-                                      np.asarray(v_values).ravel()))
+    table_to_csv(path, "t,x,rho,v", (tt, xx, np.asarray(rho_values).ravel(),
+                                     np.asarray(v_values).ravel()))
 
 
 def transport_to_csv(path, x: np.ndarray, map_samples: np.ndarray,
                      potential: np.ndarray) -> None:
     """Rows of (x, map, potential) for a 1d transport plan."""
-    _table_to_csv(path, "x,map,potential", (x, map_samples, potential))
+    table_to_csv(path, "x,map,potential", (x, map_samples, potential))
 
 
 def json_ready(obj):
@@ -57,7 +58,3 @@ def json_ready(obj):
 def write_json(path, payload: dict) -> None:
     text = json.dumps(json_ready(payload), indent=2, sort_keys=True)
     Path(path).write_text(text + "\n")
-
-
-def read_json(path) -> dict:
-    return json.loads(Path(path).read_text())

@@ -89,6 +89,30 @@ class TestValidate:
         assert run_cli(["validate", path]) == 1
         assert "theorem.base" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, expected", [
+        pytest.param("experiment = gaussian-benchmark\nmc.NN = 5\n",
+                     ":2: unknown key 'mc.NN'", id="typo-mc-NN"),
+        pytest.param("experiment = marginal-check\ngrid.nx = 64\n",
+                     ":2: unknown key 'grid.nx'", id="typo-grid-nx"),
+        pytest.param("experiment = gaussian-benchmark\nwrite_fields = maybe\n",
+                     "write_fields", id="write-fields-not-boolean"),
+        pytest.param("experiment = bb-compare\ntransport.n_pairs = 0\n",
+                     "transport.n_pairs", id="no-transport-pairs"),
+        pytest.param("experiment = theorem1-verify\n"
+                     "perturbations.space_support = -20,20\n",
+                     "perturbations.space_support", id="support-outside-box"),
+    ])
+    def test_refused_before_running(self, text, expected, tmp_path, monkeypatch,
+                                    capsys):
+        path = write_config(tmp_path, text)
+        assert run_cli(["validate", path]) == 1
+        assert expected in capsys.readouterr().err
+        # run loads the config the same way, so it refuses it before any work
+        monkeypatch.setenv("OUTPUT_DIR", str(tmp_path / "out"))
+        assert run_cli(["run", path]) == 1
+        assert expected in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_oversized_amplitude_still_validates(self, tmp_path, capsys):
         # amplitudes beyond the positivity budget are rescaled at build
         # time, not refused
@@ -114,6 +138,31 @@ class TestRun:
         assert len(manifest["config_sha256"]) == 64
         assert manifest["experiment"] == "bb-compare"
         assert (out_dir / "first_pair_map.csv").exists()
+
+    # Two pairs: the sixth pair of transport.seed 3 trips the boundary
+    # guard, which test_bb_compare_draws_fit_the_box records.
+    @pytest.mark.parametrize("text, seed", [
+        ("experiment = bb-compare\ntransport.seed = 3\ntransport.n_pairs = 2\n", 3),
+        ("experiment = theorem1-verify\ntheorem.seed = 1005\ntheorem.n_specs = 0\n",
+         1005),
+    ], ids=["bb-compare", "theorem1-verify"])
+    def test_manifest_records_the_seed_drawn_from(self, text, seed, tmp_path,
+                                                  monkeypatch, capsys):
+        out_dir = tmp_path / "out"
+        monkeypatch.setenv("OUTPUT_DIR", str(out_dir))
+        assert run_cli(["run", write_config(tmp_path, text)]) == 0
+        capsys.readouterr()
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["seed"] == seed
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "pair 5 of transport.seed 3 (mean -1.99, std 1.28) leaves a finite "
+        "action integrand of 1.006e-12 at the edge of the default box, above "
+        "the 1e-12 boundary tolerance, so the run stops with BoundaryLeak"))
+    def test_bb_compare_draws_fit_the_box(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("OUTPUT_DIR", str(tmp_path / "out"))
+        path = write_config(tmp_path, "experiment = bb-compare\ntransport.seed = 3\n")
+        assert run_cli(["run", path]) == 0
 
     def test_rerun_is_byte_identical(self, tmp_path, monkeypatch, capsys):
         path = write_config(tmp_path, "experiment = bb-compare\n")

@@ -46,7 +46,6 @@ class TestGridSpec:
         dict(x_min=-1.0, x_max=1.0, n_x=4, n_t=4),
         dict(x_min=-1.0, x_max=1.0, n_x=64, n_t=1),
         dict(x_min=1.0, x_max=-1.0, n_x=64, n_t=4),
-        dict(x_min=-1.0, x_max=1.0, n_x=64, n_t=4, boundary_tol=0.0),
     ])
     def test_rejects_bad_geometry(self, kwargs):
         with pytest.raises(ValueError):

@@ -1,11 +1,12 @@
 """CSV tables and JSON reports: columns, exact values, stable bytes."""
 
+import json
+
 import numpy as np
 import pytest
 
 from madelung_lab import GridSpec
-from madelung_lab.io_formats import (couple_to_csv, read_json, transport_to_csv,
-                                     write_json)
+from madelung_lab.io_formats import couple_to_csv, transport_to_csv, write_json
 
 
 @pytest.fixture()
@@ -48,7 +49,7 @@ class TestJson:
         }
         path = tmp_path / "p.json"
         write_json(path, payload)
-        back = read_json(path)
+        back = json.loads(path.read_text())
         assert back == {"a": 1.5, "b": 3, "c": [1.0, 2.0],
                         "d": {"nested": True}, "e": [0.5, "text"]}
 

@@ -8,6 +8,8 @@
   of its module.
 * Every name the package exports is used by another library module:
   surface that only tests call is deleted, not maintained.
+* Every key of the CLI's ``KEYS`` table is read as ``cfg["key"]``: a
+  config key no experiment reads is not kept as a dead knob.
 """
 
 import ast
@@ -107,3 +109,24 @@ def test_every_export_is_used_by_the_library():
     exported = _exported_names()
     assert TEST_CONTROLS <= exported
     assert sorted(exported - _library_references() - TEST_CONTROLS) == []
+
+
+def unread_keys(source: str) -> list[str]:
+    """Keys of the module's ``KEYS`` table that no ``cfg["key"]`` reads."""
+    tree = ast.parse(source)
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "KEYS" for t in node.targets))
+    read = {node.slice.value for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == "cfg" and isinstance(node.slice, ast.Constant)}
+    return sorted(key.value for key in table.keys if key.value not in read)
+
+
+def test_every_config_key_is_read():
+    assert unread_keys((PACKAGE / "cli.py").read_text()) == []
+
+
+def test_unread_config_key_is_caught():
+    snippet = ('KEYS = {"a": (int, 1, None), "b": (int, 2, None)}\n\n'
+               'def f(cfg, KEYS):\n    return cfg["a"] + KEYS["b"][1]\n')
+    assert unread_keys(snippet) == ["b"]
