@@ -21,8 +21,7 @@ from .schrodinger import (GaussianPacketSpec, WaveField, free_propagate,
                           packet_quantum_action)
 from .madelung import (DriftField, FluidCouple, constant_drift, continuity_residual,
                        decompose, drift, madelung_residuals, plateau_couple,
-                       spreading_mismatched_couple, static_gaussian_couple,
-                       translating_gaussian_couple)
+                       spreading_mismatched_couple, translating_gaussian_couple)
 from .action_functionals import (ActionReport, classical_action, drift_action,
                                  finite_action_norm, quantum_action)
 from .nelson_sde import (Ensemble, MCEstimate, discrete_action, estimate_I,

@@ -33,7 +33,7 @@ from .errors import NormDrift, OrderingViolated
 from .grid_fields import (GridSpec, ScalarField, box_integral, fd_dt, fd_dx,
                           spectral_antiderivative)
 from .madelung import FluidCouple
-from .schrodinger import GaussianPacketSpec, packet_sigma_sq
+from .schrodinger import GaussianPacketSpec, normal_density, packet_sigma_sq
 
 _NEWTON_ITERATIONS = 30
 
@@ -52,9 +52,7 @@ class GaussianMeasure:
         return float(np.sqrt(self.variance))
 
     def density(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return (np.exp(-(x - self.mean) ** 2 / (2.0 * self.variance))
-                / np.sqrt(2.0 * np.pi * self.variance))
+        return normal_density(x, self.mean, self.variance)
 
 
 @dataclass(frozen=True)

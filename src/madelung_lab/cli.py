@@ -303,6 +303,19 @@ def run_gaussian_benchmark(cfg: dict, out_dir: Path) -> tuple[dict, Checks]:
                   _pair_band(ren, mc_i))
     distances = marginal_l1(ens, rho)
     checks.within("mc-marginals", max(distances.values()), 0.03)
+    x0 = ens.paths[:, 0]
+    checks.within("initial-mean", float(x0.mean()) - spec.mu0,
+                  4.0 * spec.sigma0 / np.sqrt(mc["N"]))
+    checks.within("initial-variance",
+                  float(x0.var()) / spec.sigma0**2 - 1.0, 0.05)
+    tables = []
+    for frac in distances:
+        x, est = marginal_histogram(ens, frac)
+        j = int(round(frac * grid.n_t))
+        tables.append(np.column_stack([np.full(grid.n_x, frac), x, est,
+                                       rho.values[j]]))
+    table_to_csv(out_dir / "marginals.csv", "t,x,histogram,reference",
+                 np.vstack(tables).T)
     summary["mc"] = {"renormalized": ren.as_dict(), "pathwise": mc_i.as_dict(),
                      "marginal_l1": {f"{k:g}": v for k, v in distances.items()},
                      "params": mc}
@@ -332,6 +345,8 @@ def run_renormalization_convergence(cfg: dict, out_dir: Path) -> tuple[dict, Che
         if n == mc["n"]:
             mc_i = estimate_I(ens, b, b.divergence())
             entry["pathwise"] = mc_i.as_dict()
+            checks.within("renormalized-vs-quantum", ren.mean - quantum.value,
+                          _mc_band(ren, quantum))
             checks.within("pathwise-vs-quantum", mc_i.mean - quantum.value,
                           _mc_band(mc_i, quantum))
             checks.within("pathwise-vs-renormalized", mc_i.mean - ren.mean,
@@ -344,10 +359,6 @@ def run_renormalization_convergence(cfg: dict, out_dir: Path) -> tuple[dict, Che
             ea, eb = estimates[n_a], estimates[n_b]
             checks.within(f"stabilized-{n_a}-{n_b}", ea.mean - eb.mean,
                           _pair_band(ea, eb))
-    if mc["n"] in estimates:
-        ren = estimates[mc["n"]]
-        checks.within("renormalized-vs-quantum", ren.mean - quantum.value,
-                      _mc_band(ren, quantum))
 
     zero = simulate_ensemble(constant_drift(grid, 0.0), rho.values[0], grid,
                              mc["N"], mc["n"], mc["substeps"], mc["seed"])
@@ -459,43 +470,12 @@ def run_bb_compare(cfg: dict, out_dir: Path) -> tuple[dict, Checks]:
     return summary, checks
 
 
-def run_marginal_check(cfg: dict, out_dir: Path) -> tuple[dict, Checks]:
-    grid, spec, psi, rho, phase, couple = _packet_couple(cfg)
-    checks = Checks()
-    mc = _mc_params(cfg)
-    b = drift(couple)
-    ens = simulate_ensemble(b, rho.values[0], grid, mc["N"], mc["n"],
-                            mc["substeps"], mc["seed"])
-    distances = marginal_l1(ens, rho)
-    for frac, value in distances.items():
-        checks.within(f"marginal-l1-t{frac:g}", value, 0.03)
-
-    x0 = ens.paths[:, 0]
-    checks.within("initial-mean", float(x0.mean()) - spec.mu0,
-                  4.0 * spec.sigma0 / np.sqrt(mc["N"]))
-    checks.within("initial-variance",
-                  float(x0.var()) / spec.sigma0**2 - 1.0, 0.05)
-
-    tables = []
-    for frac in distances:
-        x, est = marginal_histogram(ens, frac)
-        j = int(round(frac * grid.n_t))
-        tables.append(np.column_stack([np.full(grid.n_x, frac), x, est,
-                                       rho.values[j]]))
-    table_to_csv(out_dir / "marginals.csv", "t,x,histogram,reference",
-                 np.vstack(tables).T)
-
-    summary = {"experiment": "marginal-check",
-               "marginal_l1": {f"{k:g}": v for k, v in distances.items()},
-               "mc_params": mc}
-    return summary, checks
-
-
 # name -> (runner, the key of the seed its random draws start from, description)
 EXPERIMENTS = {
     "gaussian-benchmark": (run_gaussian_benchmark, "mc.seed",
                            "packet exactness, residual order, action identities, "
-                           "renormalized MC agreement"),
+                           "renormalized MC agreement, histogram marginals and "
+                           "initial sample moments"),
     "renormalization-convergence": (run_renormalization_convergence, "mc.seed",
                                     "discrete action stabilization over the "
                                     "partition sizes, plus drift controls"),
@@ -505,9 +485,6 @@ EXPERIMENTS = {
     "bb-compare": (run_bb_compare, "transport.seed",
                    "transport distance identities and the geodesic versus "
                    "wave couple contrast"),
-    "marginal-check": (run_marginal_check, "mc.seed",
-                       "histogram marginals of the diffusion ensemble against "
-                       "the wave density"),
 }
 
 
@@ -522,6 +499,10 @@ def _load(config_path) -> tuple[dict, dict]:
         raise ConfigError(f"experiment: unknown name '{name}' "
                           f"(choose from {', '.join(sorted(EXPERIMENTS))})")
     grid, spec = _build_grid(cfg), _build_packet(cfg)
+    # the quantum action gates are taken on the ensemble of mc.n steps
+    if name == "renormalization-convergence" and cfg["mc.n"] not in cfg["mc.n_list"]:
+        raise ConfigError(f"mc.n: {cfg['mc.n']} must be one of mc.n_list "
+                          f"({', '.join(map(str, cfg['mc.n_list']))})")
     if name != "theorem1-verify":
         return cfg, entries
     # mirror the build time positivity rescaling, refusing only what it would

@@ -26,7 +26,7 @@ from .errors import NodeDetected, NormDrift, UnwrapInconsistent
 from .grid_fields import (GridSpec, ScalarField, ensure_decaying, fd_dt, fd_dx,
                           spectral_dx)
 from .schrodinger import (NODE_FLOOR, GaussianPacketSpec, WaveField,
-                          packet_density, packet_osmotic)
+                          normal_density, packet_density, packet_osmotic)
 
 MASS_TOL = 1e-8
 
@@ -184,38 +184,19 @@ def madelung_residuals(rho: ScalarField, phase: ScalarField) -> tuple[float, flo
 # ---------------------------------------------------------------------------
 # Synthetic couples used as fixtures and negative controls.
 
-def _gaussian_density(grid: GridSpec, mean, variance: float) -> np.ndarray:
-    x = grid.x[np.newaxis, :]
-    mean = np.asarray(mean, dtype=float).reshape(-1, 1)
-    return np.exp(-(x - mean) ** 2 / (2.0 * variance)) / np.sqrt(2.0 * np.pi * variance)
-
-
-def static_gaussian_couple(grid: GridSpec, variance: float = 1.0,
-                           mean: float = 0.0) -> FluidCouple:
-    """Time independent normal density with zero velocity."""
-    means = np.full(grid.n_t + 1, float(mean))
-    rho = _gaussian_density(grid, means, variance)
-    x = grid.x[np.newaxis, :]
-    log_grad = -(x - means[:, np.newaxis]) / variance
-    return FluidCouple(
-        ScalarField(grid, rho),
-        ScalarField(grid, np.zeros((grid.n_t + 1, grid.n_x))),
-        provenance="synthetic",
-        log_density_gradient=ScalarField(grid, log_grad))
-
-
 def translating_gaussian_couple(grid: GridSpec, speed: float,
                                 variance: float = 1.0,
                                 start: float = 0.0) -> FluidCouple:
     """Rigidly moving normal density with the matching constant velocity.
 
     Solves the continuity equation exactly, so it is a legitimate couple;
-    it is not a wave field couple unless the width also spreads.
+    it is not a wave field couple unless the width also spreads. At speed
+    0 it is the static density with zero velocity.
     """
-    means = start + speed * grid.t
-    rho = _gaussian_density(grid, means, variance)
+    means = (start + speed * grid.t)[:, np.newaxis]
     x = grid.x[np.newaxis, :]
-    log_grad = -(x - means[:, np.newaxis]) / variance
+    rho = normal_density(x, means, variance)
+    log_grad = -(x - means) / variance
     v = np.full((grid.n_t + 1, grid.n_x), float(speed))
     return FluidCouple(ScalarField(grid, rho), ScalarField(grid, v),
                        provenance="synthetic",

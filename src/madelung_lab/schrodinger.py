@@ -129,10 +129,13 @@ def packet_sigma_sq(spec: GaussianPacketSpec, t):
     t = np.asarray(t, dtype=float)
     return spec.sigma0**2 + t**2 / (4.0 * spec.sigma0**2)
 
+def normal_density(x, mean, variance):
+    """The N(mean, variance) density at x; the arguments broadcast."""
+    moving = np.asarray(x, dtype=float) - mean
+    return np.exp(-(moving**2) / (2.0 * variance)) / np.sqrt(2.0 * np.pi * variance)
+
 def packet_density(spec: GaussianPacketSpec, x, t):
-    var = packet_sigma_sq(spec, t)
-    moving = np.asarray(x, dtype=float) - packet_mean(spec, t)
-    return np.exp(-(moving**2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
+    return normal_density(x, packet_mean(spec, t), packet_sigma_sq(spec, t))
 
 def packet_phase(spec: GaussianPacketSpec, x, t):
     """Phase matching :func:`gaussian_packet` (continuous branch, no wraps)."""

@@ -20,7 +20,7 @@ from madelung_lab import (GaussianMeasure, GaussianPacketSpec, GridSpec,
                           marginal_l1, mixture_ensemble, monge_map_1d,
                           packet_initial, quantum_action, renormalized_action,
                           simulate_ensemble, spreading_mismatched_couple,
-                          static_gaussian_couple, translating_gaussian_couple,
+                          translating_gaussian_couple,
                           transport_cost, verify_theorem1)
 from madelung_lab.benamou_brenier import (packet_curvature_term_sup,
                                           packet_endpoint_measures)
@@ -76,8 +76,8 @@ def test_c03_functional_identity(grid, packet_spec, packet_couple):
     failures = []
     couples = {
         "packet": packet_couple,
-        "static-1": static_gaussian_couple(grid),
-        "static-2": static_gaussian_couple(grid, variance=2.0),
+        "static-1": translating_gaussian_couple(grid, 0.0),
+        "static-2": translating_gaussian_couple(grid, 0.0, variance=2.0),
         "translating-2-1": translating_gaussian_couple(grid, 2.0, 1.0),
         "translating-n1-15": translating_gaussian_couple(grid, -1.0, 1.5),
         "mismatched": spreading_mismatched_couple(packet_spec, grid),
@@ -286,7 +286,7 @@ def test_c11_determinism(tmp_path, monkeypatch, capsys):
     failures = []
     configs = {
         "bb-compare": "experiment = bb-compare\n",
-        "marginal-check": "experiment = marginal-check\nmc.N = 2000\n",
+        "gaussian-benchmark": "experiment = gaussian-benchmark\nmc.N = 2000\n",
     }
     for name, text in configs.items():
         config = tmp_path / f"{name}.cfg"

@@ -19,8 +19,7 @@ from madelung_lab import (ActionReport, BoundaryLeak, GaussianPacketSpec,
                           drift_action, finite_action_norm, gaussian_packet,
                           packet_classical_action, packet_quantum_action,
                           plateau_couple, quantum_action,
-                          spreading_mismatched_couple, static_gaussian_couple,
-                          translating_gaussian_couple)
+                          spreading_mismatched_couple, translating_gaussian_couple)
 
 QUANTUM_CLOSED = 0.25 - np.arctan(0.5)                # default packet
 QUANTUM_GRID_512x256 = -0.21364740555021075           # frozen
@@ -67,7 +66,7 @@ class TestClosedForms:
 
     def test_static_gaussian_value(self, grid):
         # v = 0: the quantum action is minus the Fisher term, -1/(4 var)
-        couple = static_gaussian_couple(grid, variance=2.0)
+        couple = translating_gaussian_couple(grid, 0.0, variance=2.0)
         assert quantum_action(couple).value == pytest.approx(-0.125, abs=1e-12)
 
     def test_translating_gaussian_values(self, grid):
@@ -88,8 +87,8 @@ class TestClosedForms:
 def couples(grid, packet_spec, packet_couple):
     return {
         "packet": packet_couple,
-        "static-1": static_gaussian_couple(grid),
-        "static-2": static_gaussian_couple(grid, variance=2.0),
+        "static-1": translating_gaussian_couple(grid, 0.0),
+        "static-2": translating_gaussian_couple(grid, 0.0, variance=2.0),
         "translating-2-1": translating_gaussian_couple(grid, 2.0, 1.0),
         "translating-n1-15": translating_gaussian_couple(grid, -1.0, 1.5),
         "mismatched": spreading_mismatched_couple(packet_spec, grid),
@@ -165,4 +164,4 @@ class TestActionReport:
         # tails of u^2 rho for variance 2.3 no longer fit the box at the
         # default boundary tolerance; the admissibility guard objects
         with pytest.raises(BoundaryLeak):
-            static_gaussian_couple(grid, variance=2.3)
+            translating_gaussian_couple(grid, 0.0, variance=2.3)

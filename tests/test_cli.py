@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from madelung_lab.cli import EXPERIMENTS, main
+from madelung_lab.cli import EXPERIMENTS, main, parse_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -33,7 +33,12 @@ class TestListing:
         out = capsys.readouterr().out
         for name in EXPERIMENTS:
             assert name in out
-        assert len(EXPERIMENTS) == 5
+        assert len(EXPERIMENTS) == 4
+
+    def test_one_shipped_config_per_experiment(self):
+        named = sorted(parse_config(path)[0]["experiment"]
+                       for path in CONFIG_DIR.glob("*.cfg"))
+        assert named == sorted(EXPERIMENTS)
 
 
 class TestValidate:
@@ -92,7 +97,7 @@ class TestValidate:
     @pytest.mark.parametrize("text, expected", [
         pytest.param("experiment = gaussian-benchmark\nmc.NN = 5\n",
                      ":2: unknown key 'mc.NN'", id="typo-mc-NN"),
-        pytest.param("experiment = marginal-check\ngrid.nx = 64\n",
+        pytest.param("experiment = gaussian-benchmark\ngrid.nx = 64\n",
                      ":2: unknown key 'grid.nx'", id="typo-grid-nx"),
         pytest.param("experiment = gaussian-benchmark\nwrite_fields = maybe\n",
                      "write_fields", id="write-fields-not-boolean"),
@@ -101,6 +106,8 @@ class TestValidate:
         pytest.param("experiment = theorem1-verify\n"
                      "perturbations.space_support = -20,20\n",
                      "perturbations.space_support", id="support-outside-box"),
+        pytest.param("experiment = renormalization-convergence\nmc.n = 100\n"
+                     "mc.n_list = 64,256\n", "mc.n: 100", id="n-not-in-n-list"),
     ])
     def test_refused_before_running(self, text, expected, tmp_path, monkeypatch,
                                     capsys):
@@ -112,6 +119,11 @@ class TestValidate:
         assert run_cli(["run", path]) == 1
         assert expected in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_n_list_binds_only_the_convergence_run(self, tmp_path):
+        path = write_config(tmp_path, ("experiment = gaussian-benchmark\n"
+                                       "mc.n = 100\nmc.n_list = 64,256\n"))
+        assert run_cli(["validate", path]) == 0
 
     def test_oversized_amplitude_still_validates(self, tmp_path, capsys):
         # amplitudes beyond the positivity budget are rescaled at build
@@ -180,13 +192,17 @@ class TestRun:
         out_dir = tmp_path / "out"
         monkeypatch.setenv("OUTPUT_DIR", str(out_dir))
         path = write_config(tmp_path,
-                            "experiment = marginal-check\nmc.N = 400\n")
+                            "experiment = gaussian-benchmark\nmc.N = 400\n")
         assert run_cli(["run", path]) == 2
         out = capsys.readouterr().out
-        assert "FAIL" in out
-        # summary still written, with the failing entries recorded
-        summary = json.loads((out_dir / "summary.json").read_text())
-        assert any(not entry["ok"] for entry in summary["checks"].values())
+        assert "FAIL mc-marginals" in out
+        # summary and marginals still written, with the failing entry recorded
+        checks = json.loads((out_dir / "summary.json").read_text())["checks"]
+        assert not checks["mc-marginals"]["ok"]
+        assert {"initial-mean", "initial-variance"} <= set(checks)
+        lines = (out_dir / "marginals.csv").read_text().splitlines()
+        assert lines[0] == "t,x,histogram,reference"
+        assert len(lines) == 1 + 5 * 512
 
     def test_vacuous_theorem_run(self, tmp_path, monkeypatch, capsys):
         out_dir = tmp_path / "out"

@@ -14,7 +14,7 @@ from madelung_lab import (DriftField, FluidCouple, GaussianPacketSpec, GridSpec,
                           constant_drift, continuity_residual, decompose, drift,
                           gaussian_packet, madelung_residuals,
                           plateau_couple, spreading_mismatched_couple,
-                          static_gaussian_couple)
+                          translating_gaussian_couple)
 from madelung_lab.schrodinger import packet_osmotic, packet_phase, packet_velocity
 
 # sup norms of the two fluid equation residuals for the default packet,
@@ -98,7 +98,7 @@ class TestDriftField:
         assert np.max(np.abs(got + grid.x / 2.0)) < 1e-10
 
     def test_static_gaussian_drift(self, grid):
-        couple = static_gaussian_couple(grid, variance=2.0)
+        couple = translating_gaussian_couple(grid, 0.0, variance=2.0)
         b = drift(couple).b.values
         expected = -grid.x / 4.0
         assert np.max(np.abs(b - expected[np.newaxis, :])) < 1e-12
@@ -169,5 +169,5 @@ class TestFluidCouple:
                         ScalarField(grid, np.zeros((grid.n_t + 1, grid.n_x))))
 
     def test_synthetic_builders_tag_provenance(self, grid):
-        assert static_gaussian_couple(grid).provenance == "synthetic"
+        assert translating_gaussian_couple(grid, 0.0).provenance == "synthetic"
         assert plateau_couple(grid).provenance == "synthetic"

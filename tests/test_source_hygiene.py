@@ -24,8 +24,7 @@ SOURCES = sorted(PACKAGE.glob("*.py"))
 BLANKET = {"Exception", "BaseException"}
 # Synthetic couples with closed-form actions: exported as test controls
 # and negative controls, so no library module needs to build them.
-TEST_CONTROLS = {"plateau_couple", "static_gaussian_couple",
-                 "translating_gaussian_couple"}
+TEST_CONTROLS = {"plateau_couple", "translating_gaussian_couple"}
 
 
 def _caught_names(handler: ast.ExceptHandler) -> list[str]:
