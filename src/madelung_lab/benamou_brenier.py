@@ -30,8 +30,8 @@ import numpy as np
 
 from .action_functionals import classical_action, quantum_action
 from .errors import NormDrift, OrderingViolated
-from .grid_fields import (GridSpec, ScalarField, box_integral, fd_dt, fd_dx,
-                          spectral_antiderivative)
+from .grid_fields import (MASS_TOL, GridSpec, ScalarField, box_integral,
+                          cumulative_trapezoid, fd_dt, fd_dx, spectral_antiderivative)
 from .madelung import FluidCouple
 from .schrodinger import GaussianPacketSpec, normal_density, packet_sigma_sq
 
@@ -135,7 +135,7 @@ def monge_map_1d(rho0: np.ndarray, rho1: np.ndarray,
         if dens.min() <= 0.0:
             raise ValueError(f"{name} density must be strictly positive")
         mass = grid.dx * float(dens.sum())
-        if abs(mass - 1.0) > 1e-8:
+        if abs(mass - 1.0) > MASS_TOL:
             raise NormDrift(f"{name} density mass is {mass!r}, expected 1")
     cdf0 = _grid_cdf(rho0, grid)
     cdf1 = _grid_cdf(rho1, grid)
@@ -149,8 +149,7 @@ def monge_map_1d(rho0: np.ndarray, rho1: np.ndarray,
     if np.any(moved & (rho0 > 1e-12 * rho0.max())):
         raise ValueError("transport map decreases inside the bulk of the "
                          "source density")
-    phi = np.concatenate([[0.0],
-                          np.cumsum(0.5 * grid.dx * (t_map[1:] + t_map[:-1]))])
+    phi = cumulative_trapezoid(t_map, grid)
     return TransportPlan1D(grid, t_map, phi)
 
 

@@ -36,7 +36,8 @@ from .benamou_brenier import (GaussianMeasure, displacement_couple, euler_residu
                               gaussian_w2, monge_map_1d, packet_curvature_term_sup,
                               packet_endpoint_measures, quantum_vs_classical,
                               transport_cost)
-from .competitors import PerturbationSpec, positivity_head_room, verify_theorem1
+from .competitors import (PerturbationSpec, positivity_head_room, raw_perturbation,
+                          verify_theorem1)
 from .errors import AmplitudeInfeasible, ConfigError, MadelungLabError
 from .grid_fields import GridSpec, box_integral
 from .io_formats import couple_to_csv, table_to_csv, transport_to_csv, write_json
@@ -213,6 +214,11 @@ class Checks:
                 for name, entry in self.results.items() if not entry["ok"]]
 
 
+# partition size from which the renormalized action has settled; the
+# stabilization gates compare every two settled sizes of mc.n_list
+SETTLED_N = 256
+
+
 def _mc_band(estimate, quantum) -> float:
     """Four standard errors, but no tighter than 2% of the quantum action."""
     return max(4.0 * estimate.std_error, 0.02 * abs(quantum.value))
@@ -291,92 +297,65 @@ def run_gaussian_benchmark(cfg: dict, out_dir: Path) -> tuple[dict, Checks]:
     }
 
     mc = _mc_params(cfg)
-    ens = simulate_ensemble(b, rho.values[0], grid, mc["N"], mc["n"],
-                            mc["substeps"], mc["seed"])
-    ren = renormalized_action(ens)
-    mc_i = estimate_I(ens, b, b.divergence())
-    checks.within("mc-renormalized-vs-quantum", ren.mean - quantum.value,
-                  _mc_band(ren, quantum))
-    checks.within("mc-pathwise-vs-quantum", mc_i.mean - quantum.value,
-                  _mc_band(mc_i, quantum))
-    checks.within("mc-pathwise-vs-renormalized", mc_i.mean - ren.mean,
-                  _pair_band(ren, mc_i))
-    distances = marginal_l1(ens, rho)
-    checks.within("mc-marginals", max(distances.values()), 0.03)
-    x0 = ens.paths[:, 0]
-    checks.within("initial-mean", float(x0.mean()) - spec.mu0,
-                  4.0 * spec.sigma0 / np.sqrt(mc["N"]))
-    checks.within("initial-variance",
-                  float(x0.var()) / spec.sigma0**2 - 1.0, 0.05)
-    tables = []
-    for frac in distances:
-        x, est = marginal_histogram(ens, frac)
-        j = int(round(frac * grid.n_t))
-        tables.append(np.column_stack([np.full(grid.n_x, frac), x, est,
-                                       rho.values[j]]))
-    table_to_csv(out_dir / "marginals.csv", "t,x,histogram,reference",
-                 np.vstack(tables).T)
-    summary["mc"] = {"renormalized": ren.as_dict(), "pathwise": mc_i.as_dict(),
-                     "marginal_l1": {f"{k:g}": v for k, v in distances.items()},
-                     "params": mc}
-
-    if cfg["write_fields"]:
-        couple_to_csv(out_dir / "packet_couple.csv", grid, rho.values,
-                      couple.v.values)
-    return summary, checks
-
-
-def run_renormalization_convergence(cfg: dict, out_dir: Path) -> tuple[dict, Checks]:
-    grid, spec, psi, rho, phase, couple = _packet_couple(cfg)
-    checks = Checks()
-    mc = _mc_params(cfg)
-    n_list = cfg["mc.n_list"]
-
-    b = drift(couple)
-    quantum = quantum_action(couple)
-    table = []
+    n_list = sorted(set(cfg["mc.n_list"]))
     estimates = {}
-    for n in sorted(n_list):
+    for n in n_list:
         ens = simulate_ensemble(b, rho.values[0], grid, mc["N"], n,
                                 mc["substeps"], mc["seed"])
-        ren = renormalized_action(ens)
-        estimates[n] = ren
-        entry = {"n": n, "renormalized": ren.as_dict()}
+        ren = estimates[n] = renormalized_action(ens)
         if n == mc["n"]:
             mc_i = estimate_I(ens, b, b.divergence())
-            entry["pathwise"] = mc_i.as_dict()
-            checks.within("renormalized-vs-quantum", ren.mean - quantum.value,
+            checks.within("mc-renormalized-vs-quantum", ren.mean - quantum.value,
                           _mc_band(ren, quantum))
-            checks.within("pathwise-vs-quantum", mc_i.mean - quantum.value,
+            checks.within("mc-pathwise-vs-quantum", mc_i.mean - quantum.value,
                           _mc_band(mc_i, quantum))
-            checks.within("pathwise-vs-renormalized", mc_i.mean - ren.mean,
+            checks.within("mc-pathwise-vs-renormalized", mc_i.mean - ren.mean,
                           _pair_band(ren, mc_i))
-        table.append(entry)
+            distances = marginal_l1(ens, rho)
+            checks.within("mc-marginals", max(distances.values()), 0.03)
+            checks.within("initial-mean", float(ens.paths[:, 0].mean()) - spec.mu0,
+                          4.0 * spec.sigma0 / np.sqrt(mc["N"]))
+            checks.within("initial-variance",
+                          float(ens.paths[:, 0].var()) / spec.sigma0**2 - 1.0, 0.05)
+            tables = []
+            for frac in distances:
+                x, est = marginal_histogram(ens, frac)
+                j = int(round(frac * grid.n_t))
+                tables.append(np.column_stack([np.full(grid.n_x, frac), x, est,
+                                               rho.values[j]]))
+            table_to_csv(out_dir / "marginals.csv", "t,x,histogram,reference",
+                         np.vstack(tables).T)
+            summary["mc"] = {"renormalized": ren.as_dict(),
+                             "pathwise": mc_i.as_dict(),
+                             "marginal_l1": {f"{k:g}": v
+                                             for k, v in distances.items()},
+                             "params": mc}
+        del ens  # free the paths before the next, larger ensemble
 
-    settled = [n for n in sorted(n_list) if n >= 256]
+    settled = [n for n in n_list if n >= SETTLED_N]
     for i, n_a in enumerate(settled):
         for n_b in settled[i + 1:]:
             ea, eb = estimates[n_a], estimates[n_b]
             checks.within(f"stabilized-{n_a}-{n_b}", ea.mean - eb.mean,
                           _pair_band(ea, eb))
 
-    zero = simulate_ensemble(constant_drift(grid, 0.0), rho.values[0], grid,
-                             mc["N"], mc["n"], mc["substeps"], mc["seed"])
-    ren0 = renormalized_action(zero)
-    checks.within("control-zero-drift", ren0.mean, 4.0 * ren0.std_error)
-    const = simulate_ensemble(constant_drift(grid, 3.0), rho.values[0], grid,
-                              mc["N"], mc["n"], mc["substeps"], mc["seed"])
-    ren3 = renormalized_action(const)
-    checks.within("control-constant-drift", ren3.mean - 9.0,
-                  4.0 * ren3.std_error)
+    # the renormalized action of a constant drift c has mean c^2
+    controls = {}
+    for key, c, name in (("zero", 0.0, "control-zero-drift"),
+                         ("constant_3", 3.0, "control-constant-drift")):
+        ren = renormalized_action(simulate_ensemble(
+            constant_drift(grid, c), rho.values[0], grid, mc["N"], mc["n"],
+            mc["substeps"], mc["seed"]))
+        checks.within(name, ren.mean - c**2, 4.0 * ren.std_error)
+        controls[key] = ren.as_dict()
+    summary["mc"].update(
+        n_list=n_list, controls=controls,
+        by_partition=[{"n": n, "renormalized": estimates[n].as_dict()}
+                      for n in n_list])
 
-    summary = {
-        "experiment": "renormalization-convergence",
-        "quantum_action": quantum.as_dict(),
-        "by_partition": table,
-        "controls": {"zero": ren0.as_dict(), "constant_3": ren3.as_dict()},
-        "mc_params": mc, "n_list": sorted(n_list),
-    }
+    if cfg["write_fields"]:
+        couple_to_csv(out_dir / "packet_couple.csv", grid, rho.values,
+                      couple.v.values)
     return summary, checks
 
 
@@ -474,11 +453,9 @@ def run_bb_compare(cfg: dict, out_dir: Path) -> tuple[dict, Checks]:
 EXPERIMENTS = {
     "gaussian-benchmark": (run_gaussian_benchmark, "mc.seed",
                            "packet exactness, residual order, action identities, "
-                           "renormalized MC agreement, histogram marginals and "
-                           "initial sample moments"),
-    "renormalization-convergence": (run_renormalization_convergence, "mc.seed",
-                                    "discrete action stabilization over the "
-                                    "partition sizes, plus drift controls"),
+                           "renormalized MC agreement and its stabilization over "
+                           "the partition sizes, drift controls, histogram "
+                           "marginals and initial sample moments"),
     "theorem1-verify": (run_theorem1_verify, "theorem.seed",
                         "minimization of the quantum action over competitor "
                         "families (or its failure off the minimizer)"),
@@ -499,17 +476,22 @@ def _load(config_path) -> tuple[dict, dict]:
         raise ConfigError(f"experiment: unknown name '{name}' "
                           f"(choose from {', '.join(sorted(EXPERIMENTS))})")
     grid, spec = _build_grid(cfg), _build_packet(cfg)
-    # the quantum action gates are taken on the ensemble of mc.n steps
-    if name == "renormalization-convergence" and cfg["mc.n"] not in cfg["mc.n_list"]:
-        raise ConfigError(f"mc.n: {cfg['mc.n']} must be one of mc.n_list "
-                          f"({', '.join(map(str, cfg['mc.n_list']))})")
+    # the quantum action gates are taken on the ensemble of mc.n steps, the
+    # stabilization gates between every two settled sizes
+    n_list = ", ".join(map(str, cfg["mc.n_list"]))
+    if cfg["mc.n"] not in cfg["mc.n_list"]:
+        raise ConfigError(f"mc.n: {cfg['mc.n']} must be one of mc.n_list ({n_list})")
+    if len({n for n in cfg["mc.n_list"] if n >= SETTLED_N}) < 2:
+        raise ConfigError(f"mc.n_list: needs at least two sizes >= {SETTLED_N}, "
+                          f"got {n_list}")
     if name != "theorem1-verify":
         return cfg, entries
     # mirror the build time positivity rescaling, refusing only what it would
     rho = packet_density(spec, grid.x[np.newaxis, :], grid.t[:, np.newaxis])
     for pert in _perturbation_specs(cfg):
         try:
-            positivity_head_room(pert, rho, grid)
+            positivity_head_room(raw_perturbation(pert, grid), pert.space_support,
+                                 rho, grid)
         except AmplitudeInfeasible as exc:
             raise ConfigError(
                 f"perturbations.amplitude: {pert.amplitude} cannot keep the "

@@ -37,7 +37,8 @@ import numpy as np
 
 from .action_functionals import ActionReport, quantum_action
 from .errors import AmplitudeInfeasible, MadelungLabError, SupportLeak
-from .grid_fields import ScalarField, fd_dt, spectral_antiderivative, spectral_dx
+from .grid_fields import (ScalarField, fd_dt, spectral_antiderivative, spectral_dx,
+                          taper)
 from .madelung import FluidCouple
 
 Y_GRID = (-1.0, -0.75, -0.5, -0.25, -0.125, 0.0,
@@ -82,12 +83,6 @@ def _window(spec: PerturbationSpec, t: np.ndarray) -> np.ndarray:
     return (4.0 * tau * (1.0 - tau)) ** 4
 
 
-def _taper(u: np.ndarray) -> np.ndarray:
-    """C^2 ramp from 1 at u <= 0 down to exactly 0 at u >= 1."""
-    s = np.clip(u, 0.0, 1.0)
-    return 1.0 - s**3 * (s * (6.0 * s - 15.0) + 10.0)
-
-
 def _space_profile(spec: PerturbationSpec, x: np.ndarray) -> np.ndarray:
     """Derivative of a random sum of smoothly cut off Gaussian bumps.
 
@@ -106,11 +101,11 @@ def _space_profile(spec: PerturbationSpec, x: np.ndarray) -> np.ndarray:
         coef = rng.uniform(0.5, 1.0) * rng.choice([-1.0, 1.0])
         arg = (x - centre) / width
         ramp = (np.abs(arg) - (_CUT_RADIUS - _TAPER_WIDTH)) / _TAPER_WIDTH
-        out += coef * (-arg / width) * np.exp(-0.5 * arg**2) * _taper(ramp)
+        out += coef * (-arg / width) * np.exp(-0.5 * arg**2) * taper(ramp)
     return out
 
 
-def _raw_perturbation(spec: PerturbationSpec, grid) -> np.ndarray:
+def raw_perturbation(spec: PerturbationSpec, grid) -> np.ndarray:
     """Space profile times window, scaled so max |g| = amplitude."""
     a, b = spec.space_support
     if not (grid.x_min < a and b < grid.x_max):
@@ -126,19 +121,18 @@ def _raw_perturbation(spec: PerturbationSpec, grid) -> np.ndarray:
     return g * (spec.amplitude / peak)
 
 
-def positivity_head_room(spec: PerturbationSpec, rho_values: np.ndarray,
-                         grid) -> float:
+def positivity_head_room(g: np.ndarray, space_support: tuple,
+                         rho_values: np.ndarray, grid) -> float:
     """Largest factor the realized g tolerates before breaking positivity.
 
     Values below 1 mean the requested amplitude would be rescaled at
     build time; the safety floor is 10% of the density's minimum over
     the space support. Infinity for a vanishing perturbation.
     """
-    g = _raw_perturbation(spec, grid)
     mask = np.abs(g) > 0.0
     if not mask.any():
         return float("inf")
-    a, b = spec.space_support
+    a, b = space_support
     support = (grid.x >= a) & (grid.x <= b)
     rho_floor = float(rho_values[:, support].min())
     budget = rho_values - _SAFETY_FLOOR * rho_floor
@@ -157,8 +151,8 @@ def make_perturbation(spec: PerturbationSpec, base: FluidCouple) -> ScalarField:
     density's minimum over the space support, for every y in [-1, 1].
     """
     grid = base.rho.grid
-    g = _raw_perturbation(spec, grid)
-    head_room = positivity_head_room(spec, base.rho.values, grid)
+    g = raw_perturbation(spec, grid)
+    head_room = positivity_head_room(g, spec.space_support, base.rho.values, grid)
     if head_room < 1.0:
         g *= head_room * (1.0 - 1e-12)
     return ScalarField(grid, g)

@@ -21,6 +21,7 @@ Quadrature over the box is the plain rectangle rule (it is spectrally
 accurate for smooth decaying integrands on a periodic grid) and carries
 the same decay guard. Time quadrature is the trapezoid rule;
 ``space_time_integral`` chains the two for every action functional.
+A density counts as normalized when its mass is 1 within ``MASS_TOL``.
 Off the lattice a field is read by ``ScalarField.at``: linear in x,
 frozen at the time node to the left.
 """
@@ -37,6 +38,10 @@ from .errors import BoundaryLeak
 # Relative magnitude a decaying field may show at the box edges before
 # spectral operations and box quadrature refuse it.
 BOUNDARY_TOL = 1e-12
+
+# Largest |mass - 1| a density (or |psi|^2) may show and still count as
+# normalized.
+MASS_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -208,6 +213,18 @@ def space_time_integral(values: np.ndarray, grid: GridSpec, what: str) -> float:
     rule in time, for a decaying field of shape (n_t + 1, n_x)."""
     ensure_decaying(values, grid, what)
     return time_integrate(grid.dx * values.sum(axis=-1), grid)
+
+
+def cumulative_trapezoid(values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Trapezoid rule primitive of one spatial slice, anchored to 0 at x_min."""
+    return np.concatenate([[0.0],
+                           np.cumsum(0.5 * grid.dx * (values[1:] + values[:-1]))])
+
+
+def taper(u: np.ndarray) -> np.ndarray:
+    """Quintic smoothstep: C^2 ramp from 1 at u <= 0 down to exactly 0 at u >= 1."""
+    s = np.clip(u, 0.0, 1.0)
+    return 1.0 - s**3 * (s * (6.0 * s - 15.0) + 10.0)
 
 
 def time_integrate(series: np.ndarray, grid: GridSpec) -> float:

@@ -23,12 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NodeDetected, NormDrift, UnwrapInconsistent
-from .grid_fields import (GridSpec, ScalarField, ensure_decaying, fd_dt, fd_dx,
-                          spectral_dx)
+from .grid_fields import (MASS_TOL, GridSpec, ScalarField, ensure_decaying, fd_dt,
+                          fd_dx, spectral_dx, taper)
 from .schrodinger import (NODE_FLOOR, GaussianPacketSpec, WaveField,
                           normal_density, packet_density, packet_osmotic)
-
-MASS_TOL = 1e-8
 
 # Post-unwrap neighbour increments above this (in radians) mean the grid
 # cannot distinguish a fast phase from a wrap; just below pi.
@@ -234,9 +232,7 @@ def plateau_density(grid: GridSpec, center: float = 0.0,
     if top_half_width <= 0.0 or ramp_width <= 0.0:
         raise ValueError("plateau widths must be positive")
     u = (np.abs(grid.x - center) - top_half_width) / ramp_width
-    u = np.clip(u, 0.0, 1.0)
-    ramp = 1.0 - u**3 * (u * (6.0 * u - 15.0) + 10.0)
-    profile = pedestal + (1.0 - pedestal) * ramp
+    profile = pedestal + (1.0 - pedestal) * taper(u)
     profile = profile / (grid.dx * profile.sum())
     values = np.broadcast_to(profile, (grid.n_t + 1, grid.n_x)).copy()
     return ScalarField(grid, values)

@@ -25,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NodeDetected, NormDrift
-from .grid_fields import GridSpec, ensure_decaying
+from .grid_fields import MASS_TOL, GridSpec, ensure_decaying
 
-NORM_TOL = 1e-8
 NODE_FLOOR = 1e-60
 
 
@@ -64,7 +63,7 @@ class WaveField:
         density = np.abs(arr) ** 2
         norms = g.dx * density.sum(axis=-1)
         worst = float(np.max(np.abs(norms - 1.0)))
-        if worst > NORM_TOL:
+        if worst > MASS_TOL:
             raise NormDrift(f"wave norm off by {worst:.3e} at some time node")
         floor = float(density.min())
         if floor < self.node_floor:
@@ -84,7 +83,7 @@ def free_propagate(psi0: np.ndarray, grid: GridSpec,
         raise ValueError(f"initial state has shape {psi0.shape}, "
                          f"expected ({grid.n_x},)")
     norm0 = grid.dx * float(np.sum(np.abs(psi0) ** 2))
-    if abs(norm0 - 1.0) > NORM_TOL:
+    if abs(norm0 - 1.0) > MASS_TOL:
         raise NormDrift(f"initial state norm is {norm0!r}, expected 1")
     khat = np.fft.fft(psi0)
     phases = np.exp(-0.5j * grid.wavenumbers**2 * grid.t[:, np.newaxis])

@@ -33,7 +33,7 @@ class TestListing:
         out = capsys.readouterr().out
         for name in EXPERIMENTS:
             assert name in out
-        assert len(EXPERIMENTS) == 4
+        assert len(EXPERIMENTS) == 3
 
     def test_one_shipped_config_per_experiment(self):
         named = sorted(parse_config(path)[0]["experiment"]
@@ -106,8 +106,10 @@ class TestValidate:
         pytest.param("experiment = theorem1-verify\n"
                      "perturbations.space_support = -20,20\n",
                      "perturbations.space_support", id="support-outside-box"),
-        pytest.param("experiment = renormalization-convergence\nmc.n = 100\n"
+        pytest.param("experiment = gaussian-benchmark\nmc.n = 100\n"
                      "mc.n_list = 64,256\n", "mc.n: 100", id="n-not-in-n-list"),
+        pytest.param("experiment = gaussian-benchmark\nmc.n = 256\n"
+                     "mc.n_list = 64,128,256\n", "mc.n_list", id="one-settled-size"),
     ])
     def test_refused_before_running(self, text, expected, tmp_path, monkeypatch,
                                     capsys):
@@ -119,11 +121,6 @@ class TestValidate:
         assert run_cli(["run", path]) == 1
         assert expected in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
-
-    def test_n_list_binds_only_the_convergence_run(self, tmp_path):
-        path = write_config(tmp_path, ("experiment = gaussian-benchmark\n"
-                                       "mc.n = 100\nmc.n_list = 64,256\n"))
-        assert run_cli(["validate", path]) == 0
 
     def test_oversized_amplitude_still_validates(self, tmp_path, capsys):
         # amplitudes beyond the positivity budget are rescaled at build
@@ -197,9 +194,13 @@ class TestRun:
         out = capsys.readouterr().out
         assert "FAIL mc-marginals" in out
         # summary and marginals still written, with the failing entry recorded
-        checks = json.loads((out_dir / "summary.json").read_text())["checks"]
+        summary = json.loads((out_dir / "summary.json").read_text())
+        checks = summary["checks"]
         assert not checks["mc-marginals"]["ok"]
-        assert {"initial-mean", "initial-variance"} <= set(checks)
+        assert {"initial-mean", "initial-variance", "stabilized-256-512",
+                "control-zero-drift", "control-constant-drift"} <= set(checks)
+        rows = summary["mc"]["by_partition"]
+        assert [row["n"] for row in rows] == [64, 128, 256, 512]
         lines = (out_dir / "marginals.csv").read_text().splitlines()
         assert lines[0] == "t,x,histogram,reference"
         assert len(lines) == 1 + 5 * 512

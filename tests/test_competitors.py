@@ -15,7 +15,7 @@ from madelung_lab import (CompetitorFamily, GaussianPacketSpec, PerturbationSpec
                           quantum_action, spreading_mismatched_couple,
                           verify_theorem1)
 from madelung_lab import competitors
-from madelung_lab.competitors import positivity_head_room
+from madelung_lab.competitors import positivity_head_room, raw_perturbation
 
 # head room of the seed-1012 perturbation against the default packet
 # density at amplitude 0.08 (frozen; the one default-parameter seed in
@@ -54,7 +54,8 @@ class TestPerturbation:
 
     def test_positivity_rescale_when_needed(self, grid, packet_couple):
         spec = PerturbationSpec(seed=1012)
-        room = positivity_head_room(spec, packet_couple.rho.values, grid)
+        room = positivity_head_room(raw_perturbation(spec, grid), spec.space_support,
+                                    packet_couple.rho.values, grid)
         assert room == pytest.approx(HEAD_ROOM_1012, abs=0.003)
         g = make_perturbation(spec, packet_couple)
         assert np.max(np.abs(g.values)) == pytest.approx(
@@ -69,7 +70,8 @@ class TestPerturbation:
 
     def test_zero_amplitude_gives_zero_field(self, grid, packet_couple):
         spec = PerturbationSpec(seed=1000, amplitude=0.0)
-        assert positivity_head_room(spec, packet_couple.rho.values, grid) == np.inf
+        assert positivity_head_room(raw_perturbation(spec, grid), spec.space_support,
+                                    packet_couple.rho.values, grid) == np.inf
         g = make_perturbation(spec, packet_couple)
         assert np.all(g.values == 0.0)
 
