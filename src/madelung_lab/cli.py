@@ -9,7 +9,8 @@ The only environment override honored is OUTPUT_DIR. Every run writes
 
     summary.json    all computed values and pass/fail checks, sorted
                     keys, no timestamps: byte identical across reruns
-    manifest.json   config hash, seed, package/library versions, time
+    manifest.json   config hash, seed, package/library versions, wall
+                    time and peak resident memory
 
 plus CSV dumps of the fields or profiles the experiment produced.
 Exit codes: 0 all checks passed, 2 at least one check failed,
@@ -23,6 +24,7 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import sys
 import time
 from pathlib import Path
@@ -531,6 +533,8 @@ def run(config_path) -> int:
                      "python": platform.python_version()},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "wall_time_s": elapsed,
+        # ru_maxrss is in kilobytes on Linux
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "output_dir": str(out_dir),
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")

@@ -22,7 +22,10 @@ Determinism: initial samples come from a Philox stream keyed by
 (seed, 1); trajectory noise is keyed by (seed, 2 + block) where blocks
 are fixed runs of 8192 consecutive trajectories. Every estimate is
 therefore reproducible bit for bit regardless of scheduling, and
-trajectory k's noise does not depend on N.
+trajectory k's noise does not depend on N. Each partition interval
+draws its substeps' noise in one call, a (substeps, block size) array
+that the generator fills in order, so the stream is the one a draw per
+substep would give.
 
 Mixtures: convex combinations of drifts share one X0 and one Brownian
 path per trajectory. The component diffusions q^{b_j} are co-evolved on
@@ -156,9 +159,9 @@ def mixture_ensemble(drifts: list[DriftField], weights, rho0, grid: GridSpec,
         mixed = x0[start:stop].copy()
         paths[start:stop, 0] = mixed
         for i in range(n):
-            for sub in range(i * substeps, (i + 1) * substeps):
+            noise = rng.normal(0.0, root_h, (substeps, stop - start))
+            for sub, dw in enumerate(noise, start=i * substeps):
                 t_left = sub * h
-                dw = rng.normal(0.0, root_h, stop - start)
                 pulls = [b.evaluate(q, t_left)
                          for b, q in zip(drifts, components)]
                 for j, pull in enumerate(pulls):
@@ -183,9 +186,15 @@ def simulate_ensemble(b: DriftField, rho0, grid: GridSpec, N: int, n: int,
 
 
 def discrete_action(ens: Ensemble) -> MCEstimate:
-    """n times the mean summed squared partition increment."""
-    dq = np.diff(ens.paths, axis=1)
-    per_path = ens.n * np.einsum("ij,ij->i", dq, dq)
+    """n times the mean summed squared partition increment.
+
+    The increments are formed one block of trajectories at a time, so
+    no second (N, n) array is held next to the paths.
+    """
+    per_path = np.empty(ens.N)
+    for start in range(0, ens.N, BLOCK):
+        dq = np.diff(ens.paths[start:start + BLOCK], axis=1)
+        per_path[start:start + BLOCK] = ens.n * np.einsum("ij,ij->i", dq, dq)
     std_error = float(per_path.std(ddof=1) / np.sqrt(ens.N)) if ens.N > 1 else 0.0
     return MCEstimate(float(per_path.mean()), std_error, ens.N)
 

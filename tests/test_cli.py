@@ -146,6 +146,9 @@ class TestRun:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert len(manifest["config_sha256"]) == 64
         assert manifest["experiment"] == "bb-compare"
+        assert manifest["wall_time_s"] > 0.0
+        assert manifest["peak_rss_mb"] > 0.0
+        assert "peak_rss_mb" not in summary
         assert (out_dir / "first_pair_map.csv").exists()
 
     # Two pairs: the sixth pair of transport.seed 3 trips the boundary

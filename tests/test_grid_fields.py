@@ -80,6 +80,58 @@ class TestFields:
         assert np.array_equal(f.values, vals[::2, ::2])
 
 
+# A grid whose nodes are exact binary fractions, one with awkward
+# spacing, and the smallest allowed width; four time steps each.
+LOOKUP_GRIDS = [GridSpec(-12.0, 12.0, 512, 4), GridSpec(-3.7, 5.1, 1024, 4),
+                GridSpec(0.1, 0.3, 8, 4)]
+# t in units of dt = 1/4: between nodes 2 and 3, on node 1 (which holds
+# only -0.0 entries), and t = 1.
+LOOKUP_TIMES = [2.5, 1.0, 4.0]
+
+
+def bits(values: np.ndarray) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestLookup:
+    """ScalarField.at reproduces np.interp on the time node bit for bit."""
+
+    @staticmethod
+    def field(grid: GridSpec) -> ScalarField:
+        rng = np.random.default_rng(grid.n_x)
+        values = rng.normal(size=(grid.n_t + 1, grid.n_x))
+        values[:, ::5] = -0.0
+        values[:, 3::7] = 0.0
+        values[1] = -0.0
+        return ScalarField(grid, values)
+
+    def assert_matches_interp(self, grid, positions, steps):
+        f = self.field(grid)
+        given = positions.copy()
+        got = f.at(positions, steps / grid.n_t)
+        expected = np.interp(positions, grid.x, f.values[int(steps)])
+        assert np.array_equal(bits(got), bits(expected))
+        assert np.array_equal(bits(positions), bits(given))
+
+    @pytest.mark.parametrize("steps", LOOKUP_TIMES, ids=["between", "on-node", "t=1"])
+    @pytest.mark.parametrize("count", [1, 1024, 8192])
+    @pytest.mark.parametrize("grid", LOOKUP_GRIDS, ids=lambda g: f"n_x={g.n_x}")
+    def test_random_positions_inside_and_beyond_the_box(self, grid, count, steps):
+        width = grid.x_max - grid.x_min
+        rng = np.random.default_rng(count)
+        positions = rng.uniform(grid.x_min - 0.5 * width, grid.x_max + 0.5 * width,
+                                count)
+        self.assert_matches_interp(grid, positions, steps)
+
+    @pytest.mark.parametrize("steps", LOOKUP_TIMES, ids=["between", "on-node", "t=1"])
+    @pytest.mark.parametrize("grid", LOOKUP_GRIDS, ids=lambda g: f"n_x={g.n_x}")
+    def test_nodes_their_neighbours_and_the_edges(self, grid, steps):
+        positions = np.concatenate([
+            grid.x, np.nextafter(grid.x, -np.inf), np.nextafter(grid.x, np.inf),
+            [grid.x_min, grid.x[-1], grid.x_max, -30.0, 30.0]])
+        self.assert_matches_interp(grid, positions, steps)
+
+
 class TestSpectralDx:
     def test_gaussian_derivative_matches_analytic(self, small_grid):
         x = small_grid.x

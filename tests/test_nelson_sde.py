@@ -6,18 +6,27 @@ bitwise exact for constant drifts. Statistical assertions use 4 sigma
 windows around the analytic targets.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from madelung_lab import (Diverged, DriftField, Ensemble, GridSpec, MCEstimate,
-                          NormDrift, ScalarField, constant_drift,
-                          discrete_action, estimate_I,
-                          marginal_l1, mixture_ensemble, renormalized_action,
-                          sample_initial, simulate_ensemble)
-from madelung_lab.nelson_sde import marginal_histogram
+from madelung_lab import (Diverged, DriftField, Ensemble, GaussianPacketSpec,
+                          GridSpec, MCEstimate, NormDrift, ScalarField,
+                          constant_drift, decompose, discrete_action, drift,
+                          estimate_I, gaussian_packet, marginal_l1,
+                          mixture_ensemble, renormalized_action, sample_initial,
+                          simulate_ensemble)
+from madelung_lab.nelson_sde import BLOCK, marginal_histogram
 
 CONTROL_N = 20_000
 CONTROL_PARTITION = 64
+
+# sha256 of the float64 paths, recorded with the earlier kernel (drift
+# read by np.interp's binary search, one noise draw per substep): the
+# O(1) lookup and the one draw per partition interval keep both streams.
+SINGLE_DRIFT_SHA256 = "987085e6a331c0740fb37702016aeb4a281d5c1d3029761436f4c91babd2d658"
+MIXTURE_SHA256 = "45a441759b7a0ed0b884b33344046e1afc67edeebdcfa5495c94076b9c19a021"
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +136,30 @@ class TestSimulation:
         b = constant_drift(grid, 0.0)
         with pytest.raises(ValueError):
             simulate_ensemble(b, None, control_grid, 10, 4, 1, 0)
+
+
+def paths_sha256(ens: Ensemble) -> str:
+    return hashlib.sha256(np.ascontiguousarray(ens.paths, dtype="<f8").tobytes()
+                          ).hexdigest()
+
+
+class TestStreamFingerprint:
+    @pytest.fixture(scope="class")
+    def packet(self, control_grid):
+        _, _, couple = decompose(gaussian_packet(GaussianPacketSpec(), control_grid))
+        return drift(couple), couple.rho.values[0]
+
+    def test_single_drift_over_two_blocks(self, control_grid, packet):
+        # the second block is partial; three substeps per interval
+        b, rho0 = packet
+        ens = simulate_ensemble(b, rho0, control_grid, BLOCK + 37, 8, 3, 7)
+        assert paths_sha256(ens) == SINGLE_DRIFT_SHA256
+
+    def test_two_drift_mixture(self, control_grid, packet):
+        b, rho0 = packet
+        ens = mixture_ensemble([b, constant_drift(control_grid, 0.5)], [0.25, 0.75],
+                               rho0, control_grid, 1000, 8, 3, 7)
+        assert paths_sha256(ens) == MIXTURE_SHA256
 
 
 class TestEstimators:

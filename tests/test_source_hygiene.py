@@ -10,6 +10,9 @@
   surface that only tests call is deleted, not maintained.
 * Every key of the CLI's ``KEYS`` table is read as ``cfg["key"]``: a
   config key no experiment reads is not kept as a dead knob.
+* ``np.interp`` is called only by ``sample_initial``, whose inverse-CDF
+  knots are not uniform: every lookup on the uniform grid goes through
+  ``ScalarField.at``, so no second lookup kernel creeps back in.
 """
 
 import ast
@@ -25,6 +28,7 @@ BLANKET = {"Exception", "BaseException"}
 # Synthetic couples with closed-form actions: exported as test controls
 # and negative controls, so no library module needs to build them.
 TEST_CONTROLS = {"plateau_couple", "translating_gaussian_couple"}
+INTERP_ALLOWED = {"sample_initial"}
 
 
 def _caught_names(handler: ast.ExceptHandler) -> list[str]:
@@ -129,3 +133,40 @@ def test_unread_config_key_is_caught():
     snippet = ('KEYS = {"a": (int, 1, None), "b": (int, 2, None)}\n\n'
                'def f(cfg, KEYS):\n    return cfg["a"] + KEYS["b"][1]\n')
     assert unread_keys(snippet) == ["b"]
+
+
+def interp_sites(source: str) -> list[tuple[int, str]]:
+    """(line, enclosing function) of every ``interp`` attribute or import."""
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "interp") or \
+                    (isinstance(child, ast.alias) and child.name == "interp"):
+                found.append((child.lineno, owner))
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def stray_interp(source: str) -> list[tuple[int, str]]:
+    return [site for site in interp_sites(source) if site[1] not in INTERP_ALLOWED]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_interp_only_in_the_inverse_cdf(path):
+    assert stray_interp(path.read_text()) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    pytest.param("import numpy as np\n\nclass F:\n    def at(self, x):\n"
+                 "        return np.interp(x, self.x, self.v)\n", id="method"),
+    pytest.param("from numpy import interp\n", id="import"),
+    pytest.param("import numpy\n\nLOOKUP = numpy.interp\n", id="module-level"),
+])
+def test_interp_sites_are_found(snippet):
+    assert stray_interp(snippet)
