@@ -25,7 +25,9 @@ A density counts as normalized when its mass is 1 within ``MASS_TOL``.
 Off the lattice a field is read by ``ScalarField.at``: linear in x,
 frozen at the time node to the left. The grid is uniform, so the lookup
 finds each position's segment in O(1) instead of by search; its result
-is bitwise equal to ``np.interp`` on that node's row.
+is bitwise equal to ``np.interp`` on that node's row. The lookup is two
+steps, ``GridSpec.locate`` and ``ScalarField.read``, so fields sharing
+a grid are read at the same positions from one location.
 """
 
 from __future__ import annotations
@@ -106,6 +108,24 @@ class GridSpec:
     def wavenumbers(self) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.n_x, d=self.dx)
 
+    def locate(self, positions: np.ndarray) -> tuple:
+        """Segment index j, offset x - x[j] and on-node mask of each position.
+
+        Positions must be finite; they are clipped to the first and last
+        node. ``(x - x_min) / dx - 1/2`` rounded toward zero is the
+        segment holding x or the one before it; one comparison with the
+        next node settles which, as ``np.interp``'s search would.
+        :meth:`ScalarField.read` takes the result.
+        """
+        x = np.maximum(positions, self.x[0])
+        np.minimum(x, self.x[-1], out=x)
+        u = x - (self.x_min + 0.5 * self.dx)
+        u /= self.dx
+        j = u.astype(np.intp)
+        j += self.x_next.take(j) <= x
+        offset = x - self.x.take(j)
+        return j, offset, offset == 0.0
+
     def coarsen(self) -> "GridSpec":
         """Grid with every second node removed in both directions."""
         if self.n_x < 16 or self.n_t % 2 or self.n_t < 4:
@@ -143,35 +163,34 @@ class ScalarField:
         Linear interpolation in x; outside the box the boundary value
         extends constantly. This is the one off-lattice rule of the lab:
         drifts and the divergence read by the path estimators use it.
+        It is ``read(grid.locate(positions), t)``; a caller reading
+        several fields of one grid at the same positions locates them
+        once and reads each field from that.
 
         The result is bitwise equal to ``np.interp(positions, grid.x,
         row)`` in O(1) per position: the grid is uniform, so no search
-        is needed. Positions are clipped to the first and last node.
-        ``(x - x_min) / dx - 1/2`` rounded toward zero is the segment
-        holding x or the one before it; one comparison with the next
-        node settles which. The value is ``np.interp``'s own
-        ``slope * (x - x[j]) + row[j]``, and on a node (clipped
-        positions included) it is ``row[j]`` itself, which also keeps
-        the sign of a -0.0 entry.
+        is needed (see :meth:`GridSpec.locate`). The value is
+        ``np.interp``'s own ``slope * (x - x[j]) + row[j]``, and on a
+        node (clipped positions included) it is ``row[j]`` itself, which
+        also keeps the sign of a -0.0 entry.
         """
+        return self.read(self.grid.locate(positions), t)
+
+    def read(self, located: tuple, t: float) -> np.ndarray:
+        """Values at positions already located on this field's grid,
+        frozen at the time node <= t; see :meth:`at`."""
+        j, offset, on_node = located
         g = self.grid
         node = min(int(np.floor(t * g.n_t + 1e-9)), g.n_t)
         row = self.values[node]
         slope = (row[1:] - row[:-1]) / g.x_steps
-        x = np.maximum(positions, g.x[0])
-        np.minimum(x, g.x[-1], out=x)
-        u = x - (g.x_min + 0.5 * g.dx)
-        u /= g.dx
-        j = u.astype(np.intp)
-        j += g.x_next.take(j) <= x
-        offset = x - g.x.take(j)
         value = row.take(j)
         # the last node has no segment; its offset is 0, so the clipped
         # slope is never used there
         out = slope.take(j, mode="clip")
         out *= offset
         out += value
-        np.copyto(out, value, where=offset == 0.0)
+        np.copyto(out, value, where=on_node)
         return out
 
 

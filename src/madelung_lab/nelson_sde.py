@@ -209,9 +209,11 @@ def estimate_I(ens: Ensemble, b: DriftField, div_b: ScalarField) -> MCEstimate:
     """Path average of the time integral of b^2 + div b.
 
     The integrand is read along each trajectory at the partition nodes
-    by :meth:`ScalarField.at`, the drift's own rule, and integrated by
-    the trapezoid rule. Independent of the renormalized action
-    estimator, which never looks at b.
+    by the drift's own rule, :meth:`ScalarField.at`, and integrated by
+    the trapezoid rule; b and div b share the grid, so each node's
+    positions are located once and both fields are read from that.
+    Independent of the renormalized action estimator, which never
+    looks at b.
     """
     if b.b.grid != ens.grid:
         raise ValueError("drift field lives on a different grid")
@@ -220,8 +222,8 @@ def estimate_I(ens: Ensemble, b: DriftField, div_b: ScalarField) -> MCEstimate:
     totals = np.zeros(ens.N)
     for i in range(ens.n + 1):
         t_i = i / ens.n
-        q = ens.paths[:, i]
-        values = b.evaluate(q, t_i) ** 2 + div_b.at(q, t_i)
+        located = ens.grid.locate(ens.paths[:, i])
+        values = b.b.read(located, t_i) ** 2 + div_b.read(located, t_i)
         weight = 0.5 if i in (0, ens.n) else 1.0
         totals += weight * values
     totals /= ens.n

@@ -1,4 +1,8 @@
-"""CSV tables and JSON reports: columns, exact values, stable bytes."""
+"""CSV tables and JSON reports: columns, exact values, stable bytes.
+
+The CSV writers are held byte for byte to an ``np.savetxt`` reference
+with ``fmt="%.17g"``, kept in this file.
+"""
 
 import json
 
@@ -6,12 +10,37 @@ import numpy as np
 import pytest
 
 from madelung_lab import GridSpec
-from madelung_lab.io_formats import couple_to_csv, transport_to_csv, write_json
+from madelung_lab.io_formats import (BLOCK_ROWS, couple_to_csv, table_to_csv,
+                                     transport_to_csv, write_json)
+
+# signed zero, the smallest subnormal, huge magnitudes, integers
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, 2.0**53, -7.0]
+GRIDS = [GridSpec(-2.0, 2.0, 16, 3), GridSpec(-3.7, 5.1, 64, 10),
+         GridSpec(-12.0, 12.0, 512, 256)]
 
 
 @pytest.fixture()
 def grid():
     return GridSpec(-2.0, 2.0, 16, 3)
+
+
+def savetxt_bytes(path, header, columns) -> bytes:
+    np.savetxt(path, np.column_stack(columns), delimiter=",", header=header,
+               comments="", fmt="%.17g")
+    return path.read_bytes()
+
+
+def sample_columns(n_rows: int, seed: int) -> list[np.ndarray]:
+    """Four columns: integer-valued floats like a seed column, then
+    values spread over many decades with the edge values mixed in."""
+    rng = np.random.default_rng(seed)
+    seeds = 1000.0 + np.arange(n_rows) // 3
+    spread = [rng.standard_normal(n_rows) * 10.0 ** rng.integers(-320, 300, n_rows)
+              for _ in range(3)]
+    for k, column in enumerate(spread):
+        picks = rng.integers(0, n_rows, len(EDGE_VALUES))
+        column[picks] = np.roll(EDGE_VALUES, k)
+    return [seeds, *spread]
 
 
 class TestCsv:
@@ -36,6 +65,52 @@ class TestCsv:
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         assert data.shape == (grid.n_x, 3)
         assert np.array_equal(data[:, 1], grid.x + 1.0)
+
+
+class TestSavetxtBytes:
+    @pytest.mark.parametrize("n_rows", [1, 7, BLOCK_ROWS - 1, BLOCK_ROWS,
+                                        BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 37])
+    def test_table(self, tmp_path, n_rows):
+        columns = sample_columns(n_rows, n_rows)
+        header = "seed,y,quantum_action,error_radius"
+        table_to_csv(tmp_path / "got.csv", header, columns)
+        assert (tmp_path / "got.csv").read_bytes() == \
+            savetxt_bytes(tmp_path / "ref.csv", header, columns)
+
+    def test_table_given_as_rows_of_columns(self, tmp_path):
+        # the CLI passes a (columns, rows) array, e.g. np.array(rows).T
+        table = np.array(sample_columns(50, 3))
+        table_to_csv(tmp_path / "got.csv", "a,b,c,d", table)
+        assert (tmp_path / "got.csv").read_bytes() == \
+            savetxt_bytes(tmp_path / "ref.csv", "a,b,c,d", table)
+
+    @pytest.mark.parametrize("g", GRIDS, ids=lambda g: f"{g.n_x}x{g.n_t}")
+    def test_couple(self, tmp_path, g):
+        _, _, rho, v = sample_columns(g.n_x * (g.n_t + 1), g.n_x)
+        rho, v = rho.reshape(g.n_t + 1, g.n_x), v.reshape(g.n_t + 1, g.n_x)
+        couple_to_csv(tmp_path / "got.csv", g, rho, v)
+        reference = (np.repeat(g.t, g.n_x), np.tile(g.x, g.n_t + 1),
+                     rho.ravel(), v.ravel())
+        assert (tmp_path / "got.csv").read_bytes() == \
+            savetxt_bytes(tmp_path / "ref.csv", "t,x,rho,v", reference)
+
+    @pytest.mark.parametrize("g", GRIDS, ids=lambda g: f"{g.n_x}x{g.n_t}")
+    def test_transport(self, tmp_path, g):
+        _, map_samples, potential, _ = sample_columns(g.n_x, 5)
+        transport_to_csv(tmp_path / "got.csv", g.x, map_samples, potential)
+        assert (tmp_path / "got.csv").read_bytes() == savetxt_bytes(
+            tmp_path / "ref.csv", "x,map,potential", (g.x, map_samples, potential))
+
+    @pytest.mark.parametrize("bad", ["transposed", "flat", "one-node-short"])
+    def test_couple_refuses_a_misshapen_field(self, tmp_path, grid, bad):
+        shape = (grid.n_t + 1, grid.n_x)
+        good = np.ones(shape)
+        wrong = {"transposed": good.T, "flat": good.ravel(),
+                 "one-node-short": good[1:]}[bad]
+        with pytest.raises(ValueError, match="rho_values"):
+            couple_to_csv(tmp_path / "cp.csv", grid, wrong, good)
+        with pytest.raises(ValueError, match="v_values"):
+            couple_to_csv(tmp_path / "cp.csv", grid, good, wrong)
 
 
 class TestJson:

@@ -205,6 +205,23 @@ class TestEstimators:
         assert est.mean == 7.0
         assert est.std_error == 0.0
 
+    def test_direct_estimator_is_the_two_lookup_formula(self, big_ensemble,
+                                                        packet_drift):
+        # reference: b and div b each looked up by ScalarField.at; the
+        # estimator locates each node's positions once for both fields
+        ens, div_b = big_ensemble, packet_drift.divergence()
+        totals = np.zeros(ens.N)
+        for i in range(ens.n + 1):
+            t_i = i / ens.n
+            q = ens.paths[:, i]
+            values = packet_drift.evaluate(q, t_i) ** 2 + div_b.at(q, t_i)
+            totals += (0.5 if i in (0, ens.n) else 1.0) * values
+        totals /= ens.n
+        expected = np.array([totals.mean(), totals.std(ddof=1) / np.sqrt(ens.N)])
+        est = estimate_I(ens, packet_drift, div_b)
+        got = np.array([est.mean, est.std_error])
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
     def test_direct_estimator_grid_mismatch(self, grid, control_grid, const3_ensemble):
         b = constant_drift(grid, 3.0)
         with pytest.raises(ValueError):

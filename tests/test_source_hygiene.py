@@ -13,6 +13,8 @@
 * ``np.interp`` is called only by ``sample_initial``, whose inverse-CDF
   knots are not uniform: every lookup on the uniform grid goes through
   ``ScalarField.at``, so no second lookup kernel creeps back in.
+* ``np.savetxt`` is not used at all: every CSV goes through the one
+  writer in ``io_formats``, so no second CSV kernel creeps back in.
 """
 
 import ast
@@ -135,8 +137,8 @@ def test_unread_config_key_is_caught():
     assert unread_keys(snippet) == ["b"]
 
 
-def interp_sites(source: str) -> list[tuple[int, str]]:
-    """(line, enclosing function) of every ``interp`` attribute or import."""
+def name_sites(source: str, name: str) -> list[tuple[int, str]]:
+    """(line, enclosing function) of every ``name`` attribute or import."""
     found = []
 
     def visit(node: ast.AST, owner: str) -> None:
@@ -144,8 +146,8 @@ def interp_sites(source: str) -> list[tuple[int, str]]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if (isinstance(child, ast.Attribute) and child.attr == "interp") or \
-                    (isinstance(child, ast.alias) and child.name == "interp"):
+            if (isinstance(child, ast.Attribute) and child.attr == name) or \
+                    (isinstance(child, ast.alias) and child.name == name):
                 found.append((child.lineno, owner))
             visit(child, owner)
 
@@ -154,7 +156,8 @@ def interp_sites(source: str) -> list[tuple[int, str]]:
 
 
 def stray_interp(source: str) -> list[tuple[int, str]]:
-    return [site for site in interp_sites(source) if site[1] not in INTERP_ALLOWED]
+    return [site for site in name_sites(source, "interp")
+            if site[1] not in INTERP_ALLOWED]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -170,3 +173,18 @@ def test_interp_only_in_the_inverse_cdf(path):
 ])
 def test_interp_sites_are_found(snippet):
     assert stray_interp(snippet)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_savetxt(path):
+    assert name_sites(path.read_text(), "savetxt") == []
+
+
+@pytest.mark.parametrize("snippet", [
+    pytest.param("import numpy as np\n\ndef write(path, table):\n"
+                 "    np.savetxt(path, table, fmt=\"%.17g\")\n", id="call"),
+    pytest.param("from numpy import savetxt\n", id="import"),
+    pytest.param("import numpy\n\nWRITE = numpy.savetxt\n", id="module-level"),
+])
+def test_savetxt_sites_are_found(snippet):
+    assert name_sites(snippet, "savetxt")
