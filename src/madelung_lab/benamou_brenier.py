@@ -172,11 +172,8 @@ def displacement_couple(g0: GaussianMeasure, g1: GaussianMeasure,
     v = (g1.mean - g0.mean) + (g1.std - g0.std) * (x - mean_t) / std_t
     v = np.broadcast_to(v, (grid.n_t + 1, grid.n_x)).copy()
     log_grad = -(x - mean_t) / std_t**2
-    return FluidCouple(
-        ScalarField(grid, rho),
-        ScalarField(grid, v),
-        provenance="classical-ot",
-        log_density_gradient=ScalarField(grid, log_grad))
+    return FluidCouple(ScalarField(grid, rho), ScalarField(grid, v),
+                       ScalarField(grid, log_grad), provenance="classical-ot")
 
 
 def euler_residual(couple: FluidCouple) -> float:

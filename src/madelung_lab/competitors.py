@@ -164,10 +164,12 @@ def _correction_at_one(base: FluidCouple, g: ScalarField) -> np.ndarray:
     rhs = fd_dt(g.values, grid) + spectral_dx(
         g.values * base.v.values, grid, "perturbation flux")
 
-    # The continuity data vanishes off the bump support; what the
-    # spectral flux derivative leaves there is ringing, gated here at
-    # the same relative level as the correction itself.
-    supported = np.abs(g.values).max(axis=0) > 0.0
+    # The continuity data vanishes off the bump support, the hull of the
+    # columns where g is ever nonzero; what the spectral flux derivative
+    # leaves there is ringing, gated at the correction's relative level.
+    nonzero = np.abs(g.values).max(axis=0) > 0.0
+    supported = np.logical_or.accumulate(nonzero) \
+        & np.logical_or.accumulate(nonzero[::-1])[::-1]
     scale = float(np.max(np.abs(rhs)))
     stray = float(np.max(np.abs(rhs[:, ~supported]))) if (~supported).any() else 0.0
     if scale > 0.0 and stray > 1e-8 * scale:
@@ -226,13 +228,10 @@ class CompetitorFamily:
         # two orders of stationarity accuracy.
         ratio = np.where(np.abs(g.values) > 0.0, y * g.values / base.rho.values, 0.0)
         bump_grad = spectral_dx(np.log1p(ratio), grid, "log density bump")
-        log_grad = base.log_gradient_values() + bump_grad
+        log_grad = base.log_density_gradient.values + bump_grad
 
-        return FluidCouple(
-            ScalarField(grid, rho_y),
-            ScalarField(grid, v_y),
-            provenance="competitor",
-            log_density_gradient=ScalarField(grid, log_grad))
+        return FluidCouple(ScalarField(grid, rho_y), ScalarField(grid, v_y),
+                           ScalarField(grid, log_grad), provenance="competitor")
 
 
 def make_family(base: FluidCouple, spec: PerturbationSpec) -> CompetitorFamily:

@@ -154,9 +154,6 @@ class ScalarField:
         object.__setattr__(self, "values",
                            _checked_values(self.values, (g.n_t + 1, g.n_x), "scalar field"))
 
-    def coarsen(self) -> "ScalarField":
-        return ScalarField(self.grid.coarsen(), self.values[::2, ::2])
-
     def at(self, positions: np.ndarray, t: float) -> np.ndarray:
         """Values at arbitrary finite positions, frozen at the time node <= t.
 

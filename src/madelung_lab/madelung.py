@@ -11,7 +11,10 @@ are differentiated spectrally. Phases and log densities grow
 polynomially across the box, so they use the open boundary finite
 difference rule (exact on quadratics, hence on every Gaussian case).
 
-The drift b = v + (1/2) d(log rho)/dx steers the diffusion ensembles in
+A :class:`FluidCouple` is three fields on one grid, rho, v and
+d(log rho)/dx; each constructor attaches the last by its best route.
+The drift b = v + (1/2) d(log rho)/dx is a :class:`DriftField`, a
+scalar field that steers the diffusion ensembles in
 :mod:`madelung_lab.nelson_sde`; off the lattice it is read by
 :meth:`ScalarField.at`, the rule the path estimators share.
 """
@@ -35,11 +38,8 @@ UNWRAP_STEP_LIMIT = 2.8
 
 @dataclass(frozen=True)
 class FluidCouple:
-    """A normalized positive density and its current velocity field.
+    """A normalized positive density, its velocity and d(log rho)/dx.
 
-    ``log_density_gradient`` optionally carries a higher quality sampling
-    of d(log rho)/dx than the default finite difference one; constructors
-    attach it when they know a better route (analytic or spectral).
     Construction refuses a couple whose finite action integrand
     (v^2 + u^2) rho does not decay at the box edges; the integral itself,
     with an error radius, is ``finite_action_norm``.
@@ -47,16 +47,13 @@ class FluidCouple:
 
     rho: ScalarField
     v: ScalarField
+    log_density_gradient: ScalarField
     provenance: str = "synthetic"
-    log_density_gradient: ScalarField | None = None
 
     def __post_init__(self) -> None:
-        if self.rho.grid != self.v.grid:
-            raise ValueError("density and velocity live on different grids")
-        if self.log_density_gradient is not None \
-                and self.log_density_gradient.grid != self.rho.grid:
-            raise ValueError("log density gradient on a different grid")
         grid = self.rho.grid
+        if self.v.grid != grid or self.log_density_gradient.grid != grid:
+            raise ValueError("couple fields live on different grids")
         dens = self.rho.values
         if dens.min() <= 0.0:
             raise ValueError(f"density must be strictly positive, "
@@ -65,45 +62,29 @@ class FluidCouple:
         worst = float(np.max(np.abs(mass - 1.0)))
         if worst > MASS_TOL:
             raise NormDrift(f"density mass off by {worst:.3e} at some time node")
-        u = 0.5 * self.log_gradient_values()
+        u = 0.5 * self.log_density_gradient.values
         ensure_decaying((self.v.values**2 + u**2) * dens, grid,
                         "finite action integrand")
 
-    def log_gradient_values(self) -> np.ndarray:
-        """Samples of d(log rho)/dx, preferring the attached field."""
-        if self.log_density_gradient is not None:
-            return self.log_density_gradient.values
-        return fd_dx(np.log(self.rho.values), self.rho.grid)
 
+class DriftField(ScalarField):
+    """A drift: a scalar field, read off the lattice by ``evaluate`` (``at``)."""
 
-@dataclass(frozen=True)
-class DriftField:
-    """A named drift field."""
-
-    b: ScalarField
-    name: str = "drift"
-
-    def evaluate(self, positions: np.ndarray, t: float) -> np.ndarray:
-        """Drift at arbitrary positions by :meth:`ScalarField.at`."""
-        return self.b.at(positions, t)
+    evaluate = ScalarField.at
 
     def divergence(self) -> ScalarField:
         """d(b)/dx by open boundary differences (drifts grow linearly)."""
-        grid = self.b.grid
-        return ScalarField(grid, fd_dx(self.b.values, grid))
+        return ScalarField(self.grid, fd_dx(self.values, self.grid))
 
 
 def drift(couple: FluidCouple) -> DriftField:
     """Forward drift b = v + (1/2) d(log rho)/dx of the couple."""
-    b = couple.v.values + 0.5 * couple.log_gradient_values()
-    return DriftField(ScalarField(couple.rho.grid, b),
-                      name=f"drift[{couple.provenance}]")
+    return DriftField(couple.rho.grid,
+                      couple.v.values + 0.5 * couple.log_density_gradient.values)
 
 
-def constant_drift(grid: GridSpec, value: float, name: str | None = None) -> DriftField:
-    values = np.full((grid.n_t + 1, grid.n_x), float(value))
-    return DriftField(ScalarField(grid, values),
-                      name=name or f"constant({value:g})")
+def constant_drift(grid: GridSpec, value: float) -> DriftField:
+    return DriftField(grid, np.full((grid.n_t + 1, grid.n_x), float(value)))
 
 
 def decompose(psi: WaveField, node_floor: float = NODE_FLOOR):
@@ -138,9 +119,7 @@ def decompose(psi: WaveField, node_floor: float = NODE_FLOOR):
     s_field = ScalarField(grid, phase)
     v = ScalarField(grid, fd_dx(phase, grid))
     log_grad = ScalarField(grid, fd_dx(np.log(dens), grid))
-    couple = FluidCouple(rho, v, provenance="schrodinger",
-                         log_density_gradient=log_grad)
-    return rho, s_field, couple
+    return rho, s_field, FluidCouple(rho, v, log_grad, provenance="schrodinger")
 
 
 def continuity_residual(rho: ScalarField, v: ScalarField) -> float:
@@ -197,8 +176,7 @@ def translating_gaussian_couple(grid: GridSpec, speed: float,
     log_grad = -(x - means) / variance
     v = np.full((grid.n_t + 1, grid.n_x), float(speed))
     return FluidCouple(ScalarField(grid, rho), ScalarField(grid, v),
-                       provenance="synthetic",
-                       log_density_gradient=ScalarField(grid, log_grad))
+                       ScalarField(grid, log_grad))
 
 
 def spreading_mismatched_couple(spec: GaussianPacketSpec, grid: GridSpec) -> FluidCouple:
@@ -214,8 +192,7 @@ def spreading_mismatched_couple(spec: GaussianPacketSpec, grid: GridSpec) -> Flu
     log_grad = 2.0 * packet_osmotic(spec, x, t)
     v = np.full((grid.n_t + 1, grid.n_x), float(spec.p))
     return FluidCouple(ScalarField(grid, rho), ScalarField(grid, v),
-                       provenance="synthetic",
-                       log_density_gradient=ScalarField(grid, log_grad))
+                       ScalarField(grid, log_grad))
 
 
 def plateau_density(grid: GridSpec, center: float = 0.0,
@@ -241,4 +218,5 @@ def plateau_density(grid: GridSpec, center: float = 0.0,
 def plateau_couple(grid: GridSpec, speed: float = 0.0, **kwargs) -> FluidCouple:
     rho = plateau_density(grid, **kwargs)
     v = np.full((grid.n_t + 1, grid.n_x), float(speed))
-    return FluidCouple(rho, ScalarField(grid, v), provenance="synthetic")
+    log_grad = fd_dx(np.log(rho.values), grid)
+    return FluidCouple(rho, ScalarField(grid, v), ScalarField(grid, log_grad))

@@ -14,9 +14,11 @@ Subtracting n (the expected quadratic variation of the noise alone)
 renormalizes F_n; for a Markovian drift the renormalized value
 estimates the expected time integral of b^2 + div b, hence the quantum
 action of the underlying couple. An ensemble therefore keeps only the
-positions at the partition nodes. Drift and divergence are read along
-trajectories by :meth:`ScalarField.at` (linear in x, frozen at the time
-node to the left), so the stepping and the estimators share one rule.
+positions at the partition nodes. A drift is a scalar field; it and its
+divergence are read along trajectories by :meth:`ScalarField.at`
+(linear in x, frozen at the time node to the left), so the stepping and
+the estimators share one rule. Every estimator forms its mean and
+standard error by one rule, :meth:`MCEstimate.of_samples`.
 
 Determinism: initial samples come from a Philox stream keyed by
 (seed, 1); trajectory noise is keyed by (seed, 2 + block) where blocks
@@ -89,6 +91,13 @@ class MCEstimate:
         if self.std_error < 0.0:
             raise ValueError("std_error must be nonnegative")
 
+    @classmethod
+    def of_samples(cls, samples: np.ndarray) -> MCEstimate:
+        """Sample mean with its standard error; a single sample has none."""
+        N = samples.size
+        std_error = float(samples.std(ddof=1) / np.sqrt(N)) if N > 1 else 0.0
+        return cls(float(samples.mean()), std_error, N)
+
     def as_dict(self) -> dict:
         return {"mean": self.mean, "std_error": self.std_error, "N": self.N}
 
@@ -135,9 +144,9 @@ def mixture_ensemble(drifts: list[DriftField], weights, rho0, grid: GridSpec,
         raise ValueError("one weight per drift required")
     if np.any(weights < 0.0) or abs(weights.sum() - 1.0) > 1e-12:
         raise ValueError(f"weights must be convex, got {weights.tolist()}")
-    for b in drifts:
-        if b.b.grid != grid:
-            raise ValueError(f"drift {b.name} lives on a different grid")
+    for index, b in enumerate(drifts):
+        if b.grid != grid:
+            raise ValueError(f"drift {index} lives on a different grid")
     if n < 1 or substeps < 1 or N < 1:
         raise ValueError("N, n and substeps must be positive")
 
@@ -195,8 +204,7 @@ def discrete_action(ens: Ensemble) -> MCEstimate:
     for start in range(0, ens.N, BLOCK):
         dq = np.diff(ens.paths[start:start + BLOCK], axis=1)
         per_path[start:start + BLOCK] = ens.n * np.einsum("ij,ij->i", dq, dq)
-    std_error = float(per_path.std(ddof=1) / np.sqrt(ens.N)) if ens.N > 1 else 0.0
-    return MCEstimate(float(per_path.mean()), std_error, ens.N)
+    return MCEstimate.of_samples(per_path)
 
 
 def renormalized_action(ens: Ensemble) -> MCEstimate:
@@ -215,7 +223,7 @@ def estimate_I(ens: Ensemble, b: DriftField, div_b: ScalarField) -> MCEstimate:
     Independent of the renormalized action estimator, which never
     looks at b.
     """
-    if b.b.grid != ens.grid:
+    if b.grid != ens.grid:
         raise ValueError("drift field lives on a different grid")
     if div_b.grid != ens.grid:
         raise ValueError("divergence field lives on a different grid")
@@ -223,12 +231,11 @@ def estimate_I(ens: Ensemble, b: DriftField, div_b: ScalarField) -> MCEstimate:
     for i in range(ens.n + 1):
         t_i = i / ens.n
         located = ens.grid.locate(ens.paths[:, i])
-        values = b.b.read(located, t_i) ** 2 + div_b.read(located, t_i)
+        values = b.read(located, t_i) ** 2 + div_b.read(located, t_i)
         weight = 0.5 if i in (0, ens.n) else 1.0
         totals += weight * values
     totals /= ens.n
-    std_error = float(totals.std(ddof=1) / np.sqrt(ens.N)) if ens.N > 1 else 0.0
-    return MCEstimate(float(totals.mean()), std_error, ens.N)
+    return MCEstimate.of_samples(totals)
 
 
 def marginal_histogram(ens: Ensemble, fraction: float):

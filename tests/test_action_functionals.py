@@ -14,12 +14,15 @@ The two frozen grid values pin the quadrature pipeline itself.
 import numpy as np
 import pytest
 
-from madelung_lab import (ActionReport, BoundaryLeak, GaussianPacketSpec,
-                          GridSpec, classical_action, decompose, drift,
-                          drift_action, finite_action_norm, gaussian_packet,
+from madelung_lab import (ActionReport, BoundaryLeak, DriftField, FluidCouple,
+                          GaussianPacketSpec, GridSpec, PerturbationSpec,
+                          ScalarField, classical_action, decompose,
+                          displacement_couple, drift, drift_action,
+                          finite_action_norm, gaussian_packet, make_family,
                           packet_classical_action, packet_quantum_action,
                           plateau_couple, quantum_action,
                           spreading_mismatched_couple, translating_gaussian_couple)
+from madelung_lab.benamou_brenier import packet_endpoint_measures
 
 QUANTUM_CLOSED = 0.25 - np.arctan(0.5)                # default packet
 QUANTUM_GRID_512x256 = -0.21364740555021075           # frozen
@@ -137,6 +140,44 @@ class TestActionIdentities:
             GaussianPacketSpec(), GridSpec(-12.0, 12.0, 512, 128)))[2]
         with pytest.raises(ValueError):
             drift_action(drift(other), packet_couple.rho)
+
+
+def coarse_couple(couple):
+    """The couple sampled on every second node, built and validated anew."""
+    grid = couple.rho.grid.coarsen()
+    return FluidCouple(*(ScalarField(grid, f.values[::2, ::2])
+                         for f in (couple.rho, couple.v, couple.log_density_gradient)))
+
+
+@pytest.fixture(scope="module")
+def radius_couples(grid, packet_spec, packet_couple):
+    member = make_family(packet_couple, PerturbationSpec(seed=1000)).couple(0.5)
+    geodesic = displacement_couple(*packet_endpoint_measures(packet_spec), grid)
+    return {"wave": packet_couple, "competitor": member, "geodesic": geodesic}
+
+
+class TestErrorRadius:
+    # the radius is the distance to the same action of the couple sampled
+    # on every second node, bit for bit
+    @pytest.mark.parametrize("name", ["wave", "competitor", "geodesic"])
+    def test_couple_radius_is_the_coarse_couple_gap(self, radius_couples, name):
+        couple = radius_couples[name]
+        coarse = coarse_couple(couple)
+        for action in (quantum_action, classical_action, finite_action_norm):
+            rep = action(couple)
+            expected = abs(rep.value - action(coarse).value)
+            assert rep.error_radius.hex() == expected.hex(), action.__name__
+
+    @pytest.mark.parametrize("name", ["wave", "competitor", "geodesic"])
+    def test_drift_radius_is_the_coarse_drift_gap(self, radius_couples, name):
+        # the coarse drift is sampled, its divergence is taken anew there
+        couple = radius_couples[name]
+        b, rho = drift(couple), couple.rho
+        coarse_grid = rho.grid.coarsen()
+        coarse = drift_action(DriftField(coarse_grid, b.values[::2, ::2]),
+                              ScalarField(coarse_grid, rho.values[::2, ::2]))
+        rep = drift_action(b, rho)
+        assert rep.error_radius.hex() == abs(rep.value - coarse.value).hex()
 
 
 class TestActionReport:

@@ -116,9 +116,28 @@ class TestVelocityCorrection:
 
     def test_correction_supported_with_the_bump(self, grid, packet_couple,
                                                 default_family):
+        # the support is the hull of the columns where g is ever nonzero
         x_one = default_family.couple(1.0).v.values - packet_couple.v.values
-        outside = np.abs(default_family.g.values).max(axis=0) == 0.0
+        columns = np.flatnonzero(np.abs(default_family.g.values).max(axis=0))
+        outside = (np.arange(grid.n_x) < columns[0]) | (np.arange(grid.n_x) > columns[-1])
+        assert outside.any()
         assert np.all(x_one[:, outside] == 0.0)
+
+    def test_correction_on_a_column_where_g_vanishes(self, grid, packet_couple):
+        # g = phi'(x) w(t) with phi = 0.05 exp(-x^2 / (2 l^2)) centred on
+        # the node x = 0, where g is zero at every time; the flux
+        # correction there is still u = -(phi w' + g v), as everywhere
+        ell, (t0, t1) = 0.5, (0.1, 0.9)
+        x, t = grid.x[np.newaxis, :], grid.t[:, np.newaxis]
+        phi = 0.05 * np.exp(-x**2 / (2.0 * ell**2))
+        tau = np.clip((t - t0) / (t1 - t0), 0.0, 1.0)
+        w = (4.0 * tau * (1.0 - tau)) ** 4
+        dw = 16.0 * (4.0 * tau * (1.0 - tau)) ** 3 * (1.0 - 2.0 * tau) / (t1 - t0)
+        g = -x / ell**2 * phi * w
+        assert np.all(g[:, grid.x == 0.0] == 0.0)
+        fam = CompetitorFamily(packet_couple, ScalarField(grid, g))
+        exact = -(phi * dw + g * packet_couple.v.values)
+        assert np.max(np.abs(fam.u.values - exact)) < 1e-3
 
     def test_y_zero_returns_base_values(self, packet_couple, default_family):
         couple = default_family.couple(0.0)

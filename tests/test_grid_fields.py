@@ -73,12 +73,6 @@ class TestFields:
         with pytest.raises(ValueError):
             ScalarField(small_grid, vals)
 
-    def test_field_coarsen_subsamples(self, small_grid):
-        vals = np.outer(small_grid.t, small_grid.x)
-        f = ScalarField(small_grid, vals).coarsen()
-        assert f.values.shape == (9, 256)
-        assert np.array_equal(f.values, vals[::2, ::2])
-
 
 # A grid whose nodes are exact binary fractions, one with awkward
 # spacing, and the smallest allowed width; four time steps each.

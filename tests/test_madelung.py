@@ -44,7 +44,7 @@ class TestDecompose:
     def test_osmotic_velocity_closed_form(self, packet_spec, grid, packet_couple):
         exact = packet_osmotic(packet_spec, grid.x[np.newaxis, :],
                                grid.t[:, np.newaxis])
-        got = 0.5 * packet_couple.log_gradient_values()
+        got = 0.5 * packet_couple.log_density_gradient.values
         assert np.max(np.abs(got - exact)) < 1e-10
 
     def test_provenance_tagged(self, packet_couple):
@@ -94,25 +94,25 @@ class TestResiduals:
 class TestDriftField:
     def test_packet_drift_at_time_zero(self, grid, packet_drift):
         # b = v + u; at t = 0 the packet has v = 0 and u = -x/2
-        got = packet_drift.b.values[0]
+        got = packet_drift.values[0]
         assert np.max(np.abs(got + grid.x / 2.0)) < 1e-10
 
     def test_static_gaussian_drift(self, grid):
         couple = translating_gaussian_couple(grid, 0.0, variance=2.0)
-        b = drift(couple).b.values
+        b = drift(couple).values
         expected = -grid.x / 4.0
         assert np.max(np.abs(b - expected[np.newaxis, :])) < 1e-12
 
     def test_plateau_drift_equals_speed_on_top(self, grid):
         couple = plateau_couple(grid, speed=0.75)
-        b = drift(couple).b.values
+        b = drift(couple).values
         top = np.abs(grid.x) <= 2.0 - 2.0 * grid.dx
         assert np.max(np.abs(b[:, top] - 0.75)) == 0.0
 
     def test_evaluate_interpolates_linearly_in_x(self):
         g = GridSpec(-2.0, 2.0, 8, 4)
         values = np.broadcast_to(g.x**2, (5, 8)).copy()
-        b = DriftField(ScalarField(g, values))
+        b = DriftField(g, values)
         mid = 0.5 * (g.x[2] + g.x[3])
         expected = 0.5 * (g.x[2]**2 + g.x[3]**2)
         assert b.evaluate(np.array([mid]), 0.0)[0] == pytest.approx(expected)
@@ -120,7 +120,7 @@ class TestDriftField:
     def test_evaluate_freezes_at_left_time_node(self):
         g = GridSpec(-2.0, 2.0, 8, 4)
         values = np.arange(5.0)[:, np.newaxis] * np.ones((1, 8))
-        b = DriftField(ScalarField(g, values))
+        b = DriftField(g, values)
         q = np.zeros(1)
         assert b.evaluate(q, 0.0)[0] == 0.0
         assert b.evaluate(q, 0.3)[0] == 1.0  # inside (1/4, 2/4): left node 1
@@ -130,43 +130,43 @@ class TestDriftField:
     def test_evaluate_extends_constantly_outside_box(self):
         g = GridSpec(-2.0, 2.0, 8, 4)
         values = np.broadcast_to(g.x, (5, 8)).copy()
-        b = DriftField(ScalarField(g, values))
+        b = DriftField(g, values)
         assert b.evaluate(np.array([-50.0]), 0.0)[0] == g.x[0]
         assert b.evaluate(np.array([50.0]), 0.0)[0] == g.x[-1]
 
     def test_divergence_exact_for_linear_field(self):
         g = GridSpec(-2.0, 2.0, 8, 4)
         values = np.broadcast_to(3.0 * g.x, (5, 8)).copy()
-        div = DriftField(ScalarField(g, values)).divergence()
+        div = DriftField(g, values).divergence()
         assert np.max(np.abs(div.values - 3.0)) < 1e-12
 
     def test_constant_drift(self):
         g = GridSpec(-2.0, 2.0, 8, 4)
         b = constant_drift(g, 3.0)
-        assert b.name == "constant(3)"
         assert b.evaluate(np.array([0.123, -7.0]), 0.4).tolist() == [3.0, 3.0]
 
 
 class TestFluidCouple:
     def test_rejects_grid_mismatch(self, grid, packet_couple):
-        other = GridSpec(-12.0, 12.0, 512, 128)
-        v = ScalarField(other, np.zeros((129, 512)))
+        other = ScalarField(GridSpec(-12.0, 12.0, 512, 128), np.zeros((129, 512)))
         with pytest.raises(ValueError):
-            FluidCouple(packet_couple.rho, v)
+            FluidCouple(packet_couple.rho, other, packet_couple.log_density_gradient)
+        with pytest.raises(ValueError):
+            FluidCouple(packet_couple.rho, packet_couple.v, other)
 
     def test_rejects_nonpositive_density(self, grid):
         values = np.full((grid.n_t + 1, grid.n_x), 1.0 / 24.0)
         values[0, 5] = 0.0
+        zeros = ScalarField(grid, np.zeros_like(values))
         with pytest.raises(ValueError):
-            FluidCouple(ScalarField(grid, values),
-                        ScalarField(grid, np.zeros((grid.n_t + 1, grid.n_x))))
+            FluidCouple(ScalarField(grid, values), zeros, zeros)
 
     def test_rejects_mass_drift(self, grid):
         rho = np.exp(-grid.x**2 / 2.0) / np.sqrt(2.0 * np.pi)
         values = np.broadcast_to(1.5 * rho, (grid.n_t + 1, grid.n_x)).copy()
+        zeros = ScalarField(grid, np.zeros_like(values))
         with pytest.raises(NormDrift):
-            FluidCouple(ScalarField(grid, values),
-                        ScalarField(grid, np.zeros((grid.n_t + 1, grid.n_x))))
+            FluidCouple(ScalarField(grid, values), zeros, zeros)
 
     def test_synthetic_builders_tag_provenance(self, grid):
         assert translating_gaussian_couple(grid, 0.0).provenance == "synthetic"

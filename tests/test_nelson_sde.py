@@ -197,7 +197,7 @@ class TestEstimators:
         div_nodes = np.full(9, 100.0)
         b_nodes[[0, 2, 5, 8]] = [1.0, 2.0, 3.0, 4.0]
         div_nodes[[0, 2, 5, 8]] = [1.0, -1.0, 0.0, 0.0]
-        b = DriftField(ScalarField(g, np.repeat(b_nodes[:, None], 8, axis=1)))
+        b = DriftField(g, np.repeat(b_nodes[:, None], 8, axis=1))
         div_b = ScalarField(g, np.repeat(div_nodes[:, None], 8, axis=1))
         paths = np.linspace(-1.5, 1.5, 24).reshape(6, 4)
         est = estimate_I(Ensemble(paths, g), b, div_b)

@@ -15,6 +15,10 @@
   ``ScalarField.at``, so no second lookup kernel creeps back in.
 * ``np.savetxt`` is not used at all: every CSV goes through the one
   writer in ``io_formats``, so no second CSV kernel creeps back in.
+* ``fd_dx`` and ``spectral_dx`` take an ``np.log(...)`` argument only in
+  ``decompose`` and ``plateau_couple``, the constructors that attach a
+  couple's log density gradient that way: every other reader takes the
+  attached field, so no log-gradient fallback creeps back in.
 """
 
 import ast
@@ -31,6 +35,7 @@ BLANKET = {"Exception", "BaseException"}
 # and negative controls, so no library module needs to build them.
 TEST_CONTROLS = {"plateau_couple", "translating_gaussian_couple"}
 INTERP_ALLOWED = {"sample_initial"}
+LOG_GRADIENT_ALLOWED = {"decompose", "plateau_couple"}
 
 
 def _caught_names(handler: ast.ExceptHandler) -> list[str]:
@@ -137,22 +142,25 @@ def test_unread_config_key_is_caught():
     assert unread_keys(snippet) == ["b"]
 
 
-def name_sites(source: str, name: str) -> list[tuple[int, str]]:
-    """(line, enclosing function) of every ``name`` attribute or import."""
-    found = []
+def owned_nodes(source: str):
+    """Every node of the source with the name of its enclosing function."""
 
-    def visit(node: ast.AST, owner: str) -> None:
+    def visit(node: ast.AST, owner: str):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
+                yield from visit(child, child.name)
                 continue
-            if (isinstance(child, ast.Attribute) and child.attr == name) or \
-                    (isinstance(child, ast.alias) and child.name == name):
-                found.append((child.lineno, owner))
-            visit(child, owner)
+            yield child, owner
+            yield from visit(child, owner)
 
-    visit(ast.parse(source), "<module>")
-    return found
+    return visit(ast.parse(source), "<module>")
+
+
+def name_sites(source: str, name: str) -> list[tuple[int, str]]:
+    """(line, enclosing function) of every ``name`` attribute or import."""
+    return [(node.lineno, owner) for node, owner in owned_nodes(source)
+            if (isinstance(node, ast.Attribute) and node.attr == name)
+            or (isinstance(node, ast.alias) and node.name == name)]
 
 
 def stray_interp(source: str) -> list[tuple[int, str]]:
@@ -188,3 +196,43 @@ def test_no_savetxt(path):
 ])
 def test_savetxt_sites_are_found(snippet):
     assert name_sites(snippet, "savetxt")
+
+
+def _calls(node: ast.AST, names: set[str]) -> bool:
+    """Whether ``node`` calls one of ``names``, bare or as an attribute."""
+    if not isinstance(node, ast.Call):
+        return False
+    return getattr(node.func, "id", getattr(node.func, "attr", None)) in names
+
+
+def stray_log_gradient(source: str) -> list[tuple[int, str]]:
+    """(line, enclosing function) of every x-derivative of an ``np.log``
+    call outside the constructors allowed to attach a log gradient."""
+    return [(node.lineno, owner) for node, owner in owned_nodes(source)
+            if _calls(node, {"fd_dx", "spectral_dx"}) and node.args
+            and _calls(node.args[0], {"log"}) and owner not in LOG_GRADIENT_ALLOWED]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_log_gradient_only_in_its_constructors(path):
+    assert stray_log_gradient(path.read_text()) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    pytest.param("import numpy as np\n\nclass C:\n    def grad(self):\n"
+                 "        return fd_dx(np.log(self.rho), self.grid)\n", id="method"),
+    pytest.param("import numpy\n\ndef u(rho, grid):\n"
+                 "    return spectral_dx(numpy.log(rho), grid, 'log')\n", id="spectral"),
+    pytest.param("from numpy import log\n\nLG = grid_fields.fd_dx(log(RHO), GRID)\n",
+                 id="module-level"),
+])
+def test_log_gradient_sites_are_found(snippet):
+    assert stray_log_gradient(snippet)
+
+
+def test_log_gradient_allowed_sites_pass():
+    snippet = ("import numpy as np\n\ndef decompose(psi, grid):\n"
+               "    return fd_dx(np.log(psi), grid)\n\n"
+               "def bump(ratio, grid):\n"
+               "    return spectral_dx(np.log1p(ratio), grid, 'bump')\n")
+    assert stray_log_gradient(snippet) == []
