@@ -10,7 +10,9 @@ The only environment override honored is OUTPUT_DIR. Every run writes
     summary.json    all computed values and pass/fail checks, sorted
                     keys, no timestamps: byte identical across reruns
     manifest.json   config hash, seed, package/library versions, wall
-                    time and peak resident memory
+                    time and peak resident memory; for gaussian-benchmark
+                    also the seconds spent stepping ensembles and the
+                    trajectory steps taken, in total and per second
 
 plus CSV dumps of the fields or profiles the experiment produced.
 Exit codes: 0 all checks passed, 2 at least one check failed,
@@ -216,6 +218,26 @@ class Checks:
                 for name, entry in self.results.items() if not entry["ok"]]
 
 
+class Stepping:
+    """Wall seconds and trajectory steps spent simulating ensembles."""
+
+    def __init__(self):
+        self.seconds = 0.0
+        self.steps = 0
+
+    def simulate(self, b, rho0, grid: GridSpec, N: int, n: int, substeps: int,
+                 seed: int):
+        started = time.perf_counter()
+        ens = simulate_ensemble(b, rho0, grid, N, n, substeps, seed)
+        self.seconds += time.perf_counter() - started
+        self.steps += N * n * substeps
+        return ens
+
+    def as_dict(self) -> dict:
+        return {"seconds": self.seconds, "trajectory_steps": self.steps,
+                "trajectory_steps_per_s": self.steps / self.seconds}
+
+
 # partition size from which the renormalized action has settled; the
 # stabilization gates compare every two settled sizes of mc.n_list
 SETTLED_N = 256
@@ -247,7 +269,7 @@ def _packet_couple(cfg: dict):
     return grid, spec, psi, rho, phase, couple
 
 
-def run_gaussian_benchmark(cfg: dict, out_dir: Path) -> tuple[dict, Checks]:
+def run_gaussian_benchmark(cfg: dict, out_dir: Path) -> tuple[dict, Checks, dict]:
     grid, spec, psi, rho, phase, couple = _packet_couple(cfg)
     checks = Checks()
 
@@ -301,8 +323,9 @@ def run_gaussian_benchmark(cfg: dict, out_dir: Path) -> tuple[dict, Checks]:
     mc = _mc_params(cfg)
     n_list = sorted(set(cfg["mc.n_list"]))
     estimates = {}
+    stepping = Stepping()
     for n in n_list:
-        ens = simulate_ensemble(b, rho.values[0], grid, mc["N"], n,
+        ens = stepping.simulate(b, rho.values[0], grid, mc["N"], n,
                                 mc["substeps"], mc["seed"])
         ren = estimates[n] = renormalized_action(ens)
         if n == mc["n"]:
@@ -345,7 +368,7 @@ def run_gaussian_benchmark(cfg: dict, out_dir: Path) -> tuple[dict, Checks]:
     controls = {}
     for key, c, name in (("zero", 0.0, "control-zero-drift"),
                          ("constant_3", 3.0, "control-constant-drift")):
-        ren = renormalized_action(simulate_ensemble(
+        ren = renormalized_action(stepping.simulate(
             constant_drift(grid, c), rho.values[0], grid, mc["N"], mc["n"],
             mc["substeps"], mc["seed"]))
         checks.within(name, ren.mean - c**2, 4.0 * ren.std_error)
@@ -358,10 +381,10 @@ def run_gaussian_benchmark(cfg: dict, out_dir: Path) -> tuple[dict, Checks]:
     if cfg["write_fields"]:
         couple_to_csv(out_dir / "packet_couple.csv", grid, rho.values,
                       couple.v.values)
-    return summary, checks
+    return summary, checks, {"stepping": stepping.as_dict()}
 
 
-def run_theorem1_verify(cfg: dict, out_dir: Path) -> tuple[dict, Checks]:
+def run_theorem1_verify(cfg: dict, out_dir: Path) -> tuple[dict, Checks, dict]:
     grid = _build_grid(cfg)
     spec = _build_packet(cfg)
     base_kind = cfg["theorem.base"]
@@ -396,10 +419,10 @@ def run_theorem1_verify(cfg: dict, out_dir: Path) -> tuple[dict, Checks]:
 
     summary = {"experiment": "theorem1-verify", "base": base_kind,
                "report": report}
-    return summary, checks
+    return summary, checks, {}
 
 
-def run_bb_compare(cfg: dict, out_dir: Path) -> tuple[dict, Checks]:
+def run_bb_compare(cfg: dict, out_dir: Path) -> tuple[dict, Checks, dict]:
     grid, spec, psi, rho, phase, couple = _packet_couple(cfg)
     checks = Checks()
     rng = np.random.default_rng(cfg["transport.seed"])
@@ -448,7 +471,7 @@ def run_bb_compare(cfg: dict, out_dir: Path) -> tuple[dict, Checks]:
         "euler": {"geodesic_full": res_full, "geodesic_half_nt": res_half,
                   "packet": packet_res, "packet_limit": limit},
     }
-    return summary, checks
+    return summary, checks, {}
 
 
 # name -> (runner, the key of the seed its random draws start from, description)
@@ -518,7 +541,7 @@ def run(config_path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     started = time.time()
-    summary, checks = runner(cfg, out_dir)
+    summary, checks, timings = runner(cfg, out_dir)
     elapsed = time.time() - started
 
     summary["checks"] = checks.results
@@ -536,6 +559,7 @@ def run(config_path) -> int:
         # ru_maxrss is in kilobytes on Linux
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "output_dir": str(out_dir),
+        **timings,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 

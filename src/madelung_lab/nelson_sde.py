@@ -25,9 +25,12 @@ Determinism: initial samples come from a Philox stream keyed by
 are fixed runs of 8192 consecutive trajectories. Every estimate is
 therefore reproducible bit for bit regardless of scheduling, and
 trajectory k's noise does not depend on N. Each partition interval
-draws its substeps' noise in one call, a (substeps, block size) array
-that the generator fills in order, so the stream is the one a draw per
-substep would give.
+steps on a (substeps, block size) array of noise. The arrays are drawn
+in jobs of several intervals, one job ahead of the stepping, on one
+worker thread that each call opens and closes; the jobs follow the
+stream order, and a generator fills a (k, substeps, width) array with
+the values of k successive (substeps, width) fills, so the stream is
+the one a draw per substep would give.
 
 Mixtures: convex combinations of drifts share one X0 and one Brownian
 path per trajectory. The component diffusions q^{b_j} are co-evolved on
@@ -40,6 +43,7 @@ so it is stepped once.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +55,8 @@ from .madelung import DriftField
 BLOCK = 8192
 _INIT_STREAM = 1
 _NOISE_STREAM_BASE = 2
+# noise values per draw job: a full block draws one interval per job
+_JOB_VALUES = 2**15
 
 
 @dataclass(frozen=True)
@@ -130,6 +136,29 @@ def _check_inside(positions: np.ndarray, grid: GridSpec, t: float) -> None:
                        f"outside the 20% margin around the box")
 
 
+def _noise(pool: ThreadPoolExecutor, seed: int, N: int, n: int,
+           substeps: int, root_h: float):
+    """Yield each block's (substeps, width) interval noise in stream order.
+
+    Each job fills ``k`` intervals of one block in one call, and job
+    j + 1 is submitted to ``pool`` before job j is handed out, also
+    across block boundaries, so the draw runs beside the stepping.
+    """
+    pending = None
+    for block_index, start in enumerate(range(0, N, BLOCK)):
+        width = min(BLOCK, N - start)
+        rng = np.random.Generator(
+            np.random.Philox(key=[seed, _NOISE_STREAM_BASE + block_index]))
+        k = max(1, _JOB_VALUES // (substeps * width))
+        for first in range(0, n, k):
+            job = pool.submit(rng.normal, 0.0, root_h,
+                              (min(k, n - first), substeps, width))
+            if pending is not None:
+                yield from pending.result()
+            pending = job
+    yield from pending.result()
+
+
 def mixture_ensemble(drifts: list[DriftField], weights, rho0, grid: GridSpec,
                      N: int, n: int, substeps: int, seed: int) -> Ensemble:
     """Simulate the convex mixture of drifts on common (X0, W).
@@ -160,30 +189,29 @@ def mixture_ensemble(drifts: list[DriftField], weights, rho0, grid: GridSpec,
     root_h = np.sqrt(h)
     paths = np.empty((N, n + 1))
 
-    for block_index, start in enumerate(range(0, N, BLOCK)):
-        stop = min(start + BLOCK, N)
-        rng = np.random.Generator(
-            np.random.Philox(key=[seed, _NOISE_STREAM_BASE + block_index]))
-        components = [x0[start:stop].copy() for _ in drifts]
-        mixed = x0[start:stop].copy()
-        paths[start:stop, 0] = mixed
-        for i in range(n):
-            noise = rng.normal(0.0, root_h, (substeps, stop - start))
-            for sub, dw in enumerate(noise, start=i * substeps):
-                t_left = sub * h
-                pulls = [b.evaluate(q, t_left)
-                         for b, q in zip(drifts, components)]
-                for j, pull in enumerate(pulls):
-                    components[j] = components[j] + (pull * h + dw)
-                if mixing:
-                    beta = sum(w * pull for w, pull in zip(weights, pulls))
-                    mixed = mixed + (beta * h + dw)
-            # the first track is the recorded one
-            tracks = [mixed, *components] if mixing else components
-            t_node = (i + 1) / n
-            for q in tracks:
-                _check_inside(q, grid, t_node)
-            paths[start:stop, i + 1] = tracks[0]
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        noise = _noise(pool, seed, N, n, substeps, root_h)
+        for start in range(0, N, BLOCK):
+            stop = min(start + BLOCK, N)
+            components = [x0[start:stop].copy() for _ in drifts]
+            mixed = x0[start:stop].copy()
+            paths[start:stop, 0] = mixed
+            for i in range(n):
+                for sub, dw in enumerate(next(noise), start=i * substeps):
+                    t_left = sub * h
+                    pulls = [b.evaluate(q, t_left)
+                             for b, q in zip(drifts, components)]
+                    for j, pull in enumerate(pulls):
+                        components[j] = components[j] + (pull * h + dw)
+                    if mixing:
+                        beta = sum(w * pull for w, pull in zip(weights, pulls))
+                        mixed = mixed + (beta * h + dw)
+                # the first track is the recorded one
+                tracks = [mixed, *components] if mixing else components
+                t_node = (i + 1) / n
+                for q in tracks:
+                    _check_inside(q, grid, t_node)
+                paths[start:stop, i + 1] = tracks[0]
 
     return Ensemble(paths, grid)
 

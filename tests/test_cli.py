@@ -207,6 +207,12 @@ class TestRun:
         lines = (out_dir / "marginals.csv").read_text().splitlines()
         assert lines[0] == "t,x,histogram,reference"
         assert len(lines) == 1 + 5 * 512
+        # the stepping time goes to the manifest, never to the summary
+        stepping = json.loads((out_dir / "manifest.json").read_text())["stepping"]
+        assert stepping["seconds"] > 0.0
+        assert stepping["trajectory_steps"] == 400 * (64 + 128 + 256 + 512 + 2 * 256) * 4
+        assert stepping["trajectory_steps_per_s"] > 0.0
+        assert "stepping" not in summary
 
     def test_vacuous_theorem_run(self, tmp_path, monkeypatch, capsys):
         out_dir = tmp_path / "out"

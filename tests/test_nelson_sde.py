@@ -7,10 +7,15 @@ windows around the analytic targets.
 """
 
 import hashlib
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import madelung_lab
 from madelung_lab import (Diverged, DriftField, Ensemble, GaussianPacketSpec,
                           GridSpec, MCEstimate, NormDrift, ScalarField,
                           constant_drift, decompose, discrete_action, drift,
@@ -27,6 +32,13 @@ CONTROL_PARTITION = 64
 # O(1) lookup and the one draw per partition interval keep both streams.
 SINGLE_DRIFT_SHA256 = "987085e6a331c0740fb37702016aeb4a281d5c1d3029761436f4c91babd2d658"
 MIXTURE_SHA256 = "45a441759b7a0ed0b884b33344046e1afc67edeebdcfa5495c94076b9c19a021"
+# recorded with one noise draw per partition interval, before the draws
+# were batched into jobs of several intervals run one job ahead: a
+# sweep-sized block takes an 8-interval and a 4-interval job, and the
+# two-block mixture's jobs cross the block boundary
+SWEEP_SHA256 = "36c6ce0046a8704a7dd7dda4c19f06fdc507f8357da9d715aec2a039be5ad2cc"
+MIXTURE_TWO_BLOCKS_SHA256 = \
+    "ba0aeaf3dda2596a470762869930ee3d20370dc0477e2441071ebeb1fc3fc788"
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +172,59 @@ class TestStreamFingerprint:
         ens = mixture_ensemble([b, constant_drift(control_grid, 0.5)], [0.25, 0.75],
                                rho0, control_grid, 1000, 8, 3, 7)
         assert paths_sha256(ens) == MIXTURE_SHA256
+
+    def test_sweep_sized_block(self, control_grid, packet):
+        b, rho0 = packet
+        ens = simulate_ensemble(b, rho0, control_grid, 1024, 12, 4, 7)
+        assert paths_sha256(ens) == SWEEP_SHA256
+
+    def test_two_drift_mixture_over_two_blocks(self, control_grid, packet):
+        b, rho0 = packet
+        ens = mixture_ensemble([b, constant_drift(control_grid, 0.5)], [0.25, 0.75],
+                               rho0, control_grid, BLOCK + 37, 8, 3, 7)
+        assert paths_sha256(ens) == MIXTURE_TWO_BLOCKS_SHA256
+
+
+class CountingDrift(DriftField):
+    """A drift that records the live thread count at every lookup."""
+
+    seen: list
+
+    def evaluate(self, x, t):
+        self.seen.append(threading.active_count())
+        return super().evaluate(x, t)
+
+
+class TestNoiseWorker:
+    """The noise is drawn on a worker thread that lives only inside a call."""
+
+    def _drift(self, grid, c):
+        b = CountingDrift(grid, np.full((grid.n_t + 1, grid.n_x), c))
+        object.__setattr__(b, "seen", [])
+        return b
+
+    def test_worker_runs_during_the_call_and_not_after(self, control_grid):
+        before = threading.active_count()
+        b = self._drift(control_grid, 1.0)
+        simulate_ensemble(b, None, control_grid, 500, 16, 2, 9)
+        assert max(b.seen) == before + 1
+        assert threading.active_count() == before
+
+    def test_worker_does_not_outlive_divergence(self, control_grid):
+        before = threading.active_count()
+        b = self._drift(control_grid, 40.0)
+        with pytest.raises(Diverged):
+            simulate_ensemble(b, None, control_grid, 100, 8, 1, 3)
+        assert max(b.seen) == before + 1
+        assert threading.active_count() == before
+
+    def test_import_starts_no_thread(self):
+        probe = ("import threading, madelung_lab.nelson_sde; "
+                 "print(threading.active_count())")
+        package_root = Path(madelung_lab.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-c", probe], cwd=package_root,
+                              capture_output=True, text=True, timeout=60, check=True)
+        assert done.stdout.strip() == "1"
 
 
 class TestEstimators:

@@ -15,10 +15,16 @@
   ``ScalarField.at``, so no second lookup kernel creeps back in.
 * ``np.savetxt`` is not used at all: every CSV goes through the one
   writer in ``io_formats``, so no second CSV kernel creeps back in.
-* ``fd_dx`` and ``spectral_dx`` take an ``np.log(...)`` argument only in
-  ``decompose`` and ``plateau_couple``, the constructors that attach a
-  couple's log density gradient that way: every other reader takes the
-  attached field, so no log-gradient fallback creeps back in.
+* ``fd_dx`` and ``spectral_dx`` take an ``np.log(...)`` argument, or a
+  local name bound to one in the same function, only in ``decompose``
+  and ``plateau_couple``, the constructors that attach a couple's log
+  density gradient that way, and in ``madelung_residuals``, the
+  independent check of the energy equation: every other reader takes
+  the attached field, so no log-gradient fallback creeps back in.
+* ``Philox`` appears only in ``sample_initial`` and ``_noise``, and
+  ``normal`` only in ``_noise``: the trajectory noise has one draw site,
+  the one that runs a job ahead of the stepping, so no second,
+  unpipelined draw path creeps back in.
 """
 
 import ast
@@ -35,7 +41,8 @@ BLANKET = {"Exception", "BaseException"}
 # and negative controls, so no library module needs to build them.
 TEST_CONTROLS = {"plateau_couple", "translating_gaussian_couple"}
 INTERP_ALLOWED = {"sample_initial"}
-LOG_GRADIENT_ALLOWED = {"decompose", "plateau_couple"}
+LOG_GRADIENT_ALLOWED = {"decompose", "plateau_couple", "madelung_residuals"}
+DRAW_ALLOWED = {"Philox": {"sample_initial", "_noise"}, "normal": {"_noise"}}
 
 
 def _caught_names(handler: ast.ExceptHandler) -> list[str]:
@@ -207,10 +214,20 @@ def _calls(node: ast.AST, names: set[str]) -> bool:
 
 def stray_log_gradient(source: str) -> list[tuple[int, str]]:
     """(line, enclosing function) of every x-derivative of an ``np.log``
-    call outside the constructors allowed to attach a log gradient."""
-    return [(node.lineno, owner) for node, owner in owned_nodes(source)
+    call, or of a name the same function bound to one, outside the
+    functions allowed to take a log gradient."""
+    nodes = list(owned_nodes(source))
+    log_names = {(owner, target.id) for node, owner in nodes
+                 if isinstance(node, ast.Assign) and _calls(node.value, {"log"})
+                 for target in node.targets if isinstance(target, ast.Name)}
+
+    def of_log(arg: ast.AST, owner: str) -> bool:
+        return _calls(arg, {"log"}) or (isinstance(arg, ast.Name)
+                                         and (owner, arg.id) in log_names)
+
+    return [(node.lineno, owner) for node, owner in nodes
             if _calls(node, {"fd_dx", "spectral_dx"}) and node.args
-            and _calls(node.args[0], {"log"}) and owner not in LOG_GRADIENT_ALLOWED]
+            and of_log(node.args[0], owner) and owner not in LOG_GRADIENT_ALLOWED]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -225,6 +242,9 @@ def test_log_gradient_only_in_its_constructors(path):
                  "    return spectral_dx(numpy.log(rho), grid, 'log')\n", id="spectral"),
     pytest.param("from numpy import log\n\nLG = grid_fields.fd_dx(log(RHO), GRID)\n",
                  id="module-level"),
+    pytest.param("import numpy as np\n\ndef u(rho, grid):\n"
+                 "    log_rho = np.log(rho.values)\n"
+                 "    return fd_dx(log_rho, grid)\n", id="temporary-name"),
 ])
 def test_log_gradient_sites_are_found(snippet):
     assert stray_log_gradient(snippet)
@@ -233,6 +253,38 @@ def test_log_gradient_sites_are_found(snippet):
 def test_log_gradient_allowed_sites_pass():
     snippet = ("import numpy as np\n\ndef decompose(psi, grid):\n"
                "    return fd_dx(np.log(psi), grid)\n\n"
+               "def madelung_residuals(rho, grid):\n"
+               "    log_rho = np.log(rho)\n"
+               "    return fd_dx(log_rho, grid)\n\n"
                "def bump(ratio, grid):\n"
-               "    return spectral_dx(np.log1p(ratio), grid, 'bump')\n")
+               "    return spectral_dx(np.log1p(ratio), grid, 'bump')\n\n"
+               "def slope(log_rho, grid):\n"
+               "    return fd_dx(log_rho, grid)\n")
     assert stray_log_gradient(snippet) == []
+
+
+def stray_draws(source: str) -> list[tuple[int, str]]:
+    """(line, enclosing function) of every ``Philox`` or ``normal`` site
+    outside the functions allowed to draw it."""
+    return [site for name, allowed in DRAW_ALLOWED.items()
+            for site in name_sites(source, name) if site[1] not in allowed]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_noise_has_one_draw_site(path):
+    assert stray_draws(path.read_text()) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    pytest.param("import numpy as np\n\nclass E:\n    def step(self, rng, h):\n"
+                 "        return rng.normal(0.0, h, self.width)\n", id="method"),
+    pytest.param("from numpy.random import Philox\n", id="import"),
+    pytest.param("import numpy\n\nDRAW = numpy.random.default_rng(0).normal\n",
+                 id="module-level"),
+    pytest.param("import numpy as np\n\ndef _noise(seed):\n"
+                 "    return np.random.Generator(np.random.Philox(seed)).normal\n\n"
+                 "def mixture_ensemble(seed):\n"
+                 "    return np.random.Philox(key=[seed, 2])\n", id="second-site"),
+])
+def test_draw_sites_are_found(snippet):
+    assert stray_draws(snippet)
