@@ -167,8 +167,7 @@ def displacement_couple(g0: GaussianMeasure, g1: GaussianMeasure,
     x = grid.x[np.newaxis, :]
     mean_t = (1.0 - t) * g0.mean + t * g1.mean
     std_t = (1.0 - t) * g0.std + t * g1.std
-    rho = (np.exp(-(x - mean_t) ** 2 / (2.0 * std_t**2))
-           / np.sqrt(2.0 * np.pi) / std_t)
+    rho = normal_density(x, mean_t, std_t**2)
     v = (g1.mean - g0.mean) + (g1.std - g0.std) * (x - mean_t) / std_t
     v = np.broadcast_to(v, (grid.n_t + 1, grid.n_x)).copy()
     log_grad = -(x - mean_t) / std_t**2

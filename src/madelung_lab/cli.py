@@ -44,7 +44,7 @@ from .competitors import (PerturbationSpec, positivity_head_room, raw_perturbati
                           verify_theorem1)
 from .errors import AmplitudeInfeasible, ConfigError, MadelungLabError
 from .grid_fields import GridSpec, box_integral
-from .io_formats import couple_to_csv, table_to_csv, transport_to_csv, write_json
+from .io_formats import couple_to_csv, table_to_csv, write_json
 from .madelung import (constant_drift, decompose, drift, madelung_residuals,
                        spreading_mismatched_couple)
 from .nelson_sde import (estimate_I, marginal_histogram, marginal_l1,
@@ -76,11 +76,6 @@ def _integers(raw: str) -> tuple:
     return tuple(int(part) for part in raw.split(","))
 
 
-def _interval(raw: str) -> tuple:
-    low, high = (float(part) for part in raw.split(","))
-    return low, high
-
-
 def _theorem_base(raw: str) -> str:
     if raw not in THEOREM_BASES:
         raise ValueError(raw)
@@ -90,7 +85,6 @@ def _theorem_base(raw: str) -> str:
 # parser -> what a value it refuses should have been
 _EXPECTED = {int: "an integer", float: "a number", _boolean: "a boolean",
              _integers: "comma separated integers",
-             _interval: "two comma separated numbers",
              _theorem_base: "one of " + ", ".join(sorted(THEOREM_BASES))}
 
 # key -> (parser, default, minimum or None); a minimum bounds every entry
@@ -114,10 +108,6 @@ KEYS = {
     "theorem.base": (_theorem_base, "schrodinger", None),
     "theorem.n_specs": (int, 20, 0),
     "theorem.seed": (int, 1000, None),
-    "perturbations.space_support": (_interval, (-4.0, 4.0), None),
-    "perturbations.time_window": (_interval, (0.1, 0.9), None),
-    "perturbations.amplitude": (float, 0.08, None),
-    "perturbations.modes": (int, 3, 1),
     "transport.n_pairs": (int, 10, 1),
     "transport.seed": (int, 7, None),
 }
@@ -186,15 +176,8 @@ def _mc_params(cfg: dict) -> dict:
 
 
 def _perturbation_specs(cfg: dict) -> list[PerturbationSpec]:
-    try:
-        return [PerturbationSpec(cfg["theorem.seed"] + k,
-                                 cfg["perturbations.space_support"],
-                                 cfg["perturbations.time_window"],
-                                 cfg["perturbations.amplitude"],
-                                 cfg["perturbations.modes"])
-                for k in range(cfg["theorem.n_specs"])]
-    except ValueError as exc:
-        raise ConfigError(f"perturbations: {exc}") from None
+    return [PerturbationSpec(cfg["theorem.seed"] + k)
+            for k in range(cfg["theorem.n_specs"])]
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +442,8 @@ def run_bb_compare(cfg: dict, out_dir: Path) -> tuple[dict, Checks, dict]:
     checks.within("packet-euler-limit", (packet_res - limit) / limit, 0.05)
 
     # transport.n_pairs is at least 1, so there is a first pair
-    transport_to_csv(out_dir / "first_pair_map.csv", grid.x,
-                     plans[0].map_samples, plans[0].potential_samples)
+    table_to_csv(out_dir / "first_pair_map.csv", "x,map,potential",
+                 (grid.x, plans[0].map_samples, plans[0].potential_samples))
 
     summary = {
         "experiment": "bb-compare",
@@ -511,18 +494,19 @@ def _load(config_path) -> tuple[dict, dict]:
                           f"got {n_list}")
     if name != "theorem1-verify":
         return cfg, entries
-    # mirror the build time positivity rescaling, refusing only what it would
+    # mirror the build time positivity rescaling, refusing only what it would:
+    # a box that cannot hold the fixed bump support, a packet with no budget
     rho = packet_density(spec, grid.x[np.newaxis, :], grid.t[:, np.newaxis])
     for pert in _perturbation_specs(cfg):
         try:
-            positivity_head_room(raw_perturbation(pert, grid), pert.space_support,
-                                 rho, grid)
+            g = raw_perturbation(pert, grid)
+        except (ValueError, AmplitudeInfeasible) as exc:
+            raise ConfigError(f"grid: {exc}") from None
+        try:
+            positivity_head_room(g, rho, grid)
         except AmplitudeInfeasible as exc:
-            raise ConfigError(
-                f"perturbations.amplitude: {pert.amplitude} cannot keep the "
-                f"density positive for seed {pert.seed}: {exc}") from None
-        except ValueError as exc:
-            raise ConfigError(f"perturbations.space_support: {exc}") from None
+            raise ConfigError(f"packet: its density leaves no room for the "
+                              f"perturbation of seed {pert.seed}: {exc}") from None
     return cfg, entries
 
 

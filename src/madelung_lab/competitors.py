@@ -20,13 +20,15 @@ couples with the same endpoint densities: for a wave field couple the
 derivative at y = 0 vanishes (to quadrature accuracy) and the profile
 is convex.
 
-Construction notes. The bumps are Gaussians cut off at 6.5 widths and
-shifted to zero at the cut, times a window (4 tau (1 - tau))^4 in
-rescaled window time, so g is exactly zero outside its declared
-space-time support and smooth enough that spectral operations resolve
-it to rounding. The correction u is obtained by a spectral
-antiderivative, which keeps the constructed couple's continuity
-residual at the same level as the base couple's.
+Construction notes. The recipe is fixed, so a perturbation is its
+seed: ``MODES`` random bumps inside ``SPACE_SUPPORT``, Gaussians cut
+off at 6.5 widths and shifted to zero at the cut, times a window
+(4 tau (1 - tau))^4 in time rescaled to ``TIME_WINDOW``, scaled to
+peak at ``AMPLITUDE``. So g is exactly zero outside that space-time
+support and smooth enough that spectral operations resolve it to
+rounding. The correction u is obtained by a spectral antiderivative,
+which keeps the constructed couple's continuity residual at the same
+level as the base couple's.
 """
 
 from __future__ import annotations
@@ -44,6 +46,10 @@ from .madelung import FluidCouple
 Y_GRID = (-1.0, -0.75, -0.5, -0.25, -0.125, 0.0,
           0.125, 0.25, 0.5, 0.75, 1.0)
 
+SPACE_SUPPORT = (-4.0, 4.0)
+TIME_WINDOW = (0.1, 0.9)
+AMPLITUDE = 0.08
+MODES = 3
 _CUT_RADIUS = 6.5
 _TAPER_WIDTH = 1.5
 _SAFETY_FLOOR = 0.1
@@ -51,50 +57,29 @@ _SAFETY_FLOOR = 0.1
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """Recipe for one random density perturbation.
-
-    amplitude is the peak of |g| before the positivity safety rescale;
-    modes counts the random bumps summed into the generating function.
-    """
+    """One random density perturbation: the seed of its bumps."""
 
     seed: int
-    space_support: tuple = (-4.0, 4.0)
-    time_window: tuple = (0.1, 0.9)
-    amplitude: float = 0.08
-    modes: int = 3
-
-    def __post_init__(self) -> None:
-        a, b = self.space_support
-        if not a < b:
-            raise ValueError(f"empty space support {self.space_support}")
-        t0, t1 = self.time_window
-        if not 0.0 < t0 < t1 < 1.0:
-            raise ValueError(f"time window {self.time_window} must sit "
-                             f"strictly inside (0, 1)")
-        if self.amplitude < 0.0:
-            raise ValueError(f"amplitude must be nonnegative, got {self.amplitude}")
-        if self.modes < 1:
-            raise ValueError(f"need at least one mode, got {self.modes}")
 
 
-def _window(spec: PerturbationSpec, t: np.ndarray) -> np.ndarray:
-    t0, t1 = spec.time_window
+def _window(t: np.ndarray) -> np.ndarray:
+    t0, t1 = TIME_WINDOW
     tau = np.clip((t - t0) / (t1 - t0), 0.0, 1.0)
     return (4.0 * tau * (1.0 - tau)) ** 4
 
 
-def _space_profile(spec: PerturbationSpec, x: np.ndarray) -> np.ndarray:
+def _space_profile(seed: int, x: np.ndarray) -> np.ndarray:
     """Derivative of a random sum of smoothly cut off Gaussian bumps.
 
     A hard cut leaves a value jump of order exp(-CUT^2/2) whose spectral
     ringing spreads over the whole box; the taper keeps the profile C^2
     and exactly zero outside the cut radius.
     """
-    a, b = spec.space_support
-    rng = np.random.default_rng(spec.seed)
+    a, b = SPACE_SUPPORT
+    rng = np.random.default_rng(seed)
     scale = (b - a) / 8.0
     out = np.zeros_like(x)
-    for _ in range(spec.modes):
+    for _ in range(MODES):
         width = rng.uniform(0.35, 0.6) * scale
         radius = _CUT_RADIUS * width
         centre = rng.uniform(a + radius, b - radius)
@@ -106,36 +91,31 @@ def _space_profile(spec: PerturbationSpec, x: np.ndarray) -> np.ndarray:
 
 
 def raw_perturbation(spec: PerturbationSpec, grid) -> np.ndarray:
-    """Space profile times window, scaled so max |g| = amplitude."""
-    a, b = spec.space_support
+    """Space profile times window, scaled so max |g| = AMPLITUDE."""
+    a, b = SPACE_SUPPORT
     if not (grid.x_min < a and b < grid.x_max):
-        raise ValueError(f"space support {spec.space_support} must sit strictly "
+        raise ValueError(f"space support {SPACE_SUPPORT} must sit strictly "
                          f"inside the box [{grid.x_min}, {grid.x_max}]")
-    g = (_space_profile(spec, grid.x)[np.newaxis, :]
-         * _window(spec, grid.t)[:, np.newaxis])
+    g = (_space_profile(spec.seed, grid.x)[np.newaxis, :]
+         * _window(grid.t)[:, np.newaxis])
     peak = float(np.max(np.abs(g)))
-    if spec.amplitude == 0.0 or peak == 0.0:
-        if spec.amplitude > 0.0:
-            raise AmplitudeInfeasible("perturbation degenerated to zero")
-        return np.zeros_like(g)
-    return g * (spec.amplitude / peak)
+    if peak == 0.0:
+        raise AmplitudeInfeasible("perturbation degenerated to zero")
+    return g * (AMPLITUDE / peak)
 
 
-def positivity_head_room(g: np.ndarray, space_support: tuple,
-                         rho_values: np.ndarray, grid) -> float:
+def positivity_head_room(g: np.ndarray, rho_values: np.ndarray, grid) -> float:
     """Largest factor the realized g tolerates before breaking positivity.
 
-    Values below 1 mean the requested amplitude would be rescaled at
+    Values below 1 mean the recipe's amplitude would be rescaled at
     build time; the safety floor is 10% of the density's minimum over
-    the space support. Infinity for a vanishing perturbation.
+    the space support.
     """
-    mask = np.abs(g) > 0.0
-    if not mask.any():
-        return float("inf")
-    a, b = space_support
+    a, b = SPACE_SUPPORT
     support = (grid.x >= a) & (grid.x <= b)
     rho_floor = float(rho_values[:, support].min())
     budget = rho_values - _SAFETY_FLOOR * rho_floor
+    mask = np.abs(g) > 0.0
     head_room = float(np.min(budget[mask] / np.abs(g[mask])))
     if not np.isfinite(head_room) or head_room <= 0.0:
         raise AmplitudeInfeasible(
@@ -145,14 +125,14 @@ def positivity_head_room(g: np.ndarray, space_support: tuple,
 
 
 def make_perturbation(spec: PerturbationSpec, base: FluidCouple) -> ScalarField:
-    """Build g with |g| peaking at spec.amplitude, rescaled if positivity needs it.
+    """Build g with |g| peaking at AMPLITUDE, rescaled if positivity needs it.
 
     The returned field keeps rho + y g at or above 10% of the base
     density's minimum over the space support, for every y in [-1, 1].
     """
     grid = base.rho.grid
     g = raw_perturbation(spec, grid)
-    head_room = positivity_head_room(g, spec.space_support, base.rho.values, grid)
+    head_room = positivity_head_room(g, base.rho.values, grid)
     if head_room < 1.0:
         g *= head_room * (1.0 - 1e-12)
     return ScalarField(grid, g)

@@ -62,25 +62,8 @@ def couple_to_csv(path, grid: GridSpec, rho_values: np.ndarray,
                 for head, r, u in zip(heads, rho, v)))
 
 
-def transport_to_csv(path, x: np.ndarray, map_samples: np.ndarray,
-                     potential: np.ndarray) -> None:
-    """Rows of (x, map, potential) for a 1d transport plan."""
-    table_to_csv(path, "x,map,potential", (x, map_samples, potential))
-
-
-def json_ready(obj):
-    """Recursively convert numpy scalars and arrays into JSON native types."""
-    if isinstance(obj, dict):
-        return {str(key): json_ready(val) for key, val in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [json_ready(item) for item in obj]
-    if isinstance(obj, np.ndarray):
-        return [json_ready(item) for item in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
-
-
 def write_json(path, payload: dict) -> None:
-    text = json.dumps(json_ready(payload), indent=2, sort_keys=True)
+    """The payload with sorted keys; numpy scalars and arrays as their values."""
+    text = json.dumps(payload, indent=2, sort_keys=True,
+                      default=lambda obj: obj.tolist())
     Path(path).write_text(text + "\n")

@@ -13,6 +13,12 @@ import pytest
 from madelung_lab.cli import EXPERIMENTS, main, parse_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+# keys of the perturbation recipe, now constants of ``competitors``, with
+# the values they last held
+RETIRED_KEYS = {"perturbations.space_support": "-4,4",
+                "perturbations.time_window": "0.1,0.9",
+                "perturbations.amplitude": "0.08",
+                "perturbations.modes": "3"}
 
 
 def write_config(tmp_path, text, name="test.cfg"):
@@ -103,9 +109,17 @@ class TestValidate:
                      "write_fields", id="write-fields-not-boolean"),
         pytest.param("experiment = bb-compare\ntransport.n_pairs = 0\n",
                      "transport.n_pairs", id="no-transport-pairs"),
-        pytest.param("experiment = theorem1-verify\n"
-                     "perturbations.space_support = -20,20\n",
-                     "perturbations.space_support", id="support-outside-box"),
+        pytest.param("experiment = theorem1-verify\ngrid.x_min = -3\n",
+                     "grid: space support", id="support-outside-box"),
+        pytest.param("experiment = theorem1-verify\ngrid.x_min = -5\n"
+                     "grid.x_max = 1000\ngrid.n_x = 8\ngrid.n_t = 8\n",
+                     "grid: perturbation degenerated", id="grid-misses-every-bump"),
+        pytest.param("experiment = theorem1-verify\npacket.sigma0 = 0.3\n"
+                     "packet.mu0 = 10\n", "packet: its density leaves no room",
+                     id="packet-leaves-no-budget"),
+        *[pytest.param(f"experiment = theorem1-verify\n{key} = {value}\n",
+                       f":2: unknown key '{key}'", id=f"retired-{key}")
+          for key, value in RETIRED_KEYS.items()],
         pytest.param("experiment = gaussian-benchmark\nmc.n = 100\n"
                      "mc.n_list = 64,256\n", "mc.n: 100", id="n-not-in-n-list"),
         pytest.param("experiment = gaussian-benchmark\nmc.n = 256\n"
@@ -121,15 +135,6 @@ class TestValidate:
         assert run_cli(["run", path]) == 1
         assert expected in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
-
-    def test_oversized_amplitude_still_validates(self, tmp_path, capsys):
-        # amplitudes beyond the positivity budget are rescaled at build
-        # time, not refused
-        path = write_config(tmp_path, (
-            "experiment = theorem1-verify\n"
-            "theorem.n_specs = 1\n"
-            "perturbations.amplitude = 5.0\n"))
-        assert run_cli(["validate", path]) == 0
 
 
 class TestRun:

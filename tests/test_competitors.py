@@ -6,26 +6,41 @@ verdict logic is exercised on the wave-derived base (expected to pass)
 and on the deliberately broken couple (expected to be flagged).
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from madelung_lab import (CompetitorFamily, GaussianPacketSpec, PerturbationSpec,
-                          ScalarField, SupportLeak, continuity_residual,
-                          evaluate_family, make_family, make_perturbation,
+from madelung_lab import (CompetitorFamily, GaussianPacketSpec, GridSpec,
+                          PerturbationSpec, ScalarField, SupportLeak,
+                          continuity_residual, decompose, evaluate_family,
+                          gaussian_packet, make_family, make_perturbation,
                           quantum_action, spreading_mismatched_couple,
                           verify_theorem1)
 from madelung_lab import competitors
-from madelung_lab.competitors import positivity_head_room, raw_perturbation
+from madelung_lab.competitors import (AMPLITUDE, SPACE_SUPPORT, positivity_head_room,
+                                      raw_perturbation)
 
 # head room of the seed-1012 perturbation against the default packet
-# density at amplitude 0.08 (frozen; the one default-parameter seed in
-# 1000..1019 that needs rescaling)
+# density (frozen; the one seed in 1000..1019 that needs rescaling)
 HEAD_ROOM_1012 = 0.9034
+# sha256 of the raw perturbations of seeds 1000..1019 on the 512x256 box,
+# concatenated, and of the built (rescaled) seed-1012 perturbation: the
+# recipe's bytes, frozen
+RAW_SHA256_1000_1019 = "34ea21dd35980333afd703a1d98e0da02be798677ab7461a3c8137765e238d65"
+BUILT_SHA256_1012 = "567f66d479a3182b1f619a3e2919c43f05ad0899a2d61bbc246759328025d19d"
 
 
 @pytest.fixture(scope="module")
 def default_family(packet_couple):
     return make_family(packet_couple, PerturbationSpec(seed=1000))
+
+
+@pytest.fixture(scope="module")
+def narrow_base():
+    # a packet on a box whose left edge cuts into SPACE_SUPPORT
+    grid = GridSpec(-3.5, 20.5, 512, 64)
+    return decompose(gaussian_packet(GaussianPacketSpec(1.0, 6.0, 0.0), grid))[2]
 
 
 class TestPerturbation:
@@ -41,60 +56,46 @@ class TestPerturbation:
         assert np.all(g.values[-1] == 0.0)
 
     def test_exactly_zero_off_support(self, grid, packet_couple):
-        spec = PerturbationSpec(seed=1000)
-        g = make_perturbation(spec, packet_couple)
-        a, b = spec.space_support
+        g = make_perturbation(PerturbationSpec(seed=1000), packet_couple)
+        a, b = SPACE_SUPPORT
         outside = (grid.x < a) | (grid.x > b)
         assert np.all(g.values[:, outside] == 0.0)
 
     def test_peak_is_requested_amplitude(self, packet_couple):
-        spec = PerturbationSpec(seed=1000, amplitude=0.05)
-        g = make_perturbation(spec, packet_couple)
-        assert np.max(np.abs(g.values)) == pytest.approx(0.05, rel=1e-12)
+        g = make_perturbation(PerturbationSpec(seed=1000), packet_couple)
+        assert np.max(np.abs(g.values)) == pytest.approx(AMPLITUDE, rel=1e-12)
 
     def test_positivity_rescale_when_needed(self, grid, packet_couple):
         spec = PerturbationSpec(seed=1012)
-        room = positivity_head_room(raw_perturbation(spec, grid), spec.space_support,
+        room = positivity_head_room(raw_perturbation(spec, grid),
                                     packet_couple.rho.values, grid)
         assert room == pytest.approx(HEAD_ROOM_1012, abs=0.003)
         g = make_perturbation(spec, packet_couple)
-        assert np.max(np.abs(g.values)) == pytest.approx(
-            spec.amplitude * room, rel=1e-9)
+        assert np.max(np.abs(g.values)) == pytest.approx(AMPLITUDE * room, rel=1e-9)
         # the budget: wherever the bump acts, the density minus the full
         # swing stays above 10% of its support minimum
-        support = (grid.x >= spec.space_support[0]) & (grid.x <= spec.space_support[1])
+        support = (grid.x >= SPACE_SUPPORT[0]) & (grid.x <= SPACE_SUPPORT[1])
         floor = packet_couple.rho.values[:, support].min()
         acting = np.abs(g.values) > 0.0
         slack = (packet_couple.rho.values - np.abs(g.values))[acting]
         assert np.min(slack) >= 0.1 * floor * (1.0 - 1e-9)
 
-    def test_zero_amplitude_gives_zero_field(self, grid, packet_couple):
-        spec = PerturbationSpec(seed=1000, amplitude=0.0)
-        assert positivity_head_room(raw_perturbation(spec, grid), spec.space_support,
-                                    packet_couple.rho.values, grid) == np.inf
-        g = make_perturbation(spec, packet_couple)
-        assert np.all(g.values == 0.0)
+    def test_recipe_bytes_are_pinned(self, grid, packet_couple):
+        raw = hashlib.sha256()
+        for seed in range(1000, 1020):
+            raw.update(raw_perturbation(PerturbationSpec(seed), grid).tobytes())
+        assert raw.hexdigest() == RAW_SHA256_1000_1019
+        built = make_perturbation(PerturbationSpec(1012), packet_couple).values
+        assert hashlib.sha256(built.tobytes()).hexdigest() == BUILT_SHA256_1012
 
     def test_deterministic(self, packet_couple):
         a = make_perturbation(PerturbationSpec(seed=1003), packet_couple)
         b = make_perturbation(PerturbationSpec(seed=1003), packet_couple)
         assert np.array_equal(a.values, b.values)
 
-    def test_support_must_fit_inside_box(self, packet_couple):
-        with pytest.raises(ValueError):
-            make_perturbation(PerturbationSpec(seed=0, space_support=(-13.0, 13.0)),
-                              packet_couple)
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(space_support=(2.0, 2.0)),
-        dict(time_window=(0.0, 0.9)),
-        dict(time_window=(0.9, 0.1)),
-        dict(amplitude=-0.1),
-        dict(modes=0),
-    ])
-    def test_perturbation_parameter_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            PerturbationSpec(seed=0, **kwargs)
+    def test_support_must_fit_inside_box(self, narrow_base):
+        with pytest.raises(ValueError, match="space support"):
+            make_perturbation(PerturbationSpec(seed=0), narrow_base)
 
 
 class TestVelocityCorrection:
@@ -178,9 +179,9 @@ class TestFamily:
         for y, rep in profile.items():
             assert rep.value >= base_value - 6.0 * radius, y
 
-    def test_zero_perturbation_profile_is_flat(self, packet_couple):
-        fam = make_family(packet_couple,
-                          PerturbationSpec(seed=1000, amplitude=0.0))
+    def test_zero_perturbation_profile_is_flat(self, grid, packet_couple):
+        zeros = np.zeros((grid.n_t + 1, grid.n_x))
+        fam = CompetitorFamily(packet_couple, ScalarField(grid, zeros))
         values = {y: rep.value for y, rep in evaluate_family(fam)}
         assert len(set(values.values())) == 1
 
@@ -218,10 +219,8 @@ class TestVerdicts:
         for entry in report["specs"]:
             assert abs(entry["derivative_at_0"]) > 10.0 * entry["error_radius"]
 
-    def test_construction_failure_is_accounted(self, packet_couple):
-        report = verify_theorem1(
-            packet_couple,
-            [PerturbationSpec(seed=0, space_support=(-13.0, 13.0))])
+    def test_construction_failure_is_accounted(self, narrow_base):
+        report = verify_theorem1(narrow_base, [PerturbationSpec(seed=0)])
         assert report["n_failed"] == 1
         assert not report["all_pass"]
         assert "error" in report["specs"][0]

@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from madelung_lab import GridSpec
-from madelung_lab.io_formats import (BLOCK_ROWS, couple_to_csv, table_to_csv,
-                                     transport_to_csv, write_json)
+from madelung_lab.io_formats import BLOCK_ROWS, couple_to_csv, table_to_csv, write_json
 
 # signed zero, the smallest subnormal, huge magnitudes, integers
 EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, 2.0**53, -7.0]
@@ -61,7 +60,7 @@ class TestCsv:
 
     def test_transport_csv(self, tmp_path, grid):
         path = tmp_path / "t.csv"
-        transport_to_csv(path, grid.x, grid.x + 1.0, 0.5 * grid.x**2)
+        table_to_csv(path, "x,map,potential", (grid.x, grid.x + 1.0, 0.5 * grid.x**2))
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         assert data.shape == (grid.n_x, 3)
         assert np.array_equal(data[:, 1], grid.x + 1.0)
@@ -97,9 +96,11 @@ class TestSavetxtBytes:
     @pytest.mark.parametrize("g", GRIDS, ids=lambda g: f"{g.n_x}x{g.n_t}")
     def test_transport(self, tmp_path, g):
         _, map_samples, potential, _ = sample_columns(g.n_x, 5)
-        transport_to_csv(tmp_path / "got.csv", g.x, map_samples, potential)
+        # the CLI's transport map dump: x, map and potential columns
+        columns = (g.x, map_samples, potential)
+        table_to_csv(tmp_path / "got.csv", "x,map,potential", columns)
         assert (tmp_path / "got.csv").read_bytes() == savetxt_bytes(
-            tmp_path / "ref.csv", "x,map,potential", (g.x, map_samples, potential))
+            tmp_path / "ref.csv", "x,map,potential", columns)
 
     @pytest.mark.parametrize("bad", ["transposed", "flat", "one-node-short"])
     def test_couple_refuses_a_misshapen_field(self, tmp_path, grid, bad):

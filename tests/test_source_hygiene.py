@@ -25,6 +25,10 @@
   ``normal`` only in ``_noise``: the trajectory noise has one draw site,
   the one that runs a job ahead of the stepping, so no second,
   unpipelined draw path creeps back in.
+* ``SPACE_SUPPORT``, ``TIME_WINDOW``, ``AMPLITUDE`` and ``MODES``, the
+  constants of the perturbation recipe, are named only in
+  ``competitors``: no other module imports, reads or redefines them, so
+  no second copy of the recipe creeps back in.
 """
 
 import ast
@@ -43,6 +47,7 @@ TEST_CONTROLS = {"plateau_couple", "translating_gaussian_couple"}
 INTERP_ALLOWED = {"sample_initial"}
 LOG_GRADIENT_ALLOWED = {"decompose", "plateau_couple", "madelung_residuals"}
 DRAW_ALLOWED = {"Philox": {"sample_initial", "_noise"}, "normal": {"_noise"}}
+RECIPE = ("SPACE_SUPPORT", "TIME_WINDOW", "AMPLITUDE", "MODES")
 
 
 def _caught_names(handler: ast.ExceptHandler) -> list[str]:
@@ -288,3 +293,32 @@ def test_noise_has_one_draw_site(path):
 ])
 def test_draw_sites_are_found(snippet):
     assert stray_draws(snippet)
+
+
+def recipe_sites(source: str) -> list[tuple[int, str]]:
+    """(line, enclosing function) of every name, attribute or import of a
+    recipe constant."""
+    bare = [(node.lineno, owner) for node, owner in owned_nodes(source)
+            if isinstance(node, ast.Name) and node.id in RECIPE]
+    return bare + [site for name in RECIPE for site in name_sites(source, name)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_recipe_named_only_in_competitors(path):
+    sites = recipe_sites(path.read_text())
+    if path.name == "competitors.py":
+        assert sites
+    else:
+        assert sites == []
+
+
+@pytest.mark.parametrize("snippet", [
+    pytest.param("from .competitors import AMPLITUDE\n", id="import"),
+    pytest.param("from . import competitors\n\n"
+                 "BOX = competitors.SPACE_SUPPORT\n", id="module-level"),
+    pytest.param("def window(t):\n    t0, t1 = TIME_WINDOW\n    return t0\n",
+                 id="function"),
+    pytest.param("MODES = 3\n", id="second-copy"),
+])
+def test_recipe_sites_are_found(snippet):
+    assert recipe_sites(snippet)
