@@ -33,18 +33,15 @@ class ActionReport:
     value: float
     error_radius: float
     kind: str
-    grid: dict | None = None
+    grid: dict
 
     def __post_init__(self) -> None:
         if self.error_radius < 0.0:
             raise ValueError("error_radius must be nonnegative")
 
     def as_dict(self) -> dict:
-        out = {"kind": self.kind, "value": self.value,
-               "error_radius": self.error_radius}
-        if self.grid is not None:
-            out["grid"] = dict(self.grid)
-        return out
+        return {"kind": self.kind, "value": self.value,
+                "error_radius": self.error_radius, "grid": dict(self.grid)}
 
 
 def _report(kind: str, grid: GridSpec, fine: np.ndarray, coarse: np.ndarray,
@@ -53,7 +50,7 @@ def _report(kind: str, grid: GridSpec, fine: np.ndarray, coarse: np.ndarray,
     integral of ``coarse`` on ``grid.coarsen()``."""
     value = space_time_integral(fine, grid, what)
     half = space_time_integral(coarse, grid.coarsen(), what)
-    return ActionReport(value, abs(value - half), kind, grid=asdict(grid))
+    return ActionReport(value, abs(value - half), kind, asdict(grid))
 
 
 def _couple_report(couple: FluidCouple, fisher_weight: float, kind: str) -> ActionReport:

@@ -30,9 +30,9 @@ import numpy as np
 
 from .action_functionals import classical_action, quantum_action
 from .errors import NormDrift, OrderingViolated
-from .grid_fields import (MASS_TOL, GridSpec, ScalarField, box_integral,
-                          cumulative_trapezoid, fd_dt, fd_dx, spectral_antiderivative)
-from .madelung import FluidCouple
+from .grid_fields import (MASS_TOL, GridSpec, box_integral, cumulative_trapezoid,
+                          fd_dt, fd_dx, spectral_antiderivative)
+from .madelung import FluidCouple, gaussian_couple
 from .schrodinger import GaussianPacketSpec, normal_density, packet_sigma_sq
 
 _NEWTON_ITERATIONS = 30
@@ -167,12 +167,8 @@ def displacement_couple(g0: GaussianMeasure, g1: GaussianMeasure,
     x = grid.x[np.newaxis, :]
     mean_t = (1.0 - t) * g0.mean + t * g1.mean
     std_t = (1.0 - t) * g0.std + t * g1.std
-    rho = normal_density(x, mean_t, std_t**2)
     v = (g1.mean - g0.mean) + (g1.std - g0.std) * (x - mean_t) / std_t
-    v = np.broadcast_to(v, (grid.n_t + 1, grid.n_x)).copy()
-    log_grad = -(x - mean_t) / std_t**2
-    return FluidCouple(ScalarField(grid, rho), ScalarField(grid, v),
-                       ScalarField(grid, log_grad), provenance="classical-ot")
+    return gaussian_couple(grid, mean_t, std_t**2, v, "classical-ot")
 
 
 def euler_residual(couple: FluidCouple) -> float:

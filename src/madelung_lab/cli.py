@@ -5,7 +5,8 @@ an experiment reads is declared once, with its default and, where one
 applies, its minimum, in the ``KEYS`` table; a key the table does not
 name is refused with its line number. ``validate`` and ``run`` load a
 config the same way, so a config that validates is the one that runs.
-The only environment override honored is OUTPUT_DIR. Every run writes
+Outputs go to $OUTPUT_DIR, or to out/<experiment> when it is unset; no
+config key moves them. Every run writes
 
     summary.json    all computed values and pass/fail checks, sorted
                     keys, no timestamps: byte identical across reruns
@@ -14,7 +15,9 @@ The only environment override honored is OUTPUT_DIR. Every run writes
                     also the seconds spent stepping ensembles and the
                     trajectory steps taken, in total and per second
 
-plus CSV dumps of the fields or profiles the experiment produced.
+plus CSV dumps of what the experiment produced: packet_couple.csv and
+marginals.csv (gaussian-benchmark), y_profiles.csv (theorem1-verify),
+first_pair_map.csv (bb-compare).
 Exit codes: 0 all checks passed, 2 at least one check failed,
 1 configuration or runtime error.
 """
@@ -63,15 +66,6 @@ THEOREM_BASES = {
 }
 
 
-def _boolean(raw: str) -> bool:
-    low = raw.lower()
-    if low in ("true", "yes", "1"):
-        return True
-    if low in ("false", "no", "0"):
-        return False
-    raise ValueError(raw)
-
-
 def _integers(raw: str) -> tuple:
     return tuple(int(part) for part in raw.split(","))
 
@@ -83,7 +77,7 @@ def _theorem_base(raw: str) -> str:
 
 
 # parser -> what a value it refuses should have been
-_EXPECTED = {int: "an integer", float: "a number", _boolean: "a boolean",
+_EXPECTED = {int: "an integer", float: "a number",
              _integers: "comma separated integers",
              _theorem_base: "one of " + ", ".join(sorted(THEOREM_BASES))}
 
@@ -91,8 +85,6 @@ _EXPECTED = {int: "an integer", float: "a number", _boolean: "a boolean",
 # of a list. Runners read cfg[key]; a file may set only these keys.
 KEYS = {
     "experiment": (str, None, None),  # required
-    "output_dir": (str, None, None),  # unset: out/<experiment>
-    "write_fields": (_boolean, False, None),
     "grid.x_min": (float, -12.0, None),
     "grid.x_max": (float, 12.0, None),
     "grid.n_x": (int, 512, None),
@@ -106,7 +98,7 @@ KEYS = {
     "mc.seed": (int, 2025, None),
     "mc.n_list": (_integers, (64, 128, 256, 512), 1),
     "theorem.base": (_theorem_base, "schrodinger", None),
-    "theorem.n_specs": (int, 20, 0),
+    "theorem.n_specs": (int, 20, 1),
     "theorem.seed": (int, 1000, None),
     "transport.n_pairs": (int, 10, 1),
     "transport.seed": (int, 7, None),
@@ -156,10 +148,12 @@ def parse_config(path) -> tuple[dict, dict]:
 
 def _build_grid(cfg: dict) -> GridSpec:
     try:
-        return GridSpec(cfg["grid.x_min"], cfg["grid.x_max"], cfg["grid.n_x"],
+        grid = GridSpec(cfg["grid.x_min"], cfg["grid.x_max"], cfg["grid.n_x"],
                         cfg["grid.n_t"])
+        grid.coarsen()  # every error radius is taken on the coarsened grid
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from None
+    return grid
 
 
 def _build_packet(cfg: dict) -> GaussianPacketSpec:
@@ -361,9 +355,7 @@ def run_gaussian_benchmark(cfg: dict, out_dir: Path) -> tuple[dict, Checks, dict
         by_partition=[{"n": n, "renormalized": estimates[n].as_dict()}
                       for n in n_list])
 
-    if cfg["write_fields"]:
-        couple_to_csv(out_dir / "packet_couple.csv", grid, rho.values,
-                      couple.v.values)
+    couple_to_csv(out_dir / "packet_couple.csv", grid, rho.values, couple.v.values)
     return summary, checks, {"stepping": stepping.as_dict()}
 
 
@@ -387,8 +379,7 @@ def run_theorem1_verify(cfg: dict, out_dir: Path) -> tuple[dict, Checks, dict]:
             checks.holds("minimization-margins", worst >= 0.0, worst)
             ratios = [r["derivative_ratio"] for r in constructed]
             ok = all(3.0 <= q <= 5.0 for q in ratios)
-            checks.holds("stationarity-order", ok,
-                         min(ratios) if ratios else 0.0, 4.0)
+            checks.holds("stationarity-order", ok, min(ratios), 4.0)
     else:
         detections = [r for r in constructed
                       if abs(r["derivative_at_0"]) > 10.0 * r["error_radius"]]
@@ -520,8 +511,7 @@ def run(config_path) -> int:
     cfg, entries = _load(config_path)
     name = cfg["experiment"]
     runner, seed_key, _ = EXPERIMENTS[name]
-    out_dir = Path(os.environ.get("OUTPUT_DIR") or cfg["output_dir"]
-                   or f"out/{name}")
+    out_dir = Path(os.environ.get("OUTPUT_DIR") or f"out/{name}")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     started = time.time()

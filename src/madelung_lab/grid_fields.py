@@ -129,7 +129,8 @@ class GridSpec:
     def coarsen(self) -> "GridSpec":
         """Grid with every second node removed in both directions."""
         if self.n_x < 16 or self.n_t % 2 or self.n_t < 4:
-            raise ValueError("grid too small to coarsen")
+            raise ValueError(f"coarsening needs an even n_t >= 4 and n_x >= 16, "
+                             f"got n_t = {self.n_t}, n_x = {self.n_x}")
         return GridSpec(self.x_min, self.x_max, self.n_x // 2, self.n_t // 2)
 
 

@@ -29,7 +29,7 @@ from .errors import NodeDetected, NormDrift, UnwrapInconsistent
 from .grid_fields import (MASS_TOL, GridSpec, ScalarField, ensure_decaying, fd_dt,
                           fd_dx, spectral_dx, taper)
 from .schrodinger import (NODE_FLOOR, GaussianPacketSpec, WaveField,
-                          normal_density, packet_density, packet_osmotic)
+                          normal_density, packet_mean, packet_sigma_sq)
 
 # Post-unwrap neighbour increments above this (in radians) mean the grid
 # cannot distinguish a fast phase from a wrap; just below pi.
@@ -158,25 +158,29 @@ def madelung_residuals(rho: ScalarField, phase: ScalarField) -> tuple[float, flo
     return r1, r2
 
 
+def gaussian_couple(grid: GridSpec, mean, variance, v, provenance: str) -> FluidCouple:
+    """N(mean, variance) slices (mean and variance are columns over t), the
+    velocity v broadcast to the lattice and d(log rho)/dx in closed form."""
+    x = grid.x[np.newaxis, :]
+    v = np.broadcast_to(v, (grid.n_t + 1, grid.n_x)).copy()
+    return FluidCouple(ScalarField(grid, normal_density(x, mean, variance)),
+                       ScalarField(grid, v),
+                       ScalarField(grid, -(x - mean) / variance), provenance)
+
+
 # ---------------------------------------------------------------------------
 # Synthetic couples used as fixtures and negative controls.
 
 def translating_gaussian_couple(grid: GridSpec, speed: float,
-                                variance: float = 1.0,
-                                start: float = 0.0) -> FluidCouple:
+                                variance: float = 1.0) -> FluidCouple:
     """Rigidly moving normal density with the matching constant velocity.
 
     Solves the continuity equation exactly, so it is a legitimate couple;
     it is not a wave field couple unless the width also spreads. At speed
     0 it is the static density with zero velocity.
     """
-    means = (start + speed * grid.t)[:, np.newaxis]
-    x = grid.x[np.newaxis, :]
-    rho = normal_density(x, means, variance)
-    log_grad = -(x - means) / variance
-    v = np.full((grid.n_t + 1, grid.n_x), float(speed))
-    return FluidCouple(ScalarField(grid, rho), ScalarField(grid, v),
-                       ScalarField(grid, log_grad))
+    means = (speed * grid.t)[:, np.newaxis]
+    return gaussian_couple(grid, means, variance, float(speed), "synthetic")
 
 
 def spreading_mismatched_couple(spec: GaussianPacketSpec, grid: GridSpec) -> FluidCouple:
@@ -186,37 +190,23 @@ def spreading_mismatched_couple(spec: GaussianPacketSpec, grid: GridSpec) -> Flu
     fails by construction. Deliberate negative control: it is not the
     hydrodynamic couple of any wave field evolution.
     """
-    x = grid.x[np.newaxis, :]
     t = grid.t[:, np.newaxis]
-    rho = packet_density(spec, x, t)
-    log_grad = 2.0 * packet_osmotic(spec, x, t)
-    v = np.full((grid.n_t + 1, grid.n_x), float(spec.p))
-    return FluidCouple(ScalarField(grid, rho), ScalarField(grid, v),
-                       ScalarField(grid, log_grad))
+    return gaussian_couple(grid, packet_mean(spec, t), packet_sigma_sq(spec, t),
+                           float(spec.p), "synthetic")
 
 
-def plateau_density(grid: GridSpec, center: float = 0.0,
-                    top_half_width: float = 2.0,
-                    ramp_width: float = 2.0,
-                    pedestal: float = 1e-13) -> ScalarField:
-    """Normalized flat top profile, constant in time.
+def plateau_couple(grid: GridSpec, speed: float = 0.0) -> FluidCouple:
+    """Flat top density on [-2, 2], constant in time, with velocity speed.
 
-    Quintic smoothstep ramps join the plateau to a tiny uniform pedestal
-    (strict positivity everywhere without tripping the boundary guard).
-    On the plateau itself log rho is constant, so the osmotic velocity
-    vanishes there identically.
+    Quintic smoothstep ramps of width 2 join the plateau to a uniform
+    pedestal of 1e-13 (strict positivity everywhere without tripping the
+    boundary guard). On the plateau itself log rho is constant, so the
+    osmotic velocity vanishes there identically.
     """
-    if top_half_width <= 0.0 or ramp_width <= 0.0:
-        raise ValueError("plateau widths must be positive")
-    u = (np.abs(grid.x - center) - top_half_width) / ramp_width
-    profile = pedestal + (1.0 - pedestal) * taper(u)
+    pedestal = 1e-13
+    profile = pedestal + (1.0 - pedestal) * taper((np.abs(grid.x) - 2.0) / 2.0)
     profile = profile / (grid.dx * profile.sum())
-    values = np.broadcast_to(profile, (grid.n_t + 1, grid.n_x)).copy()
-    return ScalarField(grid, values)
-
-
-def plateau_couple(grid: GridSpec, speed: float = 0.0, **kwargs) -> FluidCouple:
-    rho = plateau_density(grid, **kwargs)
+    rho = np.broadcast_to(profile, (grid.n_t + 1, grid.n_x)).copy()
     v = np.full((grid.n_t + 1, grid.n_x), float(speed))
-    log_grad = fd_dx(np.log(rho.values), grid)
-    return FluidCouple(rho, ScalarField(grid, v), ScalarField(grid, log_grad))
+    return FluidCouple(ScalarField(grid, rho), ScalarField(grid, v),
+                       ScalarField(grid, fd_dx(np.log(rho), grid)))

@@ -57,6 +57,8 @@ _INIT_STREAM = 1
 _NOISE_STREAM_BASE = 2
 # noise values per draw job: a full block draws one interval per job
 _JOB_VALUES = 2**15
+# the times at which marginal_l1 compares the ensemble with the density
+MARGINAL_TIMES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 @dataclass(frozen=True)
@@ -279,14 +281,13 @@ def marginal_histogram(ens: Ensemble, fraction: float):
     return grid.x, counts / (ens.N * grid.dx)
 
 
-def marginal_l1(ens: Ensemble, rho: ScalarField,
-                fractions=(0.0, 0.25, 0.5, 0.75, 1.0)) -> dict:
-    """L1 distance between histogram estimates and a reference density."""
+def marginal_l1(ens: Ensemble, rho: ScalarField) -> dict:
+    """L1 distance of the histograms from a reference density at MARGINAL_TIMES."""
     if rho.grid != ens.grid:
         raise ValueError("reference density lives on a different grid")
     grid = ens.grid
     out = {}
-    for frac in fractions:
+    for frac in MARGINAL_TIMES:
         _, est = marginal_histogram(ens, frac)
         j = int(round(frac * grid.n_t))
         if abs(frac * grid.n_t - j) > 1e-9:

@@ -157,8 +157,7 @@ def test_c05_partition_convergence(grid, packet_couple, packet_drift,
 
 def test_c06_marginal_property(big_ensemble, packet_couple):
     failures = []
-    distances = marginal_l1(big_ensemble, packet_couple.rho,
-                            fractions=(0.0, 0.25, 0.5, 0.75, 1.0))
+    distances = marginal_l1(big_ensemble, packet_couple.rho)
     for frac, value in distances.items():
         if value > 0.03:
             failures.append(f"t={frac}: L1 {value:.4f} > 0.03")
@@ -299,10 +298,14 @@ def test_c11_determinism(tmp_path, monkeypatch, capsys):
             with pytest.raises(SystemExit) as exc:
                 cli_main(["run", str(config)])
             codes.append(exc.value.code)
-            blobs.append((out_dir / "summary.json").read_bytes())
+            # the manifest alone records times, so it alone may differ
+            blobs.append({path.name: path.read_bytes()
+                          for path in sorted(out_dir.iterdir())
+                          if path.name != "manifest.json"})
         capsys.readouterr()
-        if blobs[0] != blobs[1]:
-            failures.append(f"{name}: summary.json differs between runs")
+        for output in sorted(blobs[0].keys() | blobs[1].keys()):
+            if blobs[0].get(output) != blobs[1].get(output):
+                failures.append(f"{name}: {output} differs between runs")
         if codes[0] != codes[1]:
             failures.append(f"{name}: exit codes differ between runs")
-    conclude(11, failures, "byte-identical summaries for two experiments")
+    conclude(11, failures, "byte-identical outputs for two experiments")

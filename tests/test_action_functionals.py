@@ -194,10 +194,10 @@ class TestActionReport:
 
     def test_rejects_negative_radius(self):
         with pytest.raises(ValueError):
-            ActionReport(1.0, -0.1, "quantum")
+            ActionReport(1.0, -0.1, "quantum", {"n_x": 8})
 
     def test_as_dict(self):
-        rep = ActionReport(1.5, 0.25, "classical", grid={"n_x": 8})
+        rep = ActionReport(1.5, 0.25, "classical", {"n_x": 8})
         assert rep.as_dict() == {"kind": "classical", "value": 1.5,
                                  "error_radius": 0.25, "grid": {"n_x": 8}}
 

@@ -13,12 +13,15 @@ import pytest
 from madelung_lab.cli import EXPERIMENTS, main, parse_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
-# keys of the perturbation recipe, now constants of ``competitors``, with
-# the values they last held
+# keys whose settings are now constants, with the values they last held:
+# the perturbation recipe of ``competitors``, the always written couple CSV
+# and the output directory, which is $OUTPUT_DIR or out/<experiment>
 RETIRED_KEYS = {"perturbations.space_support": "-4,4",
                 "perturbations.time_window": "0.1,0.9",
                 "perturbations.amplitude": "0.08",
-                "perturbations.modes": "3"}
+                "perturbations.modes": "3",
+                "write_fields": "true",
+                "output_dir": "out/theorem1-verify"}
 
 
 def write_config(tmp_path, text, name="test.cfg"):
@@ -105,15 +108,22 @@ class TestValidate:
                      ":2: unknown key 'mc.NN'", id="typo-mc-NN"),
         pytest.param("experiment = gaussian-benchmark\ngrid.nx = 64\n",
                      ":2: unknown key 'grid.nx'", id="typo-grid-nx"),
-        pytest.param("experiment = gaussian-benchmark\nwrite_fields = maybe\n",
-                     "write_fields", id="write-fields-not-boolean"),
         pytest.param("experiment = bb-compare\ntransport.n_pairs = 0\n",
                      "transport.n_pairs", id="no-transport-pairs"),
         pytest.param("experiment = theorem1-verify\ngrid.x_min = -3\n",
                      "grid: space support", id="support-outside-box"),
         pytest.param("experiment = theorem1-verify\ngrid.x_min = -5\n"
-                     "grid.x_max = 1000\ngrid.n_x = 8\ngrid.n_t = 8\n",
+                     "grid.x_max = 1000\ngrid.n_x = 16\ngrid.n_t = 8\n",
                      "grid: perturbation degenerated", id="grid-misses-every-bump"),
+        # every error radius is taken on the grid with every second node
+        pytest.param("experiment = bb-compare\ngrid.n_t = 255\n",
+                     "grid: coarsening needs an even n_t", id="odd-n-t"),
+        pytest.param("experiment = gaussian-benchmark\ngrid.n_x = 8\n",
+                     "grid: coarsening needs an even n_t >= 4 and n_x >= 16",
+                     id="n-x-too-small-to-coarsen"),
+        # with no specs, families-all-pass would hold over an empty list
+        pytest.param("experiment = theorem1-verify\ntheorem.n_specs = 0\n",
+                     "theorem.n_specs: must be at least 1", id="vacuous-theorem-run"),
         pytest.param("experiment = theorem1-verify\npacket.sigma0 = 0.3\n"
                      "packet.mu0 = 10\n", "packet: its density leaves no room",
                      id="packet-leaves-no-budget"),
@@ -160,7 +170,7 @@ class TestRun:
     # guard, which test_bb_compare_draws_fit_the_box records.
     @pytest.mark.parametrize("text, seed", [
         ("experiment = bb-compare\ntransport.seed = 3\ntransport.n_pairs = 2\n", 3),
-        ("experiment = theorem1-verify\ntheorem.seed = 1005\ntheorem.n_specs = 0\n",
+        ("experiment = theorem1-verify\ntheorem.seed = 1005\ntheorem.n_specs = 1\n",
          1005),
     ], ids=["bb-compare", "theorem1-verify"])
     def test_manifest_records_the_seed_drawn_from(self, text, seed, tmp_path,
@@ -212,20 +222,13 @@ class TestRun:
         lines = (out_dir / "marginals.csv").read_text().splitlines()
         assert lines[0] == "t,x,histogram,reference"
         assert len(lines) == 1 + 5 * 512
+        # the couple CSV is written with no key asking for it
+        lines = (out_dir / "packet_couple.csv").read_text().splitlines()
+        assert lines[0] == "t,x,rho,v"
+        assert len(lines) == 1 + 257 * 512
         # the stepping time goes to the manifest, never to the summary
         stepping = json.loads((out_dir / "manifest.json").read_text())["stepping"]
         assert stepping["seconds"] > 0.0
         assert stepping["trajectory_steps"] == 400 * (64 + 128 + 256 + 512 + 2 * 256) * 4
         assert stepping["trajectory_steps_per_s"] > 0.0
         assert "stepping" not in summary
-
-    def test_vacuous_theorem_run(self, tmp_path, monkeypatch, capsys):
-        out_dir = tmp_path / "out"
-        monkeypatch.setenv("OUTPUT_DIR", str(out_dir))
-        path = write_config(tmp_path, (
-            "experiment = theorem1-verify\n"
-            "theorem.n_specs = 0\n"))
-        assert run_cli(["run", path]) == 0
-        capsys.readouterr()
-        summary = json.loads((out_dir / "summary.json").read_text())
-        assert summary["report"]["n_specs"] == 0

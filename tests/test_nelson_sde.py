@@ -325,7 +325,7 @@ class TestMarginals:
         "a statistical floor near 0.027 at t = 1 (sqrt(2/pi) sum of "
         "sqrt(rho dx / N)); 0.02 is below what any seed typically reaches"))
     def test_documented_tight_tolerance(self, big_ensemble, packet_couple):
-        dist = marginal_l1(big_ensemble, packet_couple.rho, fractions=(1.0,))
+        dist = marginal_l1(big_ensemble, packet_couple.rho)
         assert dist[1.0] <= 0.02
 
     def test_reference_grid_must_match(self, control_grid, big_ensemble):

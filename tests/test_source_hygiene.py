@@ -29,6 +29,14 @@
   constants of the perturbation recipe, are named only in
   ``competitors``: no other module imports, reads or redefines them, so
   no second copy of the recipe creeps back in.
+* Every parameter with a default in a library ``def`` is set, by
+  keyword, by position or through ``*args`` or ``**kwargs``, by some
+  call in the library or in ``perfbench/`` to a function of that name:
+  a setting no caller uses is a constant, not a parameter. The kept
+  exceptions are the ``node_floor`` of the propagation and decomposition
+  route, which the wide-packet test lowers until that route stops
+  decomposing FFT roundoff in the tails, and the knob of each test
+  control that its tests vary.
 """
 
 import ast
@@ -40,6 +48,7 @@ import madelung_lab
 
 PACKAGE = Path(madelung_lab.__file__).resolve().parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
+PERFBENCH = sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"))
 BLANKET = {"Exception", "BaseException"}
 # Synthetic couples with closed-form actions: exported as test controls
 # and negative controls, so no library module needs to build them.
@@ -48,6 +57,9 @@ INTERP_ALLOWED = {"sample_initial"}
 LOG_GRADIENT_ALLOWED = {"decompose", "plateau_couple", "madelung_residuals"}
 DRAW_ALLOWED = {"Philox": {"sample_initial", "_noise"}, "normal": {"_noise"}}
 RECIPE = ("SPACE_SUPPORT", "TIME_WINDOW", "AMPLITUDE", "MODES")
+UNSET_DEFAULTS_ALLOWED = {("decompose", "node_floor"), ("free_propagate", "node_floor"),
+                          ("gaussian_packet", "node_floor"), ("plateau_couple", "speed"),
+                          ("translating_gaussian_couple", "variance")}
 
 
 def _caught_names(handler: ast.ExceptHandler) -> list[str]:
@@ -322,3 +334,80 @@ def test_recipe_named_only_in_competitors(path):
 ])
 def test_recipe_sites_are_found(snippet):
     assert recipe_sites(snippet)
+
+
+def defaulted_parameters(source: str) -> list[tuple[str, str, int | None]]:
+    """(function, parameter, call position) of every parameter with a
+    default; the position counts the arguments a call passes (a method's
+    first parameter is not passed), and is None for a keyword-only one."""
+    tree = ast.parse(source)
+    methods = {item for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for item in node.body if isinstance(item, ast.FunctionDef)
+               and not any(getattr(d, "id", None) == "staticmethod"
+                           for d in item.decorator_list)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        skip = 1 if node in methods else 0
+        found += [(node.name, arg.arg, i - skip) for i, arg in enumerate(positional)
+                  if i >= first]
+        found += [(node.name, arg.arg, None)
+                  for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                  if default is not None]
+    return found
+
+
+def _sets(call: ast.Call, parameter: str, position: int | None) -> bool:
+    if any(keyword.arg in (parameter, None) for keyword in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(
+        isinstance(arg, ast.Starred) for arg in call.args[:position + 1])
+
+
+def unset_defaults(sources: list[str], callers: list[str]) -> list[tuple[str, str]]:
+    """(function, parameter) of every defaulted parameter in ``sources``
+    that no call in ``callers`` to a function of that name sets."""
+    calls = [node for source in callers for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Call)]
+    return sorted((name, parameter) for source in sources
+                  for name, parameter, position in defaulted_parameters(source)
+                  if not any(_calls(call, {name}) and _sets(call, parameter, position)
+                             for call in calls))
+
+
+def test_every_default_has_a_caller():
+    sources = [path.read_text() for path in SOURCES]
+    unset = unset_defaults(sources, sources + [path.read_text() for path in PERFBENCH])
+    assert unset == sorted(UNSET_DEFAULTS_ALLOWED)
+
+
+SPANS = ("def span(start, stop=1.0, step=0.1):\n    return start\n\n"
+         "class Box:\n    def span(self, start, stop=1.0, step=0.1):\n"
+         "        return start\n")
+
+
+@pytest.mark.parametrize("caller", [
+    pytest.param("", id="no-call"),
+    pytest.param("span(1.0)\n", id="default-left"),
+    pytest.param("span(1.0, stop=2.0)\n", id="other-keyword"),
+    pytest.param("Box().span(1.0, 2.0)\n", id="positional-short-of-it"),
+])
+def test_unset_default_is_caught(caller):
+    assert ("span", "step") in unset_defaults([SPANS], [caller])
+
+
+@pytest.mark.parametrize("caller", [
+    pytest.param("span(0.0, step=0.5, stop=2.0)\n", id="keyword"),
+    pytest.param("span(0.0, 2.0, 0.5)\n", id="positional"),
+    pytest.param("Box().span(0.0, 2.0, 0.5)\n", id="method-positional"),
+    pytest.param("span(*bounds)\n", id="through-args"),
+    pytest.param("grid.span(0.0, **options)\n", id="through-kwargs"),
+])
+def test_set_default_passes(caller):
+    assert unset_defaults([SPANS], [caller]) == []
