@@ -20,8 +20,8 @@ from .schrodinger import (GaussianPacketSpec, WaveField, free_propagate,
                           packet_density, packet_initial,
                           packet_quantum_action)
 from .madelung import (DriftField, FluidCouple, constant_drift, continuity_residual,
-                       decompose, drift, madelung_residuals, plateau_couple,
-                       spreading_mismatched_couple, translating_gaussian_couple)
+                       decompose, drift, madelung_residuals,
+                       spreading_mismatched_couple)
 from .action_functionals import (ActionReport, classical_action, drift_action,
                                  finite_action_norm, quantum_action)
 from .nelson_sde import (Ensemble, MCEstimate, discrete_action, estimate_I,

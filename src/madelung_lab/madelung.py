@@ -12,7 +12,8 @@ polynomially across the box, so they use the open boundary finite
 difference rule (exact on quadratics, hence on every Gaussian case).
 
 A :class:`FluidCouple` is three fields on one grid, rho, v and
-d(log rho)/dx; each constructor attaches the last by its best route.
+d(log rho)/dx; each constructor, ``decompose`` of a wave field or
+``gaussian_couple`` of closed forms, attaches the last by its best route.
 The drift b = v + (1/2) d(log rho)/dx is a :class:`DriftField`, a
 scalar field that steers the diffusion ensembles in
 :mod:`madelung_lab.nelson_sde`; off the lattice it is read by
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import NodeDetected, NormDrift, UnwrapInconsistent
 from .grid_fields import (MASS_TOL, GridSpec, ScalarField, ensure_decaying, fd_dt,
-                          fd_dx, spectral_dx, taper)
+                          fd_dx, spectral_dx)
 from .schrodinger import (NODE_FLOOR, GaussianPacketSpec, WaveField,
                           normal_density, packet_mean, packet_sigma_sq)
 
@@ -87,20 +88,21 @@ def constant_drift(grid: GridSpec, value: float) -> DriftField:
     return DriftField(grid, np.full((grid.n_t + 1, grid.n_x), float(value)))
 
 
-def decompose(psi: WaveField, node_floor: float = NODE_FLOOR):
+def decompose(psi: WaveField):
     """Split a wave field into (rho, S, couple) with v = dS/dx.
 
     The phase comes from unwrapping the principal argument along x for
     every time slice, then shifting whole slices by multiples of 2 pi so
     the centre column is continuous in time (it is anchored to the
     principal value at t = 0). Only the gradient of S is contractual;
-    the couple's velocity is that gradient.
+    the couple's velocity is that gradient. log rho is taken, so a
+    density below ``NODE_FLOOR`` raises even if ``psi`` allowed it.
     """
     grid = psi.grid
     dens = psi.density()
     floor = float(dens.min())
-    if floor < node_floor:
-        raise NodeDetected(f"min |psi|^2 = {floor:.3e} below floor {node_floor:.1e}")
+    if floor < NODE_FLOOR:
+        raise NodeDetected(f"min |psi|^2 = {floor:.3e} below floor {NODE_FLOOR:.1e}")
 
     raw = np.angle(psi.values)
     phase = np.unwrap(raw, axis=-1)
@@ -169,19 +171,7 @@ def gaussian_couple(grid: GridSpec, mean, variance, v, provenance: str) -> Fluid
 
 
 # ---------------------------------------------------------------------------
-# Synthetic couples used as fixtures and negative controls.
-
-def translating_gaussian_couple(grid: GridSpec, speed: float,
-                                variance: float = 1.0) -> FluidCouple:
-    """Rigidly moving normal density with the matching constant velocity.
-
-    Solves the continuity equation exactly, so it is a legitimate couple;
-    it is not a wave field couple unless the width also spreads. At speed
-    0 it is the static density with zero velocity.
-    """
-    means = (speed * grid.t)[:, np.newaxis]
-    return gaussian_couple(grid, means, variance, float(speed), "synthetic")
-
+# The negative control of theorem1-verify's mismatched base.
 
 def spreading_mismatched_couple(spec: GaussianPacketSpec, grid: GridSpec) -> FluidCouple:
     """Packet density paired with the constant velocity v = p.
@@ -193,20 +183,3 @@ def spreading_mismatched_couple(spec: GaussianPacketSpec, grid: GridSpec) -> Flu
     t = grid.t[:, np.newaxis]
     return gaussian_couple(grid, packet_mean(spec, t), packet_sigma_sq(spec, t),
                            float(spec.p), "synthetic")
-
-
-def plateau_couple(grid: GridSpec, speed: float = 0.0) -> FluidCouple:
-    """Flat top density on [-2, 2], constant in time, with velocity speed.
-
-    Quintic smoothstep ramps of width 2 join the plateau to a uniform
-    pedestal of 1e-13 (strict positivity everywhere without tripping the
-    boundary guard). On the plateau itself log rho is constant, so the
-    osmotic velocity vanishes there identically.
-    """
-    pedestal = 1e-13
-    profile = pedestal + (1.0 - pedestal) * taper((np.abs(grid.x) - 2.0) / 2.0)
-    profile = profile / (grid.dx * profile.sum())
-    rho = np.broadcast_to(profile, (grid.n_t + 1, grid.n_x)).copy()
-    v = np.full((grid.n_t + 1, grid.n_x), float(speed))
-    return FluidCouple(ScalarField(grid, rho), ScalarField(grid, v),
-                       ScalarField(grid, fd_dx(np.log(rho), grid)))

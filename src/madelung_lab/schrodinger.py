@@ -96,8 +96,7 @@ def _alpha(spec: GaussianPacketSpec, t):
     return 1.0 + 0.5j * np.asarray(t) / spec.sigma0**2
 
 
-def gaussian_packet(spec: GaussianPacketSpec, grid: GridSpec,
-                    node_floor: float = NODE_FLOOR) -> WaveField:
+def gaussian_packet(spec: GaussianPacketSpec, grid: GridSpec) -> WaveField:
     """Closed form packet samples at every node of the grid."""
     x = grid.x[np.newaxis, :]
     t = grid.t[:, np.newaxis]
@@ -107,7 +106,7 @@ def gaussian_packet(spec: GaussianPacketSpec, grid: GridSpec,
               * np.exp(-moving**2 / (4.0 * spec.sigma0**2 * alpha)
                        + 1j * spec.p * (x - spec.mu0)
                        - 0.5j * spec.p**2 * t))
-    return WaveField(grid, values, node_floor=node_floor)
+    return WaveField(grid, values)
 
 
 def packet_initial(spec: GaussianPacketSpec, grid: GridSpec) -> np.ndarray:
@@ -118,7 +117,8 @@ def packet_initial(spec: GaussianPacketSpec, grid: GridSpec) -> np.ndarray:
                      + 1j * spec.p * (x - spec.mu0)))
 
 
-# Closed form fields of the packet, used as oracles in tests and reports.
+# Closed form fields and actions of the packet, read by the experiments
+# as references and by the mismatched control as its fields.
 
 def packet_mean(spec: GaussianPacketSpec, t):
     return spec.mu0 + spec.p * np.asarray(t, dtype=float)
@@ -135,29 +135,6 @@ def normal_density(x, mean, variance):
 
 def packet_density(spec: GaussianPacketSpec, x, t):
     return normal_density(x, packet_mean(spec, t), packet_sigma_sq(spec, t))
-
-def packet_phase(spec: GaussianPacketSpec, x, t):
-    """Phase matching :func:`gaussian_packet` (continuous branch, no wraps)."""
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    var = packet_sigma_sq(spec, t)
-    moving = x - spec.mu0 - spec.p * t
-    return (moving**2 * t / (8.0 * spec.sigma0**2 * var)
-            - 0.5 * np.arctan(t / (2.0 * spec.sigma0**2))
-            + spec.p * (x - spec.mu0) - 0.5 * spec.p**2 * t)
-
-def packet_velocity(spec: GaussianPacketSpec, x, t):
-    """Gradient of the phase: current velocity of the density flow."""
-    t = np.asarray(t, dtype=float)
-    var = packet_sigma_sq(spec, t)
-    moving = np.asarray(x, dtype=float) - spec.mu0 - spec.p * t
-    return moving * t / (4.0 * spec.sigma0**2 * var) + spec.p
-
-def packet_osmotic(spec: GaussianPacketSpec, x, t):
-    """Half the gradient of log density."""
-    var = packet_sigma_sq(spec, t)
-    moving = np.asarray(x, dtype=float) - packet_mean(spec, t)
-    return -moving / (2.0 * var)
 
 def packet_quantum_action(spec: GaussianPacketSpec) -> float:
     """Exact kinetic minus osmotic action over the unit time interval."""

@@ -1,0 +1,63 @@
+"""Synthetic couples and closed-form packet fields that tests compare
+the library against.
+
+None of these is run by an experiment, so they live with the tests:
+the translating Gaussian and the plateau are couples with closed-form
+actions and drifts, and the packet's phase and velocity are the oracles
+of ``decompose``.
+"""
+
+import numpy as np
+
+from madelung_lab import FluidCouple, GaussianPacketSpec, GridSpec, ScalarField
+from madelung_lab.grid_fields import fd_dx, taper
+from madelung_lab.madelung import gaussian_couple
+from madelung_lab.schrodinger import packet_sigma_sq
+
+
+def translating_gaussian_couple(grid: GridSpec, speed: float,
+                                variance: float = 1.0) -> FluidCouple:
+    """Rigidly moving N(speed t, variance) with the matching constant velocity.
+
+    Solves the continuity equation exactly, so it is a legitimate couple;
+    it is not a wave field couple unless the width also spreads. At speed
+    0 it is the static density with zero velocity.
+    """
+    means = (speed * grid.t)[:, np.newaxis]
+    return gaussian_couple(grid, means, variance, float(speed), "synthetic")
+
+
+def plateau_couple(grid: GridSpec, speed: float = 0.0) -> FluidCouple:
+    """Flat top density on [-2, 2], constant in time, with velocity speed.
+
+    Quintic smoothstep ramps of width 2 join the plateau to a uniform
+    pedestal of 1e-13 (strict positivity everywhere without tripping the
+    boundary guard). On the plateau itself log rho is constant, so the
+    osmotic velocity vanishes there identically.
+    """
+    pedestal = 1e-13
+    profile = pedestal + (1.0 - pedestal) * taper((np.abs(grid.x) - 2.0) / 2.0)
+    profile = profile / (grid.dx * profile.sum())
+    rho = np.broadcast_to(profile, (grid.n_t + 1, grid.n_x)).copy()
+    v = np.full((grid.n_t + 1, grid.n_x), float(speed))
+    return FluidCouple(ScalarField(grid, rho), ScalarField(grid, v),
+                       ScalarField(grid, fd_dx(np.log(rho), grid)))
+
+
+def packet_phase(spec: GaussianPacketSpec, x, t):
+    """Phase matching ``gaussian_packet`` (continuous branch, no wraps)."""
+    t = np.asarray(t, dtype=float)
+    x = np.asarray(x, dtype=float)
+    var = packet_sigma_sq(spec, t)
+    moving = x - spec.mu0 - spec.p * t
+    return (moving**2 * t / (8.0 * spec.sigma0**2 * var)
+            - 0.5 * np.arctan(t / (2.0 * spec.sigma0**2))
+            + spec.p * (x - spec.mu0) - 0.5 * spec.p**2 * t)
+
+
+def packet_velocity(spec: GaussianPacketSpec, x, t):
+    """Gradient of the phase: current velocity of the density flow."""
+    t = np.asarray(t, dtype=float)
+    var = packet_sigma_sq(spec, t)
+    moving = np.asarray(x, dtype=float) - spec.mu0 - spec.p * t
+    return moving * t / (4.0 * spec.sigma0**2 * var) + spec.p

@@ -20,11 +20,12 @@ from madelung_lab import (GaussianMeasure, GaussianPacketSpec, GridSpec,
                           marginal_l1, mixture_ensemble, monge_map_1d,
                           packet_initial, quantum_action, renormalized_action,
                           simulate_ensemble, spreading_mismatched_couple,
-                          translating_gaussian_couple,
                           transport_cost, verify_theorem1)
 from madelung_lab.benamou_brenier import (packet_curvature_term_sup,
                                           packet_endpoint_measures)
 from madelung_lab.cli import main as cli_main
+
+from controls import translating_gaussian_couple
 
 MC_N = 100_000
 MC_PARTITION = 256

@@ -20,9 +20,10 @@ from madelung_lab import (ActionReport, BoundaryLeak, DriftField, FluidCouple,
                           displacement_couple, drift, drift_action,
                           finite_action_norm, gaussian_packet, make_family,
                           packet_classical_action, packet_quantum_action,
-                          plateau_couple, quantum_action,
-                          spreading_mismatched_couple, translating_gaussian_couple)
+                          quantum_action, spreading_mismatched_couple)
 from madelung_lab.benamou_brenier import packet_endpoint_measures
+
+from controls import plateau_couple, translating_gaussian_couple
 
 QUANTUM_CLOSED = 0.25 - np.arctan(0.5)                # default packet
 QUANTUM_GRID_512x256 = -0.21364740555021075           # frozen

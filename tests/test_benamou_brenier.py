@@ -19,19 +19,21 @@ from madelung_lab import (GaussianMeasure, GaussianPacketSpec, GridSpec,
                           NormDrift, TransportPlan1D, classical_action,
                           displacement_couple, euler_residual, gaussian_w2,
                           monge_map_1d, quantum_action, quantum_vs_classical,
-                          transport_cost, translating_gaussian_couple)
+                          transport_cost)
 from madelung_lab.benamou_brenier import (packet_curvature_term_sup,
                                           packet_endpoint_measures)
+
+from controls import translating_gaussian_couple
 
 # a couple carrying a rigidly translating density N(t, 1) but no
 # velocity: its kinetic action 0 sits below the transport distance 1
 STILL_COUPLE_SCRIPT = """
 import numpy as np
 from madelung_lab import (FluidCouple, GaussianMeasure, GridSpec,
-                          OrderingViolated, ScalarField, quantum_vs_classical,
-                          translating_gaussian_couple)
+                          OrderingViolated, ScalarField, quantum_vs_classical)
+from madelung_lab.madelung import gaussian_couple
 grid = GridSpec(-12.0, 12.0, 256, 16)
-moving = translating_gaussian_couple(grid, speed=1.0)
+moving = gaussian_couple(grid, grid.t[:, np.newaxis], 1.0, 1.0, "synthetic")
 still = FluidCouple(moving.rho, ScalarField(grid, np.zeros((17, 256))),
                     log_density_gradient=moving.log_density_gradient)
 try:
@@ -152,6 +154,11 @@ class TestTransportPlan:
     def test_rejects_inconsistent_potential(self, flat_grid):
         t = flat_grid.x.copy()
         with pytest.raises(ValueError):
+            TransportPlan1D(flat_grid, t, np.zeros_like(t))
+
+    def test_rejects_samples_off_the_grid(self, flat_grid):
+        t = flat_grid.x[:-1].copy()
+        with pytest.raises(ValueError, match="match the spatial grid"):
             TransportPlan1D(flat_grid, t, np.zeros_like(t))
 
 

@@ -127,6 +127,8 @@ class TestValidate:
         pytest.param("experiment = theorem1-verify\npacket.sigma0 = 0.3\n"
                      "packet.mu0 = 10\n", "packet: its density leaves no room",
                      id="packet-leaves-no-budget"),
+        pytest.param("experiment = bb-compare\npacket.sigma0 = 0\n",
+                     "packet: sigma0 must be positive", id="packet-without-width"),
         *[pytest.param(f"experiment = theorem1-verify\n{key} = {value}\n",
                        f":2: unknown key '{key}'", id=f"retired-{key}")
           for key, value in RETIRED_KEYS.items()],
@@ -190,6 +192,24 @@ class TestRun:
         monkeypatch.setenv("OUTPUT_DIR", str(tmp_path / "out"))
         path = write_config(tmp_path, "experiment = bb-compare\ntransport.seed = 3\n")
         assert run_cli(["run", path]) == 0
+
+    def test_mismatched_base_is_detected(self, tmp_path, monkeypatch, capsys):
+        # the negative control base: every family finds it not stationary.
+        # On a 128 x 32 grid the families fail the zero-mass check instead.
+        out_dir = tmp_path / "out"
+        monkeypatch.setenv("OUTPUT_DIR", str(out_dir))
+        path = write_config(tmp_path, (
+            "experiment = theorem1-verify\ntheorem.base = mismatched\n"
+            "grid.n_x = 256\ngrid.n_t = 64\ntheorem.n_specs = 2\n"))
+        assert run_cli(["run", path]) == 0
+        capsys.readouterr()
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["base"] == "mismatched"
+        assert summary["report"]["base_provenance"] == "synthetic"
+        assert [entry["verdict"] for entry in summary["report"]["specs"]] \
+            == ["violated", "violated"]
+        detected = summary["checks"]["detects-non-minimizer"]
+        assert detected["ok"] and detected["observed"] == 2
 
     def test_rerun_is_byte_identical(self, tmp_path, monkeypatch, capsys):
         path = write_config(tmp_path, "experiment = bb-compare\n")

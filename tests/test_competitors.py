@@ -195,6 +195,9 @@ class TestFamily:
         endpoint[0] = np.exp(-grid.x**2) - np.exp(-grid.x**2).mean()
         with pytest.raises(ValueError):
             CompetitorFamily(packet_couple, ScalarField(grid, endpoint))
+        elsewhere = GridSpec(-12.0, 12.0, 512, 128)
+        with pytest.raises(ValueError, match="different grid"):
+            CompetitorFamily(packet_couple, ScalarField(elsewhere, np.zeros((129, 512))))
 
 
 class TestVerdicts:
@@ -218,6 +221,16 @@ class TestVerdicts:
         assert report["n_violated"] >= 1
         for entry in report["specs"]:
             assert abs(entry["derivative_at_0"]) > 10.0 * entry["error_radius"]
+
+    def test_concave_dip_within_the_margin_is_inconclusive(self, packet_couple):
+        # seed 24: margin +1.2e-5 but a second difference of -5.1e-5,
+        # beyond 12 error radii (6.1e-7) of concavity and not a violation
+        report = verify_theorem1(packet_couple, [PerturbationSpec(seed=24)])
+        entry = report["specs"][0]
+        assert entry["verdict"] == "inconclusive"
+        assert report["n_inconclusive"] == 1 and not report["all_pass"]
+        assert entry["min_margin"] >= -6.0 * entry["error_radius"]
+        assert entry["second_diff_min"] < -12.0 * entry["error_radius"]
 
     def test_construction_failure_is_accounted(self, narrow_base):
         report = verify_theorem1(narrow_base, [PerturbationSpec(seed=0)])

@@ -1,6 +1,7 @@
 """Fluid decomposition of wave fields and the drift construction.
 
-The closed-form packet fields (phase, velocity, osmotic velocity) act
+The closed-form packet fields (phase and velocity from the test-side
+``controls``, the osmotic velocity from the mismatched control) act
 as oracles; the residual sup norms are pinned to frozen values measured
 once on the default lattice plus the second-order refinement ratio.
 """
@@ -12,10 +13,11 @@ from madelung_lab import (DriftField, FluidCouple, GaussianPacketSpec, GridSpec,
                           NodeDetected, NormDrift, ScalarField,
                           UnwrapInconsistent, WaveField,
                           constant_drift, continuity_residual, decompose, drift,
-                          gaussian_packet, madelung_residuals,
-                          plateau_couple, spreading_mismatched_couple,
-                          translating_gaussian_couple)
-from madelung_lab.schrodinger import packet_osmotic, packet_phase, packet_velocity
+                          free_propagate, gaussian_packet, madelung_residuals,
+                          packet_initial, spreading_mismatched_couple)
+
+from controls import (packet_phase, packet_velocity, plateau_couple,
+                      translating_gaussian_couple)
 
 # sup norms of the two fluid equation residuals for the default packet,
 # measured on the 512 x 256 lattice (frozen)
@@ -42,17 +44,25 @@ class TestDecompose:
         assert np.max(np.abs(packet_couple.v.values - exact)) < 1e-10
 
     def test_osmotic_velocity_closed_form(self, packet_spec, grid, packet_couple):
-        exact = packet_osmotic(packet_spec, grid.x[np.newaxis, :],
-                               grid.t[:, np.newaxis])
+        # the mismatched control carries the packet density's log gradient
+        # in closed form
+        exact = 0.5 * spreading_mismatched_couple(
+            packet_spec, grid).log_density_gradient.values
         got = 0.5 * packet_couple.log_density_gradient.values
         assert np.max(np.abs(got - exact)) < 1e-10
 
     def test_provenance_tagged(self, packet_couple):
         assert packet_couple.provenance == "schrodinger"
 
-    def test_node_floor_respected(self, psi):
+    def test_node_floor_respected(self):
+        # propagation with the floor lowered keeps the exact zeros of the
+        # wide packet's far tail; log rho cannot be taken of them
+        wide = GridSpec(-48.0, 48.0, 2048, 64)
+        spec = GaussianPacketSpec(4.0, 0.0, 2.0)
+        psi = free_propagate(packet_initial(spec, wide), wide, node_floor=0.0)
+        assert psi.density().min() == 0.0
         with pytest.raises(NodeDetected):
-            decompose(psi, node_floor=1.0)
+            decompose(psi)
 
     def test_unresolvable_phase_rejected(self, grid):
         rho0 = np.exp(-grid.x**2 / 2.0) / np.sqrt(2.0 * np.pi)

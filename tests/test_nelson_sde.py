@@ -139,6 +139,8 @@ class TestSimulation:
             mixture_ensemble([], [], None, control_grid, 10, 4, 1, 0)
         with pytest.raises(ValueError):
             mixture_ensemble([b], [0.5], None, control_grid, 10, 4, 1, 0)
+        with pytest.raises(ValueError, match="one weight per drift"):
+            mixture_ensemble([b, b], [1.0], None, control_grid, 10, 4, 1, 0)
         with pytest.raises(ValueError):
             mixture_ensemble([b, b], [0.7, 0.7], None, control_grid, 10, 4, 1, 0)
         with pytest.raises(ValueError):
@@ -148,6 +150,13 @@ class TestSimulation:
         b = constant_drift(grid, 0.0)
         with pytest.raises(ValueError):
             simulate_ensemble(b, None, control_grid, 10, 4, 1, 0)
+
+    @pytest.mark.parametrize("N, n, substeps", [(0, 4, 1), (10, 0, 1), (10, 4, 0)],
+                             ids=["no-paths", "no-partition", "no-substeps"])
+    def test_sizes_must_be_positive(self, control_grid, N, n, substeps):
+        b = constant_drift(control_grid, 0.0)
+        with pytest.raises(ValueError, match="must be positive"):
+            mixture_ensemble([b], [1.0], None, control_grid, N, n, substeps, 0)
 
 
 def paths_sha256(ens: Ensemble) -> str:
@@ -291,10 +300,10 @@ class TestEstimators:
         b = constant_drift(grid, 3.0)
         with pytest.raises(ValueError):
             estimate_I(const3_ensemble, b, b.divergence())
-        # the divergence matches the ensemble, the drift does not
-        on_ensemble_grid = constant_drift(control_grid, 3.0).divergence()
-        with pytest.raises(ValueError):
-            estimate_I(const3_ensemble, b, on_ensemble_grid)
+        # the drift matches the ensemble, the divergence does not
+        on_ensemble_grid = constant_drift(control_grid, 3.0)
+        with pytest.raises(ValueError, match="divergence field"):
+            estimate_I(const3_ensemble, on_ensemble_grid, b.divergence())
 
     def test_estimate_tracks_renormalized_action(self, big_ensemble,
                                                  packet_drift, packet_couple):
@@ -333,6 +342,14 @@ class TestMarginals:
                           np.full((65, 512), 1.0 / 24.0))
         with pytest.raises(ValueError):
             marginal_l1(big_ensemble, rho)
+
+    def test_marginal_times_must_be_grid_nodes(self):
+        # t = 1/4 is a node of the n = 4 partition but not of n_t = 6
+        g = GridSpec(-2.0, 2.0, 8, 6)
+        ens = Ensemble(np.zeros((10, 5)), g)
+        rho = ScalarField(g, np.full((7, 8), 0.25))
+        with pytest.raises(ValueError, match="t = 0.25 is not a grid time node"):
+            marginal_l1(ens, rho)
 
 
 class TestContainers:

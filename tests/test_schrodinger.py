@@ -81,6 +81,10 @@ class TestPropagator:
         with pytest.raises(NormDrift):
             free_propagate(1.01 * packet_initial(packet_spec, grid), grid)
 
+    def test_rejects_misshapen_input(self, packet_spec, grid):
+        with pytest.raises(ValueError, match="initial state has shape"):
+            free_propagate(packet_initial(packet_spec, grid)[:256], grid)
+
     def test_rejects_leaking_input(self, grid):
         # renormalized on the box so the norm gate passes and only the
         # edge decay gate can object
@@ -120,6 +124,18 @@ class TestWaveField:
     def test_shape_mismatch_rejected(self, grid, psi):
         with pytest.raises(ValueError):
             WaveField(grid, psi.values[:, :256])
+
+    def test_non_finite_entry_rejected(self, grid, psi):
+        values = psi.values.copy()
+        values[3, 100] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            WaveField(grid, values)
+
+    def test_norm_drift_rejected(self, grid, psi):
+        values = psi.values.copy()
+        values[7] *= 1.01
+        with pytest.raises(NormDrift):
+            WaveField(grid, values)
 
     def test_density_is_squared_magnitude(self, psi):
         assert np.allclose(psi.density(), np.abs(psi.values) ** 2,

@@ -6,8 +6,13 @@
   handlers: a blanket handler turns a code bug into a verdict.
 * No imports inside functions: every dependency is stated at the top
   of its module.
-* Every name the package exports is used by another library module:
-  surface that only tests call is deleted, not maintained.
+* Every name the package exports is used by another library module,
+  with no exemption: surface that only tests call is deleted, not
+  maintained, and the controls and oracles that tests compare against
+  live in ``tests/controls.py``.
+* Every module-level ``def`` or ``class`` of the library is named by
+  library code outside its own body (the package ``__init__`` aside)
+  or by ``perfbench/``: a function only tests call is test code.
 * Every key of the CLI's ``KEYS`` table is read as ``cfg["key"]``: a
   config key no experiment reads is not kept as a dead knob.
 * ``np.interp`` is called only by ``sample_initial``, whose inverse-CDF
@@ -16,11 +21,11 @@
 * ``np.savetxt`` is not used at all: every CSV goes through the one
   writer in ``io_formats``, so no second CSV kernel creeps back in.
 * ``fd_dx`` and ``spectral_dx`` take an ``np.log(...)`` argument, or a
-  local name bound to one in the same function, only in ``decompose``
-  and ``plateau_couple``, the constructors that attach a couple's log
-  density gradient that way, and in ``madelung_residuals``, the
-  independent check of the energy equation: every other reader takes
-  the attached field, so no log-gradient fallback creeps back in.
+  local name bound to one in the same function, only in ``decompose``,
+  the constructor that attaches a couple's log density gradient that
+  way, and in ``madelung_residuals``, the independent check of the
+  energy equation: every other reader takes the attached field, so no
+  log-gradient fallback creeps back in.
 * ``Philox`` appears only in ``sample_initial`` and ``_noise``, and
   ``normal`` only in ``_noise``: the trajectory noise has one draw site,
   the one that runs a job ahead of the stepping, so no second,
@@ -31,12 +36,13 @@
   no second copy of the recipe creeps back in.
 * Every parameter with a default in a library ``def`` is set, by
   keyword, by position or through ``*args`` or ``**kwargs``, by some
-  call in the library or in ``perfbench/`` to a function of that name:
-  a setting no caller uses is a constant, not a parameter. The kept
-  exceptions are the ``node_floor`` of the propagation and decomposition
-  route, which the wide-packet test lowers until that route stops
-  decomposing FFT roundoff in the tails, and the knob of each test
-  control that its tests vary.
+  call in the library or in ``perfbench/`` to that function: a setting
+  no caller uses is a constant, not a parameter. A bare or
+  module-qualified call counts only for the function that the calling
+  module defines or imports; a method call on an object counts for
+  every function of its name. The kept exceptions, each with its
+  reason in ``UNSET_DEFAULTS_ALLOWED``, are ``free_propagate``'s
+  ``node_floor`` and the console script's ``main(argv)``.
 """
 
 import ast
@@ -49,17 +55,25 @@ import madelung_lab
 PACKAGE = Path(madelung_lab.__file__).resolve().parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
 PERFBENCH = sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"))
+# module name -> source, as the library and the benchmark import them
+LIBRARY = {PACKAGE.name if path.stem == "__init__" else f"{PACKAGE.name}.{path.stem}":
+           path.read_text() for path in SOURCES}
+# the package ``__init__`` only re-exports: naming a function there is no use
+MODULES = [source for name, source in LIBRARY.items() if name != PACKAGE.name]
+BENCHMARK = {path.stem: path.read_text() for path in PERFBENCH}
 BLANKET = {"Exception", "BaseException"}
-# Synthetic couples with closed-form actions: exported as test controls
-# and negative controls, so no library module needs to build them.
-TEST_CONTROLS = {"plateau_couple", "translating_gaussian_couple"}
 INTERP_ALLOWED = {"sample_initial"}
-LOG_GRADIENT_ALLOWED = {"decompose", "plateau_couple", "madelung_residuals"}
+LOG_GRADIENT_ALLOWED = {"decompose", "madelung_residuals"}
 DRAW_ALLOWED = {"Philox": {"sample_initial", "_noise"}, "normal": {"_noise"}}
 RECIPE = ("SPACE_SUPPORT", "TIME_WINDOW", "AMPLITUDE", "MODES")
-UNSET_DEFAULTS_ALLOWED = {("decompose", "node_floor"), ("free_propagate", "node_floor"),
-                          ("gaussian_packet", "node_floor"), ("plateau_couple", "speed"),
-                          ("translating_gaussian_couple", "variance")}
+UNSET_DEFAULTS_ALLOWED = {
+    ("free_propagate", "node_floor"):
+        "the wide-packet tests lower it to 0: the propagated far tail holds "
+        "exact zeros of FFT roundoff, which the default floor refuses",
+    ("main", "argv"):
+        "the madelung-lab console script of pyproject.toml calls main() with "
+        "no argument, so argparse reads sys.argv",
+}
 
 
 def _caught_names(handler: ast.ExceptHandler) -> list[str]:
@@ -124,25 +138,68 @@ def _exported_names() -> set[str]:
             if isinstance(node, ast.ImportFrom) for alias in node.names}
 
 
-def _library_references() -> set[str]:
+def referenced_names(source: str) -> set[str]:
+    """Every name the source reads as a name, an attribute or an import,
+    outside the body of a ``def`` of that name."""
     found = set()
-    for path in SOURCES:
-        if path.name == "__init__.py":
+    for node, owner in owned_nodes(source):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                found.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                found.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                found.update(alias.name for alias in node.names)
+        if name != owner:
+            found.add(name)
     return found
 
 
 def test_every_export_is_used_by_the_library():
-    exported = _exported_names()
-    assert TEST_CONTROLS <= exported
-    assert sorted(exported - _library_references() - TEST_CONTROLS) == []
+    used = set().union(*map(referenced_names, MODULES))
+    assert sorted(_exported_names() - used) == []
+
+
+def uncalled_definitions(sources: list[str], readers: list[str]) -> list[str]:
+    """Module-level ``def`` and ``class`` names of ``sources`` that no
+    source in ``readers`` names outside the definition's own body."""
+    named = set().union(*map(referenced_names, readers))
+    return sorted(node.name for source in sources for node in ast.parse(source).body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.ClassDef))
+                  and node.name not in named)
+
+
+def test_every_function_has_a_caller():
+    assert uncalled_definitions(MODULES, MODULES + list(BENCHMARK.values())) == []
+
+
+HELPER = "def helper(x):\n    return 2 * x\n"
+
+
+@pytest.mark.parametrize("source, reader", [
+    pytest.param(HELPER, "", id="no-reader"),
+    pytest.param("def helper(x):\n    return helper(x - 1) if x else 0\n", "",
+                 id="only-its-own-body"),
+    pytest.param(HELPER, "# helper(1)\nNAME = 'helper'\n", id="comment-and-string"),
+    pytest.param(HELPER, "class Tool:\n    def helper(self):\n        return 1\n",
+                 id="same-named-method"),
+    pytest.param("class Tool:\n    pass\n", "tool = Tool2()\n", id="class"),
+])
+def test_uncalled_definition_is_caught(source, reader):
+    assert uncalled_definitions([source], [source, reader])
+
+
+@pytest.mark.parametrize("reader", [
+    pytest.param("from .tools import helper\n", id="import"),
+    pytest.param("from . import tools\n\nVALUE = tools.helper(1)\n", id="attribute"),
+    pytest.param("def double_twice(x):\n    return helper(helper(x))\n",
+                 id="other-function"),
+    pytest.param("STEPS = [helper]\n", id="module-level"),
+])
+def test_named_definition_passes(reader):
+    assert uncalled_definitions([HELPER], [HELPER, reader]) == []
 
 
 def unread_keys(source: str) -> list[str]:
@@ -336,15 +393,16 @@ def test_recipe_sites_are_found(snippet):
     assert recipe_sites(snippet)
 
 
-def defaulted_parameters(source: str) -> list[tuple[str, str, int | None]]:
-    """(function, parameter, call position) of every parameter with a
-    default; the position counts the arguments a call passes (a method's
-    first parameter is not passed), and is None for a keyword-only one."""
+def defaulted_parameters(source: str) -> list[tuple[str | None, str, str, int | None]]:
+    """(class, function, parameter, call position) of every parameter with
+    a default; the class is None for a function. The position counts the
+    arguments a call passes (a method's first parameter is not passed),
+    and is None for a keyword-only one."""
     tree = ast.parse(source)
-    methods = {item for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
-               for item in node.body if isinstance(item, ast.FunctionDef)
-               and not any(getattr(d, "id", None) == "staticmethod"
-                           for d in item.decorator_list)}
+    owners = {item: node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+              for item in node.body if isinstance(item, ast.FunctionDef)
+              and not any(getattr(d, "id", None) == "staticmethod"
+                          for d in item.decorator_list)}
     found = []
     for node in ast.walk(tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -352,10 +410,11 @@ def defaulted_parameters(source: str) -> list[tuple[str, str, int | None]]:
         args = node.args
         positional = args.posonlyargs + args.args
         first = len(positional) - len(args.defaults)
-        skip = 1 if node in methods else 0
-        found += [(node.name, arg.arg, i - skip) for i, arg in enumerate(positional)
-                  if i >= first]
-        found += [(node.name, arg.arg, None)
+        owner = owners.get(node)
+        skip = 0 if owner is None else 1
+        found += [(owner, node.name, arg.arg, i - skip)
+                  for i, arg in enumerate(positional) if i >= first]
+        found += [(owner, node.name, arg.arg, None)
                   for arg, default in zip(args.kwonlyargs, args.kw_defaults)
                   if default is not None]
     return found
@@ -370,44 +429,142 @@ def _sets(call: ast.Call, parameter: str, position: int | None) -> bool:
         isinstance(arg, ast.Starred) for arg in call.args[:position + 1])
 
 
-def unset_defaults(sources: list[str], callers: list[str]) -> list[tuple[str, str]]:
-    """(function, parameter) of every defaulted parameter in ``sources``
-    that no call in ``callers`` to a function of that name sets."""
-    calls = [node for source in callers for node in ast.walk(ast.parse(source))
-             if isinstance(node, ast.Call)]
-    return sorted((name, parameter) for source in sources
-                  for name, parameter, position in defaulted_parameters(source)
-                  if not any(_calls(call, {name}) and _sets(call, parameter, position)
-                             for call in calls))
+def imported_names(module: str, source: str, modules) -> dict[str, tuple[str, str | None]]:
+    """Local name -> (module, name) of everything ``module`` imports;
+    the name is None where the local name is a module itself."""
+    package = module if any(m.startswith(module + ".") for m in modules) \
+        else module.rpartition(".")[0]
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    found[alias.asname] = (alias.name, None)
+                else:
+                    top = alias.name.partition(".")[0]
+                    found[top] = (top, None)
+        elif isinstance(node, ast.ImportFrom):
+            origin = node.module or ""
+            if node.level:
+                base = package.rsplit(".", node.level - 1)[0]
+                origin = ".".join(filter(None, [base, node.module]))
+            for alias in node.names:
+                full = f"{origin}.{alias.name}"
+                found[alias.asname or alias.name] = \
+                    (full, None) if full in modules else (origin, alias.name)
+    return found
+
+
+def callees(modules: dict[str, str], callers: list[str]):
+    """(call, target) of the calls in the ``callers`` modules. A bare or
+    module-qualified call targets the (module, name) that defines the
+    function, followed through imports and re-exports, and is left out
+    when the calling module neither defines nor imports it; a method
+    call on an object targets its bare name."""
+    imports = {name: imported_names(name, source, modules)
+               for name, source in modules.items()}
+    defined = {name: {node.name for node in ast.parse(source).body
+                      if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                           ast.ClassDef))}
+               for name, source in modules.items()}
+
+    def definition(module: str, name: str) -> tuple[str, str]:
+        origin = imports.get(module, {}).get(name)
+        if origin is None or origin[1] is None:
+            return module, name
+        return definition(*origin)
+
+    found = []
+    for caller in callers:
+        for call in ast.walk(ast.parse(modules[caller])):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            if isinstance(func, ast.Name):
+                origin = imports[caller].get(func.id)
+                if origin is not None and origin[1] is not None:
+                    found.append((call, definition(*origin)))
+                elif origin is None and func.id in defined[caller]:
+                    found.append((call, (caller, func.id)))
+            elif isinstance(func, ast.Attribute):
+                origin = (imports[caller].get(func.value.id)
+                          if isinstance(func.value, ast.Name) else None)
+                if origin is not None and origin[1] is None:
+                    found.append((call, definition(origin[0], func.attr)))
+                else:
+                    found.append((call, func.attr))
+    return found
+
+
+def unset_defaults(sources: dict[str, str], callers: dict[str, str]
+                   ) -> list[tuple[str, str]]:
+    """(function, parameter) of every defaulted parameter in the ``sources``
+    modules that no call in the ``callers`` modules to that function sets;
+    a method is named ``Class.method``. A method call counts for every
+    function of its name."""
+    calls = callees({**sources, **callers}, list(callers))
+    unset = []
+    for module, source in sources.items():
+        for owner, name, parameter, position in defaulted_parameters(source):
+            targets = {name} if owner else {name, (module, name)}
+            if not any(target in targets and _sets(call, parameter, position)
+                       for call, target in calls):
+                unset.append((f"{owner}.{name}" if owner else name, parameter))
+    return sorted(unset)
 
 
 def test_every_default_has_a_caller():
-    sources = [path.read_text() for path in SOURCES]
-    unset = unset_defaults(sources, sources + [path.read_text() for path in PERFBENCH])
+    unset = unset_defaults(LIBRARY, {**LIBRARY, **BENCHMARK})
     assert unset == sorted(UNSET_DEFAULTS_ALLOWED)
 
 
+# a package ``lab`` that re-exports ``span`` and ``Box`` from ``lab.spans``
 SPANS = ("def span(start, stop=1.0, step=0.1):\n    return start\n\n"
          "class Box:\n    def span(self, start, stop=1.0, step=0.1):\n"
          "        return start\n")
+LAB = {"lab": "from .spans import Box, span\n", "lab.spans": SPANS,
+       "other": "def span(start, stop=1.0, step=0.1):\n    return start\n"}
+
+
+def step_unset(caller: str) -> bool:
+    """Whether the module-level ``span``'s step stays unset with ``caller``."""
+    callers = {**LAB, "caller": caller}
+    return ("span", "step") in unset_defaults({"lab.spans": SPANS}, callers)
 
 
 @pytest.mark.parametrize("caller", [
     pytest.param("", id="no-call"),
-    pytest.param("span(1.0)\n", id="default-left"),
-    pytest.param("span(1.0, stop=2.0)\n", id="other-keyword"),
-    pytest.param("Box().span(1.0, 2.0)\n", id="positional-short-of-it"),
+    pytest.param("from lab import span\n\nspan(1.0)\n", id="default-left"),
+    pytest.param("from lab import span\n\nspan(1.0, stop=2.0)\n", id="other-keyword"),
+    pytest.param("from lab import Box\n\nBox().span(1.0, 2.0)\n",
+                 id="positional-short-of-it"),
+    pytest.param("span(0.0, 2.0, 0.5)\n", id="not-imported"),
+    pytest.param("from other import span\n\nspan(0.0, 2.0, 0.5)\n",
+                 id="same-named-function-of-another-module"),
+    pytest.param("import other\n\nother.span(0.0, step=0.5)\n",
+                 id="same-named-function-module-qualified"),
 ])
 def test_unset_default_is_caught(caller):
-    assert ("span", "step") in unset_defaults([SPANS], [caller])
+    assert step_unset(caller)
 
 
 @pytest.mark.parametrize("caller", [
-    pytest.param("span(0.0, step=0.5, stop=2.0)\n", id="keyword"),
-    pytest.param("span(0.0, 2.0, 0.5)\n", id="positional"),
+    pytest.param("from lab import span\n\nspan(0.0, step=0.5, stop=2.0)\n",
+                 id="keyword"),
+    pytest.param("from lab.spans import span as s\n\ns(0.0, 2.0, 0.5)\n",
+                 id="positional"),
+    pytest.param("from lab import spans\n\nspans.span(0.0, step=0.5)\n",
+                 id="module-qualified"),
+    pytest.param("import lab.spans as spans\n\nspans.span(0.0, step=0.5)\n",
+                 id="module-alias"),
     pytest.param("Box().span(0.0, 2.0, 0.5)\n", id="method-positional"),
-    pytest.param("span(*bounds)\n", id="through-args"),
+    pytest.param("from lab import span\n\nspan(*bounds)\n", id="through-args"),
     pytest.param("grid.span(0.0, **options)\n", id="through-kwargs"),
 ])
 def test_set_default_passes(caller):
-    assert unset_defaults([SPANS], [caller]) == []
+    assert not step_unset(caller)
+
+
+def test_own_module_call_sets_the_default():
+    callers = {"lab.spans": SPANS + "\nspan(0.0, step=0.5)\n"}
+    assert ("span", "step") not in unset_defaults({"lab.spans": SPANS}, callers)
