@@ -12,8 +12,10 @@ config key moves them. Every run writes
                     keys, no timestamps: byte identical across reruns
     manifest.json   config hash, seed, package/library versions, wall
                     time and peak resident memory; for gaussian-benchmark
-                    also the seconds spent stepping ensembles and the
-                    trajectory steps taken, in total and per second
+                    also the seconds spent stepping ensembles, the
+                    trajectory steps taken, in total and per second, and
+                    the bytes of the largest path matrix held, the floor
+                    under the peak
 
 plus CSV dumps of what the experiment produced: packet_couple.csv and
 marginals.csv (gaussian-benchmark), y_profiles.csv (theorem1-verify),
@@ -43,8 +45,8 @@ from .benamou_brenier import (GaussianMeasure, displacement_couple, euler_residu
                               gaussian_w2, monge_map_1d, packet_curvature_term_sup,
                               packet_endpoint_measures, quantum_vs_classical,
                               transport_cost)
-from .competitors import (PerturbationSpec, positivity_head_room, raw_perturbation,
-                          verify_theorem1)
+from .competitors import (PerturbationSpec, check_perturbation, fit_perturbation,
+                          raw_perturbation, verify_theorem1)
 from .errors import AmplitudeInfeasible, ConfigError, MadelungLabError
 from .grid_fields import GridSpec, box_integral
 from .io_formats import couple_to_csv, table_to_csv, write_json
@@ -196,11 +198,13 @@ class Checks:
 
 
 class Stepping:
-    """Wall seconds and trajectory steps spent simulating ensembles."""
+    """Wall seconds and trajectory steps spent simulating ensembles, and
+    the bytes of the largest path matrix simulated."""
 
     def __init__(self):
         self.seconds = 0.0
         self.steps = 0
+        self.paths_bytes = 0
 
     def simulate(self, b, rho0, grid: GridSpec, N: int, n: int, substeps: int,
                  seed: int):
@@ -208,11 +212,13 @@ class Stepping:
         ens = simulate_ensemble(b, rho0, grid, N, n, substeps, seed)
         self.seconds += time.perf_counter() - started
         self.steps += N * n * substeps
+        self.paths_bytes = max(self.paths_bytes, ens.paths.nbytes)
         return ens
 
     def as_dict(self) -> dict:
         return {"seconds": self.seconds, "trajectory_steps": self.steps,
-                "trajectory_steps_per_s": self.steps / self.seconds}
+                "trajectory_steps_per_s": self.steps / self.seconds,
+                "paths_bytes": self.paths_bytes}
 
 
 # partition size from which the renormalized action has settled; the
@@ -485,8 +491,10 @@ def _load(config_path) -> tuple[dict, dict]:
                           f"got {n_list}")
     if name != "theorem1-verify":
         return cfg, entries
-    # mirror the build time positivity rescaling, refusing only what it would:
-    # a box that cannot hold the fixed bump support, a packet with no budget
+    # build every perturbation as make_perturbation does, on the closed-form
+    # density, and refuse what the family build would refuse of it: a box
+    # that cannot hold the fixed bump support, a packet with no budget, a
+    # grid too coarse for the bumps to keep zero mass
     rho = packet_density(spec, grid.x[np.newaxis, :], grid.t[:, np.newaxis])
     for pert in _perturbation_specs(cfg):
         try:
@@ -494,10 +502,14 @@ def _load(config_path) -> tuple[dict, dict]:
         except (ValueError, AmplitudeInfeasible) as exc:
             raise ConfigError(f"grid: {exc}") from None
         try:
-            positivity_head_room(g, rho, grid)
+            g = fit_perturbation(g, rho, grid)
         except AmplitudeInfeasible as exc:
             raise ConfigError(f"packet: its density leaves no room for the "
                               f"perturbation of seed {pert.seed}: {exc}") from None
+        try:
+            check_perturbation(g, grid)
+        except ValueError as exc:
+            raise ConfigError(f"grid: seed {pert.seed}: {exc}") from None
     return cfg, entries
 
 

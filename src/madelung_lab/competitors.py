@@ -131,11 +131,30 @@ def make_perturbation(spec: PerturbationSpec, base: FluidCouple) -> ScalarField:
     density's minimum over the space support, for every y in [-1, 1].
     """
     grid = base.rho.grid
-    g = raw_perturbation(spec, grid)
-    head_room = positivity_head_room(g, base.rho.values, grid)
+    return ScalarField(grid, fit_perturbation(raw_perturbation(spec, grid),
+                                              base.rho.values, grid))
+
+
+def fit_perturbation(g: np.ndarray, rho_values: np.ndarray, grid) -> np.ndarray:
+    """``g`` rescaled just below its positivity head room when that is < 1."""
+    head_room = positivity_head_room(g, rho_values, grid)
     if head_room < 1.0:
-        g *= head_room * (1.0 - 1e-12)
-    return ScalarField(grid, g)
+        return g * (head_room * (1.0 - 1e-12))
+    return g
+
+
+def check_perturbation(g: np.ndarray, grid) -> None:
+    """Refuse a perturbation with mass at some time or values at t = 0, 1.
+
+    The zero-mass tolerance is 1e-10 on the Riemann sum dx * sum(g); on a
+    coarse grid the sampled bumps can miss it.
+    """
+    mass = float(np.max(np.abs(grid.dx * g.sum(axis=-1))))
+    if mass > 1e-10:
+        raise ValueError(f"perturbation must have zero mass at every time, "
+                         f"largest |mass| {mass:.3e}")
+    if np.any(g[0] != 0.0) or np.any(g[-1] != 0.0):
+        raise ValueError("perturbation must vanish at both endpoints")
 
 
 def _correction_at_one(base: FluidCouple, g: ScalarField) -> np.ndarray:
@@ -186,11 +205,7 @@ class CompetitorFamily:
         grid = self.base.rho.grid
         if self.g.grid != grid:
             raise ValueError("perturbation lives on a different grid")
-        means = grid.dx * self.g.values.sum(axis=-1)
-        if np.max(np.abs(means)) > 1e-10:
-            raise ValueError("perturbation must have zero mass at every time")
-        if np.any(self.g.values[0] != 0.0) or np.any(self.g.values[-1] != 0.0):
-            raise ValueError("perturbation must vanish at both endpoints")
+        check_perturbation(self.g.values, grid)
         object.__setattr__(self, "u",
                            ScalarField(grid, _correction_at_one(self.base, self.g)))
 

@@ -32,6 +32,12 @@ stream order, and a generator fills a (k, substeps, width) array with
 the values of k successive (substeps, width) fills, so the stream is
 the one a draw per substep would give.
 
+Memory: the path matrix, N * (n + 1) float64 values, is the only
+allocation that grows with N * n. Every estimator's scratch is O(N)
+(one value per trajectory, or one column of the paths) or one chunk of
+``max(1, _JOB_VALUES // n)`` rows, so a run's peak is the paths plus
+a bounded remainder.
+
 Mixtures: convex combinations of drifts share one X0 and one Brownian
 path per trajectory. The component diffusions q^{b_j} are co-evolved on
 that common noise, the mixture velocity is the weighted sum of the
@@ -55,7 +61,8 @@ from .madelung import DriftField
 BLOCK = 8192
 _INIT_STREAM = 1
 _NOISE_STREAM_BASE = 2
-# noise values per draw job: a full block draws one interval per job
+# values per noise draw job (a full block draws one interval per job),
+# and per row chunk of an estimator's scratch
 _JOB_VALUES = 2**15
 # the times at which marginal_l1 compares the ensemble with the density
 MARGINAL_TIMES = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -77,8 +84,9 @@ class Ensemble:
                 or self.paths.shape[1] < 2:
             raise ValueError(f"paths shape {self.paths.shape} is not (N, n + 1) "
                              f"with N, n >= 1")
-        if not np.all(np.isfinite(self.paths)):
-            raise ValueError("ensemble contains non-finite positions")
+        for rows in _row_chunks(self.paths):
+            if not np.all(np.isfinite(self.paths[rows])):
+                raise ValueError("ensemble contains non-finite positions")
 
     @property
     def N(self) -> int:
@@ -108,6 +116,14 @@ class MCEstimate:
 
     def as_dict(self) -> dict:
         return {"mean": self.mean, "std_error": self.std_error, "N": self.N}
+
+
+def _row_chunks(paths: np.ndarray):
+    """Row slices covering ``paths``, of ``_JOB_VALUES // n`` rows (at least
+    one) each, so a buffer formed per chunk stays one job's size."""
+    rows = max(1, _JOB_VALUES // (paths.shape[1] - 1))
+    for start in range(0, paths.shape[0], rows):
+        yield slice(start, start + rows)
 
 
 def sample_initial(rho0: np.ndarray, grid: GridSpec, n_samples: int,
@@ -227,13 +243,15 @@ def simulate_ensemble(b: DriftField, rho0, grid: GridSpec, N: int, n: int,
 def discrete_action(ens: Ensemble) -> MCEstimate:
     """n times the mean summed squared partition increment.
 
-    The increments are formed one block of trajectories at a time, so
-    no second (N, n) array is held next to the paths.
+    The increments are formed one row chunk at a time, so the scratch
+    next to the paths is one value per trajectory and at most two
+    chunks' increments (the next chunk's is formed before the last one's
+    is released). Each row's sum does not depend on the chunking.
     """
     per_path = np.empty(ens.N)
-    for start in range(0, ens.N, BLOCK):
-        dq = np.diff(ens.paths[start:start + BLOCK], axis=1)
-        per_path[start:start + BLOCK] = ens.n * np.einsum("ij,ij->i", dq, dq)
+    for rows in _row_chunks(ens.paths):
+        dq = np.diff(ens.paths[rows], axis=1)
+        per_path[rows] = ens.n * np.einsum("ij,ij->i", dq, dq)
     return MCEstimate.of_samples(per_path)
 
 

@@ -127,6 +127,11 @@ class TestValidate:
         pytest.param("experiment = theorem1-verify\npacket.sigma0 = 0.3\n"
                      "packet.mu0 = 10\n", "packet: its density leaves no room",
                      id="packet-leaves-no-budget"),
+        # the sampled bumps of seeds 1000-1001 miss zero mass by > 1e-10
+        pytest.param("experiment = theorem1-verify\ngrid.n_x = 128\ngrid.n_t = 32\n"
+                     "theorem.n_specs = 2\n",
+                     "grid: seed 1000: perturbation must have zero mass",
+                     id="perturbation-mass-on-coarse-grid"),
         pytest.param("experiment = bb-compare\npacket.sigma0 = 0\n",
                      "packet: sigma0 must be positive", id="packet-without-width"),
         *[pytest.param(f"experiment = theorem1-verify\n{key} = {value}\n",
@@ -195,7 +200,8 @@ class TestRun:
 
     def test_mismatched_base_is_detected(self, tmp_path, monkeypatch, capsys):
         # the negative control base: every family finds it not stationary.
-        # On a 128 x 32 grid the families fail the zero-mass check instead.
+        # A 128 x 32 grid is refused: there the families fail the zero-mass
+        # check (perturbation-mass-on-coarse-grid).
         out_dir = tmp_path / "out"
         monkeypatch.setenv("OUTPUT_DIR", str(out_dir))
         path = write_config(tmp_path, (
@@ -251,4 +257,6 @@ class TestRun:
         assert stepping["seconds"] > 0.0
         assert stepping["trajectory_steps"] == 400 * (64 + 128 + 256 + 512 + 2 * 256) * 4
         assert stepping["trajectory_steps_per_s"] > 0.0
+        # the largest path matrix, n = 512, sits under the run's peak RSS
+        assert stepping["paths_bytes"] == 400 * 513 * 8
         assert "stepping" not in summary

@@ -10,6 +10,7 @@ import hashlib
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from madelung_lab import (Diverged, DriftField, Ensemble, GaussianPacketSpec,
                           estimate_I, gaussian_packet, marginal_l1,
                           mixture_ensemble, renormalized_action, sample_initial,
                           simulate_ensemble)
-from madelung_lab.nelson_sde import BLOCK, marginal_histogram
+from madelung_lab.nelson_sde import _JOB_VALUES, BLOCK, marginal_histogram
 
 CONTROL_N = 20_000
 CONTROL_PARTITION = 64
@@ -365,6 +366,17 @@ class TestContainers:
         with pytest.raises(ValueError):
             Ensemble(paths, control_grid)
 
+    @pytest.mark.parametrize("row, value", [(-1, np.nan), (0, np.inf)],
+                             ids=["nan-in-last-row", "inf-in-row-0"])
+    def test_every_chunk_is_checked(self, control_grid, row, value):
+        # the finiteness check runs one row chunk at a time; the matrix
+        # spans three full chunks and a one-row tail
+        n = 64
+        paths = np.zeros((3 * (_JOB_VALUES // n) + 1, n + 1))
+        paths[row, n // 2] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            Ensemble(paths, control_grid)
+
     def test_mc_estimate_validation(self):
         with pytest.raises(ValueError):
             MCEstimate(1.0, -1e-9, 10)
@@ -379,3 +391,61 @@ class TestContainers:
         # started at the origin, pure noise: variance t at t = 1
         assert np.all(ens.paths[:, 0] == 0.0)
         assert abs(ens.paths[:, -1].var() - 1.0) < 0.05
+
+
+class TestChunkedScratch:
+    """Every per-path reduction runs over row chunks, so the path matrix
+    is the only allocation that grows with N * n."""
+
+    @pytest.mark.parametrize("n", [1, 64, 512])
+    @pytest.mark.parametrize("size", ["one", "rows-1", "rows", "rows+1", "blocks"])
+    def test_discrete_action_is_the_one_block_formula(self, control_grid, n, size):
+        rows = _JOB_VALUES // n  # rows per chunk
+        N = {"one": 1, "rows-1": rows - 1, "rows": rows,
+             "rows+1": rows + 1, "blocks": BLOCK + 37}[size]
+        paths = np.random.default_rng(n).normal(0.0, 1.0, (N, n + 1))
+        dq = np.diff(paths, axis=1)
+        expected = MCEstimate.of_samples(n * np.einsum("ij,ij->i", dq, dq))
+        got = discrete_action(Ensemble(paths, control_grid))
+        assert np.array_equal(np.array([got.mean, got.std_error]).view(np.int64),
+                              np.array([expected.mean, expected.std_error]
+                                       ).view(np.int64))
+
+
+def peak_bytes(call) -> int:
+    """Peak traced allocation while ``call`` runs; numpy reports its
+    buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestScratchMemory:
+    """The estimators' scratch stays under 16 values per trajectory plus
+    1 MiB, whatever n is: it is O(N) or one row chunk, never O(N n)."""
+
+    N = 2 * BLOCK + 3
+
+    @pytest.fixture(scope="class", params=[64, 512], ids=["n64", "n512"])
+    def case(self, request):
+        n = request.param
+        grid = GridSpec(-12.0, 12.0, 512, 64)
+        paths = np.random.default_rng(n).normal(0.0, 1.0, (self.N, n + 1))
+        b = constant_drift(grid, 1.0)
+        rho = ScalarField(grid, np.full((grid.n_t + 1, grid.n_x), 1.0 / 24.0))
+        return paths, grid, b, rho
+
+    @pytest.mark.parametrize("estimator", ["Ensemble", "renormalized_action",
+                                           "estimate_I", "marginal_l1"])
+    def test_peak_is_not_a_second_path_matrix(self, case, estimator):
+        paths, grid, b, rho = case
+        ens = Ensemble(paths, grid)
+        div_b = b.divergence()
+        calls = {"Ensemble": lambda: Ensemble(paths, grid),
+                 "renormalized_action": lambda: renormalized_action(ens),
+                 "estimate_I": lambda: estimate_I(ens, b, div_b),
+                 "marginal_l1": lambda: marginal_l1(ens, rho)}
+        assert peak_bytes(calls[estimator]) < 16 * self.N * 8 + 2**20

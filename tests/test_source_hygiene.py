@@ -34,6 +34,11 @@
   constants of the perturbation recipe, are named only in
   ``competitors``: no other module imports, reads or redefines them, so
   no second copy of the recipe creeps back in.
+* In ``nelson_sde`` no numpy call takes a whole ``<expr>.paths`` matrix
+  as an argument (``np.isfinite(self.paths)``, ``np.diff(ens.paths)``):
+  what such a call returns is a second buffer of N * n values. Reads of
+  a slice (a column ``ens.paths[:, i]`` or a row chunk) stay allowed, so
+  the path matrix is the only allocation that grows with N * n.
 * Every parameter with a default in a library ``def`` is set, by
   keyword, by position or through ``*args`` or ``**kwargs``, by some
   call in the library or in ``perfbench/`` to that function: a setting
@@ -391,6 +396,53 @@ def test_recipe_named_only_in_competitors(path):
 ])
 def test_recipe_sites_are_found(snippet):
     assert recipe_sites(snippet)
+
+
+def _numpy_call(node: ast.AST) -> bool:
+    """Whether ``node`` calls a function reached from ``np`` or ``numpy``."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    while isinstance(func, ast.Attribute):
+        func = func.value
+    return func is not node.func and getattr(func, "id", None) in {"np", "numpy"}
+
+
+def whole_path_reads(source: str) -> list[tuple[int, str]]:
+    """(line, enclosing function) of every numpy call with an unsliced
+    ``<expr>.paths`` argument, positional or keyword."""
+    return [(node.lineno, owner) for node, owner in owned_nodes(source)
+            if _numpy_call(node)
+            and any(isinstance(arg, ast.Attribute) and arg.attr == "paths"
+                    for arg in [*node.args, *(kw.value for kw in node.keywords)])]
+
+
+def test_no_numpy_call_takes_the_whole_path_matrix():
+    assert whole_path_reads(LIBRARY[f"{PACKAGE.name}.nelson_sde"]) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    pytest.param("import numpy as np\n\nclass E:\n    def __post_init__(self):\n"
+                 "        if not np.all(np.isfinite(self.paths)):\n"
+                 "            raise ValueError\n", id="finiteness-mask"),
+    pytest.param("import numpy\n\ndef action(ens):\n"
+                 "    return numpy.diff(ens.paths, axis=1)\n", id="increments"),
+    pytest.param("import numpy as np\n\ndef mean(ens):\n"
+                 "    return np.mean(a=ens.paths, axis=0)\n", id="keyword"),
+    pytest.param("import numpy as np\n\nSQUARES = np.square(ENS.paths)\n",
+                 id="module-level"),
+])
+def test_whole_path_reads_are_found(snippet):
+    assert whole_path_reads(snippet)
+
+
+def test_sliced_path_reads_pass():
+    snippet = ("import numpy as np\n\ndef read(ens, rows, i, edges):\n"
+               "    dq = np.diff(ens.paths[rows], axis=1)\n"
+               "    counts, _ = np.histogram(ens.paths[:, i], bins=edges)\n"
+               "    located = ens.grid.locate(ens.paths[:, i])\n"
+               "    return np.empty(ens.paths.shape[0]), _row_chunks(ens.paths)\n")
+    assert whole_path_reads(snippet) == []
 
 
 def defaulted_parameters(source: str) -> list[tuple[str | None, str, str, int | None]]:
