@@ -14,7 +14,9 @@ equation. In one dimension that correction integrates exactly:
 with u vanishing outside the support of g because the right hand side
 has zero spatial mean. A family is just (base, g): it solves u once
 at construction, and ``CompetitorFamily.couple(y)`` builds the member
-at y. Evaluating the quantum action at the fixed probe points
+at y. The member at y = 0 is the base couple itself, provenance
+included, so ``evaluate_family`` builds ten members, not eleven.
+Evaluating the quantum action at the fixed probe points
 ``Y_GRID`` then probes whether the base couple is the minimizer among
 couples with the same endpoint densities: for a wave field couple the
 derivative at y = 0 vanishes (to quadrature accuracy) and the profile
@@ -210,9 +212,16 @@ class CompetitorFamily:
                            ScalarField(grid, _correction_at_one(self.base, self.g)))
 
     def couple(self, y: float) -> FluidCouple:
-        """The member (rho + y g, v + y u / (rho + y g)) at y."""
+        """The member (rho + y g, v + y u / (rho + y g)) at y.
+
+        The member at y = 0 is ``base`` itself, provenance included: a
+        rebuilt one has the base's fields bit for bit and the same
+        quantum action, so it is not built again.
+        """
         if abs(y) > 1.0:
             raise ValueError(f"y must lie in [-1, 1], got {y}")
+        if y == 0.0:
+            return self.base
         base, g = self.base, self.g
         grid = base.rho.grid
         rho_y = base.rho.values + y * g.values

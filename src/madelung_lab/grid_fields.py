@@ -7,8 +7,9 @@ the left one and excluded) crossed with n_t + 1 uniform time nodes
 covering the unit interval. Two flavours of spatial derivative coexist
 on purpose:
 
-* ``spectral_dx`` differentiates through the FFT and is accurate to
-  machine precision, but only for fields that decay below
+* ``spectral_dx`` differentiates through the real-input FFT (half the
+  spectrum of a real field; the Nyquist bin is zeroed) and is accurate
+  to machine precision, but only for fields that decay below
   ``BOUNDARY_TOL`` at the box edges. It refuses anything else by
   raising :class:`BoundaryLeak`.
 * ``fd_dx`` uses second order finite differences with one sided
@@ -227,14 +228,17 @@ def fd_dt(values: np.ndarray, grid: GridSpec) -> np.ndarray:
 def spectral_dx(values: np.ndarray, grid: GridSpec, what: str = "field") -> np.ndarray:
     """Fourier d/dx along the last axis for boundary-decaying fields.
 
-    The Nyquist mode is annihilated; its derivative has no consistent
-    real representation on the grid.
+    The field is real, so ``rfft`` holds its whole spectrum in the
+    n_x // 2 + 1 bins of the non-negative wavenumbers; the derivative is
+    the same as from the complex transform, to rounding, for less work.
+    The Nyquist mode, ``rfft``'s last bin, is annihilated; its
+    derivative has no consistent real representation on the grid.
     """
     ensure_decaying(values, grid, what)
-    vhat = np.fft.fft(values, axis=-1)
-    vhat *= 1j * grid.wavenumbers
-    vhat[..., grid.n_x // 2] = 0.0
-    return np.real(np.fft.ifft(vhat, axis=-1))
+    vhat = np.fft.rfft(values, axis=-1)
+    vhat *= 1j * grid.wavenumbers[:grid.n_x // 2 + 1]
+    vhat[..., -1] = 0.0
+    return np.fft.irfft(vhat, grid.n_x, axis=-1)
 
 
 def spectral_antiderivative(values: np.ndarray, grid: GridSpec,
@@ -247,6 +251,8 @@ def spectral_antiderivative(values: np.ndarray, grid: GridSpec,
     at rounding level anyway.
     """
     ensure_decaying(values, grid, what)
+    # Complex on purpose: the Monge map's tails amplify last-bit changes of
+    # this primitive to O(1) (test_last_bit_of_the_source_leaves_the_map).
     vhat = np.fft.fft(values, axis=-1)
     vhat[..., 0] = 0.0
     k = grid.wavenumbers.copy()

@@ -135,6 +135,23 @@ class TestMongeMap:
         with pytest.raises(NormDrift):
             monge_map_1d(2.0 * rho, rho, flat_grid)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "the map's tails are set by roundoff: scaling the source density by "
+        "1 + 2^-52 moves the map by 4.66 at |x| >= 6 (<= 7e-11 inside) and "
+        "the potential by 6.26, while the transport cost moves by ~1e-14"))
+    def test_last_bit_of_the_source_leaves_the_map(self, flat_grid):
+        # bb-compare's first pair at transport.seed 7, whose map is the
+        # shipped first_pair_map.csv
+        rng = np.random.default_rng(7)
+        g0 = GaussianMeasure(rng.uniform(-2.0, 2.0), rng.uniform(0.6, 1.3) ** 2)
+        g1 = GaussianMeasure(rng.uniform(-2.0, 2.0), rng.uniform(0.6, 1.3) ** 2)
+        rho0, rho1 = g0.density(flat_grid.x), g1.density(flat_grid.x)
+        plan = monge_map_1d(rho0, rho1, flat_grid)
+        nudged = monge_map_1d(rho0 * (1.0 + 2.0**-52), rho1, flat_grid)
+        assert abs(transport_cost(plan, rho0) - transport_cost(nudged, rho0)) < 1e-12
+        assert np.max(np.abs(nudged.map_samples - plan.map_samples)) < 1e-6
+        assert np.max(np.abs(nudged.potential_samples - plan.potential_samples)) < 1e-6
+
 
 class TestTransportPlan:
     def test_potential_is_primitive_of_map(self, flat_grid):

@@ -18,8 +18,9 @@ from madelung_lab import (CompetitorFamily, GaussianPacketSpec, GridSpec,
                           quantum_action, spreading_mismatched_couple,
                           verify_theorem1)
 from madelung_lab import competitors
-from madelung_lab.competitors import (AMPLITUDE, SPACE_SUPPORT, positivity_head_room,
-                                      raw_perturbation)
+from madelung_lab.competitors import (AMPLITUDE, SPACE_SUPPORT, Y_GRID,
+                                      positivity_head_room, raw_perturbation)
+from madelung_lab.grid_fields import spectral_dx
 
 # head room of the seed-1012 perturbation against the default packet
 # density (frozen; the one seed in 1000..1019 that needs rescaling)
@@ -141,9 +142,8 @@ class TestVelocityCorrection:
         assert np.max(np.abs(fam.u.values - exact)) < 1e-3
 
     def test_y_zero_returns_base_values(self, packet_couple, default_family):
-        couple = default_family.couple(0.0)
-        assert np.array_equal(couple.rho.values, packet_couple.rho.values)
-        assert np.array_equal(couple.v.values, packet_couple.v.values)
+        # the base itself, provenance included, not a rebuilt copy
+        assert default_family.couple(0.0) is packet_couple
 
     def test_y_outside_range_rejected(self, default_family):
         with pytest.raises(ValueError):
@@ -171,6 +171,25 @@ class TestFamily:
         coarse = (profile[0.25].value - profile[-0.25].value) / 0.5
         extrapolated = (4.0 * fine - coarse) / 3.0
         assert abs(extrapolated) < 10.0 * radius
+
+    def test_y_zero_report_is_the_base_action(self, packet_couple, default_family):
+        profile = dict(evaluate_family(default_family))
+        assert profile[0.0] == quantum_action(packet_couple)
+
+    def test_members_built_once_each_and_never_the_base(self, default_family,
+                                                        monkeypatch):
+        # couple(y) differentiates one log density bump per member it
+        # builds; the y = 0 point reuses the base and differentiates none
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[-1])
+            return spectral_dx(*args, **kwargs)
+
+        monkeypatch.setattr(competitors, "spectral_dx", counting)
+        evaluate_family(default_family)
+        assert len(calls) == len(Y_GRID) - 1 == 10
+        assert set(calls) == {"log density bump"}
 
     def test_base_is_the_minimum(self, default_family):
         profile = dict(evaluate_family(default_family))

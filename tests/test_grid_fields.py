@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 from scipy import integrate as scipy_integrate
 
-from madelung_lab import BoundaryLeak, GridSpec, ScalarField
+from madelung_lab import (BoundaryLeak, GaussianPacketSpec, GridSpec,
+                          PerturbationSpec, ScalarField, decompose,
+                          gaussian_packet, make_family)
+from madelung_lab import grid_fields
 from madelung_lab.grid_fields import (box_integral, edge_leak, fd_dt, fd_dx,
                                       spectral_antiderivative, spectral_dx,
                                       time_integrate)
@@ -126,7 +129,54 @@ class TestLookup:
         self.assert_matches_interp(grid, positions, steps)
 
 
+def complex_spectral_dx(values, grid):
+    """The full complex-FFT derivative, Nyquist mode zeroed: the oracle
+    for the real-input transform of ``spectral_dx``."""
+    vhat = np.fft.fft(values, axis=-1)
+    vhat *= 1j * grid.wavenumbers
+    vhat[..., grid.n_x // 2] = 0.0
+    return np.real(np.fft.ifft(vhat, axis=-1))
+
+
+def gaussian_rows(grid):
+    return np.exp(-grid.x**2 / 2.0) * np.ones((grid.n_t + 1, 1))
+
+
+def bump_rows(grid, y):
+    """log(1 + y g / rho) of the seed-1000 family around the default
+    packet: the field ``CompetitorFamily.couple`` differentiates."""
+    base = decompose(gaussian_packet(GaussianPacketSpec(), grid))[2]
+    g = make_family(base, PerturbationSpec(seed=1000)).g.values
+    return np.log1p(np.where(np.abs(g) > 0.0, y * g / base.rho.values, 0.0))
+
+
 class TestSpectralDx:
+    # Both routes round at eps of a slice's spectrum, and the derivative
+    # multiplies the top modes by k_max = pi / dx, so they may differ by
+    # about eps * k_max * peak|f| (1.5e-14 of the peak on these grids).
+    @pytest.mark.parametrize("field", [
+        gaussian_rows,
+        lambda grid: bump_rows(grid, -1.0),
+        lambda grid: bump_rows(grid, 1.0),
+    ], ids=["gaussian", "bump-y=-1", "bump-y=1"])
+    @pytest.mark.parametrize("n_t", [16, 256], ids=["small", "512x256"])
+    def test_matches_the_complex_transform(self, field, n_t):
+        grid = GridSpec(-12.0, 12.0, 512, n_t)
+        values = field(grid)
+        got = spectral_dx(values, grid)
+        want = complex_spectral_dx(values, grid)
+        peak = np.abs(values).max(axis=-1, keepdims=True)
+        assert peak.max() > 0.0
+        k_max = np.pi / grid.dx
+        assert np.all(np.abs(got - want) <= np.finfo(float).eps * k_max * peak)
+
+    def test_nyquist_cosine_maps_to_exactly_zero(self, small_grid, monkeypatch):
+        # (-1)^j lives in the Nyquist bin alone; it cannot pass the decay
+        # gate, so the gate is lifted to reach the transform
+        monkeypatch.setattr(grid_fields, "ensure_decaying", lambda *args: None)
+        nyquist = np.cos(np.pi * np.arange(small_grid.n_x)) * np.ones((3, 1))
+        assert np.all(spectral_dx(nyquist, small_grid) == 0.0)
+
     def test_gaussian_derivative_matches_analytic(self, small_grid):
         x = small_grid.x
         f = np.exp(-x**2 / 2.0)
