@@ -102,7 +102,7 @@ def raw_perturbation(spec: PerturbationSpec, grid) -> np.ndarray:
          * _window(grid.t)[:, np.newaxis])
     peak = float(np.max(np.abs(g)))
     if peak == 0.0:
-        raise AmplitudeInfeasible("perturbation degenerated to zero")
+        raise ValueError("perturbation degenerated to zero")
     return g * (AMPLITUDE / peak)
 
 
@@ -126,23 +126,17 @@ def positivity_head_room(g: np.ndarray, rho_values: np.ndarray, grid) -> float:
     return head_room
 
 
-def make_perturbation(spec: PerturbationSpec, base: FluidCouple) -> ScalarField:
-    """Build g with |g| peaking at AMPLITUDE, rescaled if positivity needs it.
-
-    The returned field keeps rho + y g at or above 10% of the base
-    density's minimum over the space support, for every y in [-1, 1].
-    """
-    grid = base.rho.grid
-    return ScalarField(grid, fit_perturbation(raw_perturbation(spec, grid),
-                                              base.rho.values, grid))
-
-
-def fit_perturbation(g: np.ndarray, rho_values: np.ndarray, grid) -> np.ndarray:
-    """``g`` rescaled just below its positivity head room when that is < 1."""
-    head_room = positivity_head_room(g, rho_values, grid)
+def make_perturbation(spec: PerturbationSpec, rho: ScalarField) -> ScalarField:
+    """g on the grid of the density ``rho``: max |g| is AMPLITUDE, scaled by
+    just under the positivity head room when that is < 1, so rho + y g stays
+    >= 10% of rho's support minimum for y in [-1, 1]. ValueError: the grid
+    cannot hold or sample the bumps; AmplitudeInfeasible: rho has no budget."""
+    grid = rho.grid
+    g = raw_perturbation(spec, grid)
+    head_room = positivity_head_room(g, rho.values, grid)
     if head_room < 1.0:
-        return g * (head_room * (1.0 - 1e-12))
-    return g
+        g = g * (head_room * (1.0 - 1e-12))
+    return ScalarField(grid, g)
 
 
 def check_perturbation(g: np.ndarray, grid) -> None:
@@ -239,7 +233,7 @@ class CompetitorFamily:
 
 
 def make_family(base: FluidCouple, spec: PerturbationSpec) -> CompetitorFamily:
-    return CompetitorFamily(base, make_perturbation(spec, base))
+    return CompetitorFamily(base, make_perturbation(spec, base.rho))
 
 
 def evaluate_family(fam: CompetitorFamily) -> list[tuple[float, ActionReport]]:

@@ -6,11 +6,14 @@ config-error path the parser promises to catch.
 """
 
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-from madelung_lab.cli import EXPERIMENTS, main, parse_config
+from madelung_lab import (GaussianPacketSpec, GridSpec, PerturbationSpec, decompose,
+                          gaussian_packet, make_family)
+from madelung_lab.cli import EXPERIMENTS, Checks, main, parse_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 # keys whose settings are now constants, with the values they last held:
@@ -34,6 +37,59 @@ def run_cli(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     return exc.value.code
+
+
+def assert_verdicts_read_off_intervals(checks):
+    """Every recorded check is {ok, observed, lo, hi}, and its ok is
+    lo <= observed <= hi, with null for an open side."""
+    for name, entry in checks.items():
+        assert set(entry) == {"ok", "observed", "lo", "hi"}, name
+        lo = -math.inf if entry["lo"] is None else entry["lo"]
+        hi = math.inf if entry["hi"] is None else entry["hi"]
+        assert entry["ok"] == (lo <= entry["observed"] <= hi), name
+
+
+class TestChecks:
+    def test_open_side(self):
+        checks = Checks()
+        checks.between("margin", 0.5, 0.0, None)
+        checks.between("dip", -0.5, 0.0, None)
+        checks.between("below-cap", -1e300, None, 1.0)
+        assert checks.results["margin"] == {"ok": True, "observed": 0.5,
+                                            "lo": 0.0, "hi": None}
+        assert not checks.results["dip"]["ok"]
+        assert checks.results["below-cap"]["ok"]
+
+    def test_one_point_interval(self):
+        checks = Checks()
+        checks.between("all-pass", 20, 20, 20)
+        checks.between("one-short", 19, 20, 20)
+        assert checks.results["all-pass"] == {"ok": True, "observed": 20.0,
+                                              "lo": 20.0, "hi": 20.0}
+        assert not checks.results["one-short"]["ok"]
+
+    def test_nan_observed_fails(self):
+        checks = Checks()
+        checks.within("band", math.nan, 1.0)
+        checks.between("floor", math.nan, 0.0, None)
+        checks.between("cap", math.nan, None, 0.0)
+        assert not any(entry["ok"] for entry in checks.results.values())
+
+    def test_symmetric_band_records_both_sides(self):
+        checks = Checks()
+        checks.within("band", -0.02, 0.03)
+        assert checks.results["band"] == {"ok": True, "observed": -0.02,
+                                          "lo": -0.03, "hi": 0.03}
+
+    def test_failure_lines(self):
+        checks = Checks()
+        checks.within("band", 0.05, 0.03)
+        checks.between("order", 4.0, 3.0, 5.0)
+        checks.between("floor", -1.0, 0.0, None)
+        checks.between("cap", math.nan, None, 2.5)
+        assert checks.failures() == ["band: observed 0.05 outside [-0.03, 0.03]",
+                                     "floor: observed -1 outside [0, inf]",
+                                     "cap: observed nan outside [-inf, 2.5]"]
 
 
 class TestListing:
@@ -111,10 +167,11 @@ class TestValidate:
         pytest.param("experiment = bb-compare\ntransport.n_pairs = 0\n",
                      "transport.n_pairs", id="no-transport-pairs"),
         pytest.param("experiment = theorem1-verify\ngrid.x_min = -3\n",
-                     "grid: space support", id="support-outside-box"),
+                     "grid: seed 1000: space support", id="support-outside-box"),
         pytest.param("experiment = theorem1-verify\ngrid.x_min = -5\n"
                      "grid.x_max = 1000\ngrid.n_x = 16\ngrid.n_t = 8\n",
-                     "grid: perturbation degenerated", id="grid-misses-every-bump"),
+                     "grid: seed 1000: perturbation degenerated",
+                     id="grid-misses-every-bump"),
         # every error radius is taken on the grid with every second node
         pytest.param("experiment = bb-compare\ngrid.n_t = 255\n",
                      "grid: coarsening needs an even n_t", id="odd-n-t"),
@@ -141,6 +198,22 @@ class TestValidate:
                      "mc.n_list = 64,256\n", "mc.n: 100", id="n-not-in-n-list"),
         pytest.param("experiment = gaussian-benchmark\nmc.n = 256\n"
                      "mc.n_list = 64,128,256\n", "mc.n_list", id="one-settled-size"),
+        # a non-finite number would reach the wave field, a negative seed
+        # the generator, only after the output directory exists
+        pytest.param("experiment = bb-compare\ngrid.x_max = inf\n",
+                     "grid.x_max: expected a finite number, got 'inf'",
+                     id="infinite-box"),
+        pytest.param("experiment = gaussian-benchmark\npacket.sigma0 = inf\n",
+                     "packet.sigma0: expected a finite number, got 'inf'",
+                     id="infinite-width"),
+        pytest.param("experiment = bb-compare\npacket.p = nan\n",
+                     "packet.p: expected a finite number, got 'nan'", id="nan-momentum"),
+        pytest.param("experiment = bb-compare\ntransport.seed = -3\n",
+                     "transport.seed: must be at least 0, got -3",
+                     id="negative-transport-seed"),
+        pytest.param("experiment = theorem1-verify\ntheorem.seed = -3\n",
+                     "theorem.seed: must be at least 0, got -3",
+                     id="negative-theorem-seed"),
     ])
     def test_refused_before_running(self, text, expected, tmp_path, monkeypatch,
                                     capsys):
@@ -152,6 +225,20 @@ class TestValidate:
         assert run_cli(["run", path]) == 1
         assert expected in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_precheck_refuses_with_the_family_build_message(self, tmp_path, capsys):
+        # validate builds each perturbation with the family's own builder, so
+        # on the closed-form density it fails the family's check, word for word
+        grid = GridSpec(-12.0, 12.0, 128, 32)
+        base = decompose(gaussian_packet(GaussianPacketSpec(), grid))[2]
+        with pytest.raises(ValueError) as built:
+            make_family(base, PerturbationSpec(1000))
+        path = write_config(tmp_path, "experiment = theorem1-verify\ngrid.n_x = 128\n"
+                                      "grid.n_t = 32\ntheorem.n_specs = 1\n")
+        assert run_cli(["validate", path]) == 1
+        err = capsys.readouterr().err.rstrip("\n")
+        assert err.endswith(f"grid: seed 1000: {built.value}")
+        assert "zero mass" in str(built.value)
 
 
 class TestRun:
@@ -165,6 +252,9 @@ class TestRun:
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["config"]["experiment"] == "bb-compare"
         assert all(entry["ok"] for entry in summary["checks"].values())
+        assert_verdicts_read_off_intervals(summary["checks"])
+        assert summary["checks"]["geodesic-euler-order"]["lo"] == 3.0
+        assert summary["checks"]["geodesic-euler-order"]["hi"] == 5.0
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert len(manifest["config_sha256"]) == 64
         assert manifest["experiment"] == "bb-compare"
@@ -214,8 +304,29 @@ class TestRun:
         assert summary["report"]["base_provenance"] == "synthetic"
         assert [entry["verdict"] for entry in summary["report"]["specs"]] \
             == ["violated", "violated"]
-        detected = summary["checks"]["detects-non-minimizer"]
-        assert detected["ok"] and detected["observed"] == 2
+        assert summary["checks"]["detects-non-minimizer"] == {
+            "ok": True, "observed": 2.0, "lo": 1.0, "hi": None}
+        assert_verdicts_read_off_intervals(summary["checks"])
+
+    def test_stationarity_records_the_ratio_farthest_from_four(
+            self, tmp_path, monkeypatch, capsys):
+        out_dir = tmp_path / "out"
+        monkeypatch.setenv("OUTPUT_DIR", str(out_dir))
+        path = write_config(tmp_path, "experiment = theorem1-verify\n"
+                                      "theorem.n_specs = 3\n")
+        assert run_cli(["run", path]) == 0
+        capsys.readouterr()
+        summary = json.loads((out_dir / "summary.json").read_text())
+        ratios = [entry["derivative_ratio"] for entry in summary["report"]["specs"]]
+        farthest = max(ratios, key=lambda q: abs(q - 4.0))
+        checks = summary["checks"]
+        assert checks["stationarity-order"] == {"ok": True, "observed": farthest,
+                                                "lo": 3.0, "hi": 5.0}
+        assert checks["families-all-pass"] == {"ok": True, "observed": 3.0,
+                                               "lo": 3.0, "hi": 3.0}
+        assert checks["minimization-margins"]["lo"] == 0.0
+        assert checks["minimization-margins"]["hi"] is None
+        assert_verdicts_read_off_intervals(checks)
 
     def test_rerun_is_byte_identical(self, tmp_path, monkeypatch, capsys):
         path = write_config(tmp_path, "experiment = bb-compare\n")
@@ -236,11 +347,16 @@ class TestRun:
                             "experiment = gaussian-benchmark\nmc.N = 400\n")
         assert run_cli(["run", path]) == 2
         out = capsys.readouterr().out
-        assert "FAIL mc-marginals" in out
         # summary and marginals still written, with the failing entry recorded
         summary = json.loads((out_dir / "summary.json").read_text())
         checks = summary["checks"]
         assert not checks["mc-marginals"]["ok"]
+        observed = checks["mc-marginals"]["observed"]
+        line = f"FAIL mc-marginals: observed {observed:.6g} outside [-0.03, 0.03]"
+        assert line in out.splitlines()
+        assert_verdicts_read_off_intervals(checks)
+        assert checks["residual-order-r1"]["lo"] == 3.5
+        assert checks["residual-order-r1"]["hi"] == 4.5
         assert {"initial-mean", "initial-variance", "stabilized-256-512",
                 "control-zero-drift", "control-constant-drift"} <= set(checks)
         rows = summary["mc"]["by_partition"]

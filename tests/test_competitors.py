@@ -11,8 +11,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from madelung_lab import (CompetitorFamily, GaussianPacketSpec, GridSpec,
-                          PerturbationSpec, ScalarField, SupportLeak,
+from madelung_lab import (AmplitudeInfeasible, CompetitorFamily, FluidCouple,
+                          GaussianPacketSpec, GridSpec, PerturbationSpec,
+                          ScalarField, SupportLeak,
                           continuity_residual, decompose, evaluate_family,
                           gaussian_packet, make_family, make_perturbation,
                           quantum_action, spreading_mismatched_couple,
@@ -44,26 +45,36 @@ def narrow_base():
     return decompose(gaussian_packet(GaussianPacketSpec(1.0, 6.0, 0.0), grid))[2]
 
 
+@pytest.fixture(scope="module")
+def sparse_base():
+    # a uniform resting couple on a box whose 16 nodes miss every bump of
+    # seed 1000: the nodes nearest SPACE_SUPPORT sit at -5 and 57.8
+    grid = GridSpec(-5.0, 1000.0, 16, 8)
+    rest = np.zeros((grid.n_t + 1, grid.n_x))
+    return FluidCouple(ScalarField(grid, rest + 1.0 / 1005.0), ScalarField(grid, rest),
+                       ScalarField(grid, rest))
+
+
 class TestPerturbation:
     def test_zero_mass_at_every_time(self, packet_couple):
-        g = make_perturbation(PerturbationSpec(seed=1000), packet_couple)
+        g = make_perturbation(PerturbationSpec(seed=1000), packet_couple.rho)
         means = g.grid.dx * g.values.sum(axis=-1)
         # contractual bound (the family constructor enforces 1e-10)
         assert np.max(np.abs(means)) < 1e-10
 
     def test_vanishes_at_endpoints_exactly(self, packet_couple):
-        g = make_perturbation(PerturbationSpec(seed=1001), packet_couple)
+        g = make_perturbation(PerturbationSpec(seed=1001), packet_couple.rho)
         assert np.all(g.values[0] == 0.0)
         assert np.all(g.values[-1] == 0.0)
 
     def test_exactly_zero_off_support(self, grid, packet_couple):
-        g = make_perturbation(PerturbationSpec(seed=1000), packet_couple)
+        g = make_perturbation(PerturbationSpec(seed=1000), packet_couple.rho)
         a, b = SPACE_SUPPORT
         outside = (grid.x < a) | (grid.x > b)
         assert np.all(g.values[:, outside] == 0.0)
 
     def test_peak_is_requested_amplitude(self, packet_couple):
-        g = make_perturbation(PerturbationSpec(seed=1000), packet_couple)
+        g = make_perturbation(PerturbationSpec(seed=1000), packet_couple.rho)
         assert np.max(np.abs(g.values)) == pytest.approx(AMPLITUDE, rel=1e-12)
 
     def test_positivity_rescale_when_needed(self, grid, packet_couple):
@@ -71,7 +82,7 @@ class TestPerturbation:
         room = positivity_head_room(raw_perturbation(spec, grid),
                                     packet_couple.rho.values, grid)
         assert room == pytest.approx(HEAD_ROOM_1012, abs=0.003)
-        g = make_perturbation(spec, packet_couple)
+        g = make_perturbation(spec, packet_couple.rho)
         assert np.max(np.abs(g.values)) == pytest.approx(AMPLITUDE * room, rel=1e-9)
         # the budget: wherever the bump acts, the density minus the full
         # swing stays above 10% of its support minimum
@@ -86,17 +97,24 @@ class TestPerturbation:
         for seed in range(1000, 1020):
             raw.update(raw_perturbation(PerturbationSpec(seed), grid).tobytes())
         assert raw.hexdigest() == RAW_SHA256_1000_1019
-        built = make_perturbation(PerturbationSpec(1012), packet_couple).values
+        built = make_perturbation(PerturbationSpec(1012), packet_couple.rho).values
         assert hashlib.sha256(built.tobytes()).hexdigest() == BUILT_SHA256_1012
 
     def test_deterministic(self, packet_couple):
-        a = make_perturbation(PerturbationSpec(seed=1003), packet_couple)
-        b = make_perturbation(PerturbationSpec(seed=1003), packet_couple)
+        a = make_perturbation(PerturbationSpec(seed=1003), packet_couple.rho)
+        b = make_perturbation(PerturbationSpec(seed=1003), packet_couple.rho)
         assert np.array_equal(a.values, b.values)
 
     def test_support_must_fit_inside_box(self, narrow_base):
         with pytest.raises(ValueError, match="space support"):
-            make_perturbation(PerturbationSpec(seed=0), narrow_base)
+            make_perturbation(PerturbationSpec(seed=0), narrow_base.rho)
+
+    def test_grid_that_samples_no_bump_is_refused(self, sparse_base):
+        # a bad grid, like a box too small for the support: a ValueError,
+        # not the AmplitudeInfeasible of a density with no budget
+        with pytest.raises(ValueError, match="degenerated to zero") as caught:
+            make_perturbation(PerturbationSpec(seed=1000), sparse_base.rho)
+        assert not isinstance(caught.value, AmplitudeInfeasible)
 
 
 class TestVelocityCorrection:
@@ -256,6 +274,12 @@ class TestVerdicts:
         assert report["n_failed"] == 1
         assert not report["all_pass"]
         assert "error" in report["specs"][0]
+
+    def test_grid_that_samples_no_bump_fails_to_construct(self, sparse_base):
+        report = verify_theorem1(sparse_base, [PerturbationSpec(seed=1000)])
+        assert report["specs"] == [{"seed": 1000, "verdict": "failed-to-construct",
+                                    "error": "perturbation degenerated to zero"}]
+        assert report["n_failed"] == 1 and not report["all_pass"]
 
     def test_code_bugs_propagate(self, packet_couple, monkeypatch):
         # only lab errors and bad recipes become verdicts; a TypeError

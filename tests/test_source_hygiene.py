@@ -31,9 +31,11 @@
   the one that runs a job ahead of the stepping, so no second,
   unpipelined draw path creeps back in.
 * ``SPACE_SUPPORT``, ``TIME_WINDOW``, ``AMPLITUDE`` and ``MODES``, the
-  constants of the perturbation recipe, are named only in
-  ``competitors``: no other module imports, reads or redefines them, so
-  no second copy of the recipe creeps back in.
+  constants of the perturbation recipe, and ``raw_perturbation``, the
+  recipe's unfitted builder, are named only in ``competitors``: no other
+  module imports, reads, calls or redefines them, so every other module
+  builds a perturbation with ``make_perturbation`` and no second copy of
+  the recipe creeps back in.
 * In ``nelson_sde`` no numpy call takes a whole ``<expr>.paths`` matrix
   as an argument (``np.isfinite(self.paths)``, ``np.diff(ens.paths)``):
   what such a call returns is a second buffer of N * n values. Reads of
@@ -70,7 +72,7 @@ BLANKET = {"Exception", "BaseException"}
 INTERP_ALLOWED = {"sample_initial"}
 LOG_GRADIENT_ALLOWED = {"decompose", "madelung_residuals"}
 DRAW_ALLOWED = {"Philox": {"sample_initial", "_noise"}, "normal": {"_noise"}}
-RECIPE = ("SPACE_SUPPORT", "TIME_WINDOW", "AMPLITUDE", "MODES")
+RECIPE = ("SPACE_SUPPORT", "TIME_WINDOW", "AMPLITUDE", "MODES", "raw_perturbation")
 UNSET_DEFAULTS_ALLOWED = {
     ("free_propagate", "node_floor"):
         "the wide-packet tests lower it to 0: the propagated far tail holds "
@@ -371,7 +373,7 @@ def test_draw_sites_are_found(snippet):
 
 def recipe_sites(source: str) -> list[tuple[int, str]]:
     """(line, enclosing function) of every name, attribute or import of a
-    recipe constant."""
+    recipe constant or of the recipe's unfitted builder."""
     bare = [(node.lineno, owner) for node, owner in owned_nodes(source)
             if isinstance(node, ast.Name) and node.id in RECIPE]
     return bare + [site for name in RECIPE for site in name_sites(source, name)]
@@ -393,6 +395,10 @@ def test_recipe_named_only_in_competitors(path):
     pytest.param("def window(t):\n    t0, t1 = TIME_WINDOW\n    return t0\n",
                  id="function"),
     pytest.param("MODES = 3\n", id="second-copy"),
+    pytest.param("from .competitors import raw_perturbation\n", id="builder-import"),
+    pytest.param("from . import competitors\n\ndef precheck(spec, grid):\n"
+                 "    return competitors.raw_perturbation(spec, grid)\n",
+                 id="builder-call"),
 ])
 def test_recipe_sites_are_found(snippet):
     assert recipe_sites(snippet)
