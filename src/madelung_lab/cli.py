@@ -49,7 +49,8 @@ from .benamou_brenier import (GaussianMeasure, displacement_couple, euler_residu
 from .competitors import (PerturbationSpec, check_perturbation, make_perturbation,
                           verify_theorem1)
 from .errors import AmplitudeInfeasible, ConfigError, MadelungLabError
-from .grid_fields import GridSpec, ScalarField, box_integral
+from .grid_fields import (BOUNDARY_TOL, MASS_TOL, GridSpec, ScalarField,
+                          box_integral, edge_leak)
 from .io_formats import couple_to_csv, table_to_csv, write_json
 from .madelung import (constant_drift, decompose, drift, madelung_residuals,
                        spreading_mismatched_couple)
@@ -503,19 +504,32 @@ def _load(config_path) -> tuple[dict, dict]:
     if len({n for n in cfg["mc.n_list"] if n >= SETTLED_N}) < 2:
         raise ConfigError(f"mc.n_list: needs at least two sizes >= {SETTLED_N}, "
                           f"got {n_list}")
-    if name != "theorem1-verify":
-        return cfg, entries
-    # the family's own builder and check, on the closed-form packet density
-    rho = ScalarField(grid, packet_density(spec, grid.x[np.newaxis, :],
-                                           grid.t[:, np.newaxis]))
-    for pert in _perturbation_specs(cfg):
-        try:
-            check_perturbation(make_perturbation(pert, rho).values, grid)
-        except AmplitudeInfeasible as exc:
-            raise ConfigError(f"packet: its density leaves no room for the "
-                              f"perturbation of seed {pert.seed}: {exc}") from None
-        except ValueError as exc:
-            raise ConfigError(f"grid: seed {pert.seed}: {exc}") from None
+    # Every experiment builds the packet's wave field, which refuses a density
+    # that is not finite, normalized and decaying on the box only once the
+    # output directory exists; the closed-form density tells beforehand.
+    with np.errstate(all="ignore"):
+        density = packet_density(spec, grid.x[np.newaxis, :], grid.t[:, np.newaxis])
+    if not np.all(np.isfinite(density)):
+        raise ConfigError("packet: its density is not finite on the grid")
+    if name == "theorem1-verify":
+        # the family's own builder and check, on the closed-form density
+        rho = ScalarField(grid, density)
+        for pert in _perturbation_specs(cfg):
+            try:
+                check_perturbation(make_perturbation(pert, rho).values, grid)
+            except AmplitudeInfeasible as exc:
+                raise ConfigError(f"packet: its density leaves no room for the "
+                                  f"perturbation of seed {pert.seed}: {exc}") from None
+            except ValueError as exc:
+                raise ConfigError(f"grid: seed {pert.seed}: {exc}") from None
+    mass = float(np.max(np.abs(grid.dx * density.sum(axis=-1) - 1.0)))
+    if mass > MASS_TOL:
+        raise ConfigError(f"packet: its density's mass on the box is off 1 by "
+                          f"{mass:.3e} at some time node")
+    leak = edge_leak(density, grid)
+    if leak > BOUNDARY_TOL:
+        raise ConfigError(f"packet: its density has relative boundary magnitude "
+                          f"{leak:.3e}, above the tolerance {BOUNDARY_TOL:.1e}")
     return cfg, entries
 
 

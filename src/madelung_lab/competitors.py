@@ -31,6 +31,16 @@ support and smooth enough that spectral operations resolve it to
 rounding. The correction u is obtained by a spectral antiderivative,
 which keeps the constructed couple's continuity residual at the same
 level as the base couple's.
+
+A family records its hull: the rows and the columns outside which g
+and u are exactly zero (u reaches one row past g on each side, through
+the time difference of g). A member is a full couple, checked on the
+whole lattice, but its fields are copies of the base's with only the
+hull block updated, and the log density bump is transformed on the
+hull rows alone. Those rows keep their full width: a zero row
+transforms to zeros, so the member is the one a whole-lattice build
+gives, value for value, while masking the transform's ringing off the
+support columns would move the error radii.
 """
 
 from __future__ import annotations
@@ -153,30 +163,45 @@ def check_perturbation(g: np.ndarray, grid) -> None:
         raise ValueError("perturbation must vanish at both endpoints")
 
 
+def _span(live: np.ndarray) -> slice:
+    """From the first to the last True entry of a 1-D mask; empty if none is."""
+    index = np.flatnonzero(live)
+    return slice(index[0], index[-1] + 1) if index.size else slice(0, 0)
+
+
 def _correction_at_one(base: FluidCouple, g: ScalarField) -> np.ndarray:
-    """Solve the divergence equation at y = 1 and clamp it to the support."""
+    """Solve the divergence equation at y = 1 and clamp it to the support.
+
+    Only live rows are transformed: the flux g v on the rows where g is
+    nonzero, the antiderivative on the rows where the continuity data is.
+    Every other row of both transforms would come out zero.
+    """
     grid = base.rho.grid
-    rhs = fd_dt(g.values, grid) + spectral_dx(
-        g.values * base.v.values, grid, "perturbation flux")
+    rhs = fd_dt(g.values, grid)
+    rows = _span(g.values.any(axis=1))
+    rhs[rows] += spectral_dx(g.values[rows] * base.v.values[rows], grid,
+                             "perturbation flux")
 
     # The continuity data vanishes off the bump support, the hull of the
     # columns where g is ever nonzero; what the spectral flux derivative
     # leaves there is ringing, gated at the correction's relative level.
-    nonzero = np.abs(g.values).max(axis=0) > 0.0
-    supported = np.logical_or.accumulate(nonzero) \
-        & np.logical_or.accumulate(nonzero[::-1])[::-1]
+    cols = _span(g.values.any(axis=0))
+    supported = np.zeros(grid.n_x, dtype=bool)
+    supported[cols] = True
     scale = float(np.max(np.abs(rhs)))
     stray = float(np.max(np.abs(rhs[:, ~supported]))) if (~supported).any() else 0.0
     if scale > 0.0 and stray > 1e-8 * scale:
         raise SupportLeak(f"continuity data leaks {stray:.3e} past the "
                           f"support (peak {scale:.3e})")
     rhs = np.where(supported[np.newaxis, :], rhs, 0.0)
-    u = -spectral_antiderivative(rhs, grid, "divergence data")
+    u = np.zeros_like(rhs)
+    rows = _span(rhs.any(axis=1))
+    u[rows] = -spectral_antiderivative(rhs[rows], grid, "divergence data")
 
     if supported.any():
         peak = float(np.max(np.abs(u)))
-        right_of = grid.x > grid.x[supported].max()
-        leak = float(np.max(np.abs(u[:, right_of]))) if right_of.any() else 0.0
+        right_of = u[:, cols.stop:]
+        leak = float(np.max(np.abs(right_of))) if right_of.size else 0.0
         if peak > 0.0 and leak > 1e-8 * peak:
             raise SupportLeak(f"correction leaks {leak:.3e} past the support "
                               f"(peak {peak:.3e}); perturbation mass is off")
@@ -196,37 +221,50 @@ class CompetitorFamily:
     base: FluidCouple
     g: ScalarField
     u: ScalarField = field(init=False)
+    # (rows, columns) of the block outside which g and u are exactly zero
+    hull: tuple[slice, slice] = field(init=False)
 
     def __post_init__(self) -> None:
         grid = self.base.rho.grid
         if self.g.grid != grid:
             raise ValueError("perturbation lives on a different grid")
         check_perturbation(self.g.values, grid)
-        object.__setattr__(self, "u",
-                           ScalarField(grid, _correction_at_one(self.base, self.g)))
+        u = _correction_at_one(self.base, self.g)
+        live = (self.g.values != 0.0) | (u != 0.0)
+        object.__setattr__(self, "u", ScalarField(grid, u))
+        object.__setattr__(self, "hull",
+                           (_span(live.any(axis=1)), _span(live.any(axis=0))))
 
     def couple(self, y: float) -> FluidCouple:
         """The member (rho + y g, v + y u / (rho + y g)) at y.
 
         The member at y = 0 is ``base`` itself, provenance included: a
         rebuilt one has the base's fields bit for bit and the same
-        quantum action, so it is not built again.
+        quantum action, so it is not built again. Any other member is
+        the base's fields with the hull block updated.
         """
         if abs(y) > 1.0:
             raise ValueError(f"y must lie in [-1, 1], got {y}")
         if y == 0.0:
             return self.base
-        base, g = self.base, self.g
+        base = self.base
         grid = base.rho.grid
-        rho_y = base.rho.values + y * g.values
-        v_y = base.v.values + y * self.u.values / rho_y
+        rows, cols = self.hull
+        rho, g = base.rho.values[rows, cols], self.g.values[rows, cols]
+        bumped = rho + y * g
+        rho_y = base.rho.values.copy()
+        rho_y[rows, cols] = bumped
+        v_y = base.v.values.copy()
+        v_y[rows, cols] += y * self.u.values[rows, cols] / bumped
 
         # d(log rho_y)/dx splits into the base part plus a compactly
         # supported spectral part; plain differences on log(rho + y g) lose
-        # two orders of stationarity accuracy.
-        ratio = np.where(np.abs(g.values) > 0.0, y * g.values / base.rho.values, 0.0)
-        bump_grad = spectral_dx(np.log1p(ratio), grid, "log density bump")
-        log_grad = base.log_density_gradient.values + bump_grad
+        # two orders of stationarity accuracy. The hull rows are
+        # transformed at full width.
+        log_bump = np.zeros((bumped.shape[0], grid.n_x))
+        log_bump[:, cols] = np.log1p(np.where(g != 0.0, y * g / rho, 0.0))
+        log_grad = base.log_density_gradient.values.copy()
+        log_grad[rows] += spectral_dx(log_bump, grid, "log density bump")
 
         return FluidCouple(ScalarField(grid, rho_y), ScalarField(grid, v_y),
                            ScalarField(grid, log_grad), provenance="competitor")

@@ -197,12 +197,15 @@ def edge_leak(values: np.ndarray, grid: GridSpec) -> float:
     """Largest edge magnitude relative to the same time slice's peak.
 
     Works on any array whose last axis is the spatial one. Slices that
-    vanish identically contribute zero.
+    vanish identically contribute zero, and so does an empty array. A
+    slice's peak |value| is the larger of its maximum and minus its
+    minimum, so only the two edge columns are passed through ``abs``.
     """
-    flat = np.abs(np.asarray(values, dtype=float))
-    flat = flat.reshape(-1, grid.n_x)
-    peak = flat.max(axis=1)
-    edge = np.maximum(flat[:, 0], flat[:, -1])
+    flat = np.asarray(values, dtype=float).reshape(-1, grid.n_x)
+    if flat.size == 0:
+        return 0.0
+    peak = np.maximum(flat.max(axis=1), -flat.min(axis=1))
+    edge = np.maximum(np.abs(flat[:, 0]), np.abs(flat[:, -1]))
     safe = np.where(peak > 0.0, peak, 1.0)
     return float(np.max(np.where(peak > 0.0, edge / safe, 0.0)))
 

@@ -191,6 +191,24 @@ class TestValidate:
                      id="perturbation-mass-on-coarse-grid"),
         pytest.param("experiment = bb-compare\npacket.sigma0 = 0\n",
                      "packet: sigma0 must be positive", id="packet-without-width"),
+        # packets every experiment would build only to have the wave field
+        # refuse them (ZeroDivisionError, NormDrift, BoundaryLeak) once the
+        # output directory exists
+        pytest.param("experiment = gaussian-benchmark\npacket.sigma0 = 1e-300\n",
+                     "packet: its density is not finite on the grid",
+                     id="packet-width-underflows"),
+        pytest.param("experiment = theorem1-verify\npacket.sigma0 = 1e-300\n",
+                     "packet: its density is not finite on the grid",
+                     id="theorem-packet-width-underflows"),
+        pytest.param("experiment = bb-compare\npacket.mu0 = 1e300\n",
+                     "packet: its density's mass on the box is off 1 by 1.000e+00",
+                     id="packet-centre-off-the-box"),
+        pytest.param("experiment = gaussian-benchmark\ngrid.x_min = 5\n",
+                     "packet: its density's mass on the box is off 1 by 1.000e+00",
+                     id="box-misses-the-packet"),
+        pytest.param("experiment = bb-compare\npacket.mu0 = 5\n",
+                     "packet: its density has relative boundary magnitude 3.995e-09",
+                     id="packet-reaches-the-box-edge"),
         *[pytest.param(f"experiment = theorem1-verify\n{key} = {value}\n",
                        f":2: unknown key '{key}'", id=f"retired-{key}")
           for key, value in RETIRED_KEYS.items()],

@@ -21,7 +21,7 @@ from madelung_lab import (AmplitudeInfeasible, CompetitorFamily, FluidCouple,
 from madelung_lab import competitors
 from madelung_lab.competitors import (AMPLITUDE, SPACE_SUPPORT, Y_GRID,
                                       positivity_head_room, raw_perturbation)
-from madelung_lab.grid_fields import spectral_dx
+from madelung_lab.grid_fields import fd_dt, spectral_antiderivative, spectral_dx
 
 # head room of the seed-1012 perturbation against the default packet
 # density (frozen; the one seed in 1000..1019 that needs rescaling)
@@ -31,6 +31,35 @@ HEAD_ROOM_1012 = 0.9034
 # recipe's bytes, frozen
 RAW_SHA256_1000_1019 = "34ea21dd35980333afd703a1d98e0da02be798677ab7461a3c8137765e238d65"
 BUILT_SHA256_1012 = "567f66d479a3182b1f619a3e2919c43f05ad0899a2d61bbc246759328025d19d"
+# sha256 of the seed-1012 family's y-profile rows [y, action, error radius]
+# on the default packet, recorded when every member was built on the whole
+# lattice: building on the hull keeps these bytes
+PROFILE_SHA256_1012 = "e373396cfd0e3ec5942a060cfd1504593644a445ae3d2eb9b95a7a3fe4c4eab2"
+
+
+def full_lattice_correction(base, g):
+    """u at y = 1 with both transforms taken on every row (the oracle)."""
+    grid = base.rho.grid
+    rhs = fd_dt(g, grid) + spectral_dx(g * base.v.values, grid, "perturbation flux")
+    nonzero = np.abs(g).max(axis=0) > 0.0
+    supported = np.logical_or.accumulate(nonzero) \
+        & np.logical_or.accumulate(nonzero[::-1])[::-1]
+    rhs = np.where(supported[np.newaxis, :], rhs, 0.0)
+    u = -spectral_antiderivative(rhs, grid, "divergence data")
+    return np.where(supported[np.newaxis, :], u, 0.0)
+
+
+def full_lattice_member(fam, y):
+    """The member at y with every field formed on the whole lattice (the oracle)."""
+    base, g, u = fam.base, fam.g.values, fam.u.values
+    grid = base.rho.grid
+    rho_y = base.rho.values + y * g
+    v_y = base.v.values + y * u / rho_y
+    ratio = np.where(np.abs(g) > 0.0, y * g / base.rho.values, 0.0)
+    log_grad = base.log_density_gradient.values + spectral_dx(
+        np.log1p(ratio), grid, "log density bump")
+    return FluidCouple(ScalarField(grid, rho_y), ScalarField(grid, v_y),
+                       ScalarField(grid, log_grad), provenance="competitor")
 
 
 @pytest.fixture(scope="module")
@@ -301,3 +330,94 @@ class TestVerdicts:
         ys = [row[0] for row in rows]
         assert ys == sorted(ys)
         assert len(ys) == 11
+
+
+class TestHull:
+    """Members are built on the block outside which g and u vanish."""
+
+    @staticmethod
+    def assert_members_match_the_oracle(fam):
+        assert np.array_equal(fam.u.values, full_lattice_correction(fam.base, fam.g.values))
+        for y in Y_GRID:
+            if y == 0.0:
+                continue
+            got, want = fam.couple(y), full_lattice_member(fam, y)
+            for name in ("rho", "v", "log_density_gradient"):
+                assert np.array_equal(getattr(got, name).values,
+                                      getattr(want, name).values), (y, name)
+            a, b = quantum_action(got), quantum_action(want)
+            assert (a.value.hex(), a.error_radius.hex()) \
+                == (b.value.hex(), b.error_radius.hex()), y
+
+    @pytest.mark.parametrize("seed", range(1000, 1020))
+    def test_packet_members_equal_the_full_lattice_build(self, packet_couple, seed):
+        self.assert_members_match_the_oracle(
+            make_family(packet_couple, PerturbationSpec(seed)))
+
+    def test_violating_spec_members_equal_the_full_lattice_build(self, packet_couple):
+        self.assert_members_match_the_oracle(
+            make_family(packet_couple, PerturbationSpec(453114006)))
+
+    @pytest.mark.parametrize("seed", range(1000, 1003))
+    def test_mismatched_members_equal_the_full_lattice_build(self, packet_spec, seed):
+        base = spreading_mismatched_couple(packet_spec, GridSpec(-12.0, 12.0, 256, 128))
+        self.assert_members_match_the_oracle(make_family(base, PerturbationSpec(seed)))
+
+    def test_zero_perturbation_members_equal_the_full_lattice_build(self, grid,
+                                                                     packet_couple):
+        zeros = ScalarField(grid, np.zeros((grid.n_t + 1, grid.n_x)))
+        self.assert_members_match_the_oracle(CompetitorFamily(packet_couple, zeros))
+
+    def test_profile_bytes_are_pinned(self, packet_couple):
+        fam = make_family(packet_couple, PerturbationSpec(1012))
+        rows = np.array([[y, rep.value, rep.error_radius]
+                         for y, rep in evaluate_family(fam)])
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == PROFILE_SHA256_1012
+
+    def test_hull_is_the_tight_block_of_g_and_u(self, default_family):
+        rows, cols = default_family.hull
+        live = (default_family.g.values != 0.0) | (default_family.u.values != 0.0)
+        outside = np.ones_like(live)
+        outside[rows, cols] = False
+        assert not live[outside].any()
+        for edge in (live[rows.start], live[rows.stop - 1],
+                     live[:, cols.start], live[:, cols.stop - 1]):
+            assert edge.any()
+        # fd_dt widens u one row past g on both sides
+        g_rows = np.flatnonzero(default_family.g.values.any(axis=1))
+        assert (rows.start, rows.stop) == (g_rows[0] - 1, g_rows[-1] + 2)
+
+    @staticmethod
+    def record_transformed_rows(monkeypatch):
+        rows = []
+
+        def recorder(transform):
+            def recorded(values, grid, what):
+                rows.append((what, values.shape[0]))
+                return transform(values, grid, what)
+            return recorded
+
+        for name in ("spectral_dx", "spectral_antiderivative"):
+            monkeypatch.setattr(competitors, name, recorder(getattr(competitors, name)))
+        return rows
+
+    def test_only_live_rows_are_transformed(self, grid, packet_couple, monkeypatch):
+        rows = self.record_transformed_rows(monkeypatch)
+        fam = make_family(packet_couple, PerturbationSpec(1000))
+        assert [what for what, _ in rows] == ["perturbation flux", "divergence data"]
+        evaluate_family(fam)
+        assert len(rows) == 2 + len(Y_GRID) - 1
+        assert all(0 < n < grid.n_t + 1 for _, n in rows)
+
+    def test_zero_perturbation_transforms_nothing(self, grid, packet_couple,
+                                                  monkeypatch):
+        rows = self.record_transformed_rows(monkeypatch)
+        zeros = ScalarField(grid, np.zeros((grid.n_t + 1, grid.n_x)))
+        fam = CompetitorFamily(packet_couple, zeros)
+        assert not fam.u.values.any()
+        for y in Y_GRID:
+            member = fam.couple(y)
+            for name in ("rho", "v", "log_density_gradient"):
+                assert np.array_equal(getattr(member, name).values,
+                                      getattr(packet_couple, name).values), (y, name)
+        assert sum(n for _, n in rows) == 0

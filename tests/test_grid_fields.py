@@ -298,3 +298,54 @@ class TestEdgeLeak:
         vals[1, 256] = 1.0
         vals[1, 0] = 0.5
         assert edge_leak(vals, small_grid) == pytest.approx(0.5)
+
+    @staticmethod
+    def abs_edge_leak(values, grid):
+        # the formula that took |values| of the whole array first
+        flat = np.abs(np.asarray(values, dtype=float)).reshape(-1, grid.n_x)
+        peak = flat.max(axis=1)
+        edge = np.maximum(flat[:, 0], flat[:, -1])
+        safe = np.where(peak > 0.0, peak, 1.0)
+        return float(np.max(np.where(peak > 0.0, edge / safe, 0.0)))
+
+    @pytest.mark.parametrize("case", ["mixed-signs", "negative-zero-rows",
+                                      "one-dimensional", "three-dimensional"])
+    def test_equals_the_abs_formula_bit_for_bit(self, case, small_grid):
+        rng = np.random.default_rng(7)
+        mixed = rng.standard_normal((5, 512)) * np.exp(-small_grid.x**2 / 8.0)
+        mixed[1] = -mixed[1]  # a row whose peak |value| is its minimum
+        mixed[2, 0], mixed[2, -1] = -0.3, 0.2
+        mixed[3, 0], mixed[3, -1] = 0.1, -0.4
+        values = {
+            "mixed-signs": mixed,
+            "negative-zero-rows": np.vstack([np.full((2, 512), -0.0), np.zeros((1, 512)),
+                                             mixed[2:3]]),
+            "one-dimensional": mixed[3],
+            "three-dimensional": mixed[:4].reshape(2, 2, 512),
+        }[case]
+        # the whole array, and each slice on its own so no slice hides
+        # behind another's larger leak
+        for part in [values, *np.reshape(values, (-1, 1, 512))]:
+            got = edge_leak(part, small_grid)
+            want = self.abs_edge_leak(part, small_grid)
+            assert np.array([got]).tobytes() == np.array([want]).tobytes()
+        assert edge_leak(values, small_grid) > 0.0
+
+    def test_all_negative_zero_is_zero(self, small_grid):
+        assert edge_leak(np.full((3, 512), -0.0), small_grid) == 0.0
+
+    def test_empty_input_is_zero(self, small_grid):
+        # the abs formula has no identity for the max of nothing
+        empty = np.zeros((0, 512))
+        assert edge_leak(empty, small_grid) == 0.0
+        assert edge_leak(np.zeros(0), small_grid) == 0.0
+        with pytest.raises(ValueError):
+            self.abs_edge_leak(empty, small_grid)
+
+    def test_boundary_leak_message_is_unchanged(self, small_grid):
+        vals = np.zeros((2, 512))
+        vals[1, 256], vals[1, 0] = -2.0, 0.5
+        with pytest.raises(BoundaryLeak) as caught:
+            spectral_dx(vals, small_grid, "probe field")
+        assert str(caught.value) == ("probe field has relative boundary magnitude "
+                                     "2.500e-01, above the tolerance 1.0e-12")
