@@ -40,6 +40,13 @@ MIXTURE_SHA256 = "45a441759b7a0ed0b884b33344046e1afc67edeebdcfa5495c94076b9c19a0
 SWEEP_SHA256 = "36c6ce0046a8704a7dd7dda4c19f06fdc507f8357da9d715aec2a039be5ad2cc"
 MIXTURE_TWO_BLOCKS_SHA256 = \
     "ba0aeaf3dda2596a470762869930ee3d20370dc0477e2441071ebeb1fc3fc788"
+# recorded with every track's pull read by the lookup and the noise drawn
+# by normal(0, sqrt(h)): a constant track's pull is its scalar value and
+# the noise is scaled standard normals, and both streams stay
+CONSTANT_DRIFT_SHA256 = \
+    "ee05147cabd048947d0a7829b1fc1c5f723a9f22ee2c7f850bbb924e7397fd91"
+ZERO_DRIFT_SHA256 = \
+    "4eb8a6c4a5c9fbd7233eb7670267634f5b777eb492c6146100d887786cb6ce58"
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +200,17 @@ class TestStreamFingerprint:
         ens = mixture_ensemble([b, constant_drift(control_grid, 0.5)], [0.25, 0.75],
                                rho0, control_grid, BLOCK + 37, 8, 3, 7)
         assert paths_sha256(ens) == MIXTURE_TWO_BLOCKS_SHA256
+
+    def test_constant_drift_over_two_blocks(self, control_grid, packet):
+        _, rho0 = packet
+        ens = simulate_ensemble(constant_drift(control_grid, 3.0), rho0,
+                                control_grid, BLOCK + 37, 8, 3, 7)
+        assert paths_sha256(ens) == CONSTANT_DRIFT_SHA256
+
+    def test_zero_drift_from_the_origin(self, control_grid):
+        ens = simulate_ensemble(constant_drift(control_grid, 0.0), None,
+                                control_grid, BLOCK + 37, 8, 3, 7)
+        assert paths_sha256(ens) == ZERO_DRIFT_SHA256
 
 
 class CountingDrift(DriftField):
