@@ -511,6 +511,14 @@ def _load(config_path) -> tuple[dict, dict]:
         density = packet_density(spec, grid.x[np.newaxis, :], grid.t[:, np.newaxis])
     if not np.all(np.isfinite(density)):
         raise ConfigError("packet: its density is not finite on the grid")
+    mass = float(np.max(np.abs(grid.dx * density.sum(axis=-1) - 1.0)))
+    if mass > MASS_TOL:
+        raise ConfigError(f"packet: its density's mass on the box is off 1 by "
+                          f"{mass:.3e} at some time node")
+    leak = edge_leak(density, grid)
+    if leak > BOUNDARY_TOL:
+        raise ConfigError(f"packet: its density has relative boundary magnitude "
+                          f"{leak:.3e}, above the tolerance {BOUNDARY_TOL:.1e}")
     if name == "theorem1-verify":
         # the family's own builder and check, on the closed-form density
         rho = ScalarField(grid, density)
@@ -522,14 +530,6 @@ def _load(config_path) -> tuple[dict, dict]:
                                   f"perturbation of seed {pert.seed}: {exc}") from None
             except ValueError as exc:
                 raise ConfigError(f"grid: seed {pert.seed}: {exc}") from None
-    mass = float(np.max(np.abs(grid.dx * density.sum(axis=-1) - 1.0)))
-    if mass > MASS_TOL:
-        raise ConfigError(f"packet: its density's mass on the box is off 1 by "
-                          f"{mass:.3e} at some time node")
-    leak = edge_leak(density, grid)
-    if leak > BOUNDARY_TOL:
-        raise ConfigError(f"packet: its density has relative boundary magnitude "
-                          f"{leak:.3e}, above the tolerance {BOUNDARY_TOL:.1e}")
     return cfg, entries
 
 

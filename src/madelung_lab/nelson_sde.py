@@ -17,8 +17,10 @@ action of the underlying couple. An ensemble therefore keeps only the
 positions at the partition nodes. A drift is a scalar field; it and its
 divergence are read along trajectories by :meth:`ScalarField.at`
 (linear in x, frozen at the time node to the left), so the stepping and
-the estimators share one rule. Every estimator forms its mean and
-standard error by one rule, :meth:`MCEstimate.of_samples`.
+the estimators share one rule. A drift equal to one value c on the
+whole lattice reads c everywhere, so its track steps by the scalar c
+and takes no lookup. Every estimator forms its mean and standard error
+by one rule, :meth:`MCEstimate.of_samples`.
 
 Determinism: initial samples come from a Philox stream keyed by
 (seed, 1); trajectory noise is keyed by (seed, 2 + block) where blocks
@@ -30,7 +32,9 @@ in jobs of several intervals, one job ahead of the stepping, on one
 worker thread that each call opens and closes; the jobs follow the
 stream order, and a generator fills a (k, substeps, width) array with
 the values of k successive (substeps, width) fills, so the stream is
-the one a draw per substep would give.
+the one a draw per substep would give. The noise is drawn as standard
+normals scaled by sqrt(h) in place: the values of ``normal(0, sqrt(h))``
+except that a -0.0 draw keeps its sign.
 
 Memory: the path matrix, N * (n + 1) float64 values, is the only
 allocation that grows with N * n. Every estimator's scratch is O(N)
@@ -154,6 +158,15 @@ def _check_inside(positions: np.ndarray, grid: GridSpec, t: float) -> None:
                        f"outside the 20% margin around the box")
 
 
+def _scaled_normals(rng: np.random.Generator, shape: tuple,
+                    root_h: float) -> np.ndarray:
+    """``normal(0, root_h, shape)``'s values, bar the sign of a zero, as
+    standard normals scaled in place."""
+    z = rng.standard_normal(shape)
+    z *= root_h
+    return z
+
+
 def _noise(pool: ThreadPoolExecutor, seed: int, N: int, n: int,
            substeps: int, root_h: float):
     """Yield each block's (substeps, width) interval noise in stream order.
@@ -169,8 +182,8 @@ def _noise(pool: ThreadPoolExecutor, seed: int, N: int, n: int,
             np.random.Philox(key=[seed, _NOISE_STREAM_BASE + block_index]))
         k = max(1, _JOB_VALUES // (substeps * width))
         for first in range(0, n, k):
-            job = pool.submit(rng.normal, 0.0, root_h,
-                              (min(k, n - first), substeps, width))
+            job = pool.submit(_scaled_normals, rng,
+                              (min(k, n - first), substeps, width), root_h)
             if pending is not None:
                 yield from pending.result()
             pending = job
@@ -202,6 +215,10 @@ def mixture_ensemble(drifts: list[DriftField], weights, rho0, grid: GridSpec,
     else:
         x0 = sample_initial(rho0, grid, N, seed)
 
+    # a drift equal to one value c everywhere pulls every position by c,
+    # so its track is stepped with the scalar and never looked up
+    constants = [float(b.values.flat[0]) if np.all(b.values == b.values.flat[0])
+                 else None for b in drifts]
     mixing = len(drifts) > 1
     h = 1.0 / (n * substeps)
     root_h = np.sqrt(h)
@@ -217,13 +234,15 @@ def mixture_ensemble(drifts: list[DriftField], weights, rho0, grid: GridSpec,
             for i in range(n):
                 for sub, dw in enumerate(next(noise), start=i * substeps):
                     t_left = sub * h
-                    pulls = [b.evaluate(q, t_left)
-                             for b, q in zip(drifts, components)]
+                    pulls = [b.evaluate(q, t_left) if c is None else c
+                             for b, c, q in zip(drifts, constants, components)]
                     for j, pull in enumerate(pulls):
-                        components[j] = components[j] + (pull * h + dw)
+                        step = pull * h
+                        step += dw
+                        components[j] += step
                     if mixing:
                         beta = sum(w * pull for w, pull in zip(weights, pulls))
-                        mixed = mixed + (beta * h + dw)
+                        mixed += beta * h + dw
                 # the first track is the recorded one
                 tracks = [mixed, *components] if mixing else components
                 t_node = (i + 1) / n

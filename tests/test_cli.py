@@ -166,10 +166,14 @@ class TestValidate:
                      ":2: unknown key 'grid.nx'", id="typo-grid-nx"),
         pytest.param("experiment = bb-compare\ntransport.n_pairs = 0\n",
                      "transport.n_pairs", id="no-transport-pairs"),
-        pytest.param("experiment = theorem1-verify\ngrid.x_min = -3\n",
+        # the packets of these grid cases sit well inside their boxes, so
+        # the box checks pass and the perturbation's own check refuses
+        pytest.param("experiment = theorem1-verify\ngrid.x_min = -4\n"
+                     "grid.x_max = 20\npacket.mu0 = 6\n",
                      "grid: seed 1000: space support", id="support-outside-box"),
         pytest.param("experiment = theorem1-verify\ngrid.x_min = -5\n"
-                     "grid.x_max = 1000\ngrid.n_x = 16\ngrid.n_t = 8\n",
+                     "grid.x_max = 1000\ngrid.n_x = 64\ngrid.n_t = 8\n"
+                     "packet.sigma0 = 60\npacket.mu0 = 497.5\n",
                      "grid: seed 1000: perturbation degenerated",
                      id="grid-misses-every-bump"),
         # every error radius is taken on the grid with every second node
@@ -181,9 +185,11 @@ class TestValidate:
         # with no specs, families-all-pass would hold over an empty list
         pytest.param("experiment = theorem1-verify\ntheorem.n_specs = 0\n",
                      "theorem.n_specs: must be at least 1", id="vacuous-theorem-run"),
-        pytest.param("experiment = theorem1-verify\npacket.sigma0 = 0.3\n"
-                     "packet.mu0 = 10\n", "packet: its density leaves no room",
-                     id="packet-leaves-no-budget"),
+        # a wide box keeps the far-off packet's mass and edges in bounds
+        pytest.param("experiment = theorem1-verify\ngrid.x_min = -64\n"
+                     "grid.x_max = 64\ngrid.n_x = 2048\npacket.mu0 = 42\n",
+                     "packet: its density leaves no room for the perturbation "
+                     "of seed 1000", id="packet-leaves-no-budget"),
         # the sampled bumps of seeds 1000-1001 miss zero mass by > 1e-10
         pytest.param("experiment = theorem1-verify\ngrid.n_x = 128\ngrid.n_t = 32\n"
                      "theorem.n_specs = 2\n",
@@ -203,6 +209,10 @@ class TestValidate:
         pytest.param("experiment = bb-compare\npacket.mu0 = 1e300\n",
                      "packet: its density's mass on the box is off 1 by 1.000e+00",
                      id="packet-centre-off-the-box"),
+        # the box checks come before the theorem's perturbation budget
+        pytest.param("experiment = theorem1-verify\npacket.mu0 = 1e300\n",
+                     "packet: its density's mass on the box is off 1 by 1.000e+00",
+                     id="theorem-packet-centre-off-the-box"),
         pytest.param("experiment = gaussian-benchmark\ngrid.x_min = 5\n",
                      "packet: its density's mass on the box is off 1 by 1.000e+00",
                      id="box-misses-the-packet"),

@@ -213,6 +213,57 @@ class TestStreamFingerprint:
         assert paths_sha256(ens) == ZERO_DRIFT_SHA256
 
 
+class TestConstantTracks:
+    """A drift equal to one value everywhere is stepped without a lookup."""
+
+    @staticmethod
+    def _almost_constant(grid):
+        # one x_min edge entry off 3.0: the field is not constant, so its
+        # track takes the lookup, but centred paths never reach that segment
+        values = np.full((grid.n_t + 1, grid.n_x), 3.0)
+        values[0, 0] += 1e-9
+        return DriftField(grid, values)
+
+    @pytest.mark.parametrize("with_packet", [False, True],
+                             ids=["single", "mixture"])
+    def test_shortcut_equals_the_lookup(self, grid, packet_drift, packet_couple,
+                                        with_packet):
+        rho0 = packet_couple.rho.values[0]
+        lead = [packet_drift] if with_packet else []
+        weights = [0.25, 0.75] if with_packet else [1.0]
+
+        def run(b):
+            return mixture_ensemble([*lead, b], weights, rho0, grid, 1000, 8, 3, 7)
+
+        looked_up = run(self._almost_constant(grid))
+        shortcut = run(constant_drift(grid, 3.0))
+        assert np.array_equal(looked_up.paths, shortcut.paths)
+
+    @pytest.fixture
+    def locate_calls(self, monkeypatch):
+        calls = []
+        locate = GridSpec.locate
+
+        def counting(self, positions):
+            calls.append(positions.size)
+            return locate(self, positions)
+
+        monkeypatch.setattr(GridSpec, "locate", counting)
+        return calls
+
+    def test_constant_drift_makes_no_lookup(self, grid, packet_couple,
+                                            locate_calls):
+        simulate_ensemble(constant_drift(grid, 3.0), packet_couple.rho.values[0],
+                          grid, 1000, 8, 3, 7)
+        assert locate_calls == []
+
+    def test_packet_drift_looks_up_every_substep(self, grid, packet_drift,
+                                                 packet_couple, locate_calls):
+        simulate_ensemble(packet_drift, packet_couple.rho.values[0],
+                          grid, 1000, 8, 3, 7)
+        assert len(locate_calls) >= 8 * 3
+
+
 class CountingDrift(DriftField):
     """A drift that records the live thread count at every lookup."""
 
@@ -227,7 +278,9 @@ class TestNoiseWorker:
     """The noise is drawn on a worker thread that lives only inside a call."""
 
     def _drift(self, grid, c):
-        b = CountingDrift(grid, np.full((grid.n_t + 1, grid.n_x), c))
+        # not constant, so every substep looks it up
+        b = CountingDrift(grid, np.broadcast_to(c + 1e-3 * grid.x,
+                                                (grid.n_t + 1, grid.n_x)))
         object.__setattr__(b, "seen", [])
         return b
 

@@ -71,7 +71,8 @@ BENCHMARK = {path.stem: path.read_text() for path in PERFBENCH}
 BLANKET = {"Exception", "BaseException"}
 INTERP_ALLOWED = {"sample_initial"}
 LOG_GRADIENT_ALLOWED = {"decompose", "madelung_residuals"}
-DRAW_ALLOWED = {"Philox": {"sample_initial", "_noise"}, "normal": {"_noise"}}
+DRAW_ALLOWED = {"Philox": {"sample_initial", "_noise"}, "normal": {"_noise"},
+                "standard_normal": {"_scaled_normals"}}
 RECIPE = ("SPACE_SUPPORT", "TIME_WINDOW", "AMPLITUDE", "MODES", "raw_perturbation")
 UNSET_DEFAULTS_ALLOWED = {
     ("free_propagate", "node_floor"):
@@ -345,8 +346,8 @@ def test_log_gradient_allowed_sites_pass():
 
 
 def stray_draws(source: str) -> list[tuple[int, str]]:
-    """(line, enclosing function) of every ``Philox`` or ``normal`` site
-    outside the functions allowed to draw it."""
+    """(line, enclosing function) of every ``Philox``, ``normal`` or
+    ``standard_normal`` site outside the functions allowed to draw it."""
     return [site for name, allowed in DRAW_ALLOWED.items()
             for site in name_sites(source, name) if site[1] not in allowed]
 
@@ -366,6 +367,11 @@ def test_noise_has_one_draw_site(path):
                  "    return np.random.Generator(np.random.Philox(seed)).normal\n\n"
                  "def mixture_ensemble(seed):\n"
                  "    return np.random.Philox(key=[seed, 2])\n", id="second-site"),
+    pytest.param("def _scaled_normals(rng, shape, root_h):\n"
+                 "    return rng.standard_normal(shape) * root_h\n\n"
+                 "def mixture_ensemble(rng, shape):\n"
+                 "    return rng.standard_normal(shape)\n",
+                 id="second-standard-normal-site"),
 ])
 def test_draw_sites_are_found(snippet):
     assert stray_draws(snippet)
