@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action_functionals import classical_action, quantum_action
-from .errors import NormDrift, OrderingViolated
-from .grid_fields import (MASS_TOL, GridSpec, box_integral, cumulative_trapezoid,
+from .errors import OrderingViolated
+from .grid_fields import (GridSpec, box_integral, cumulative_trapezoid, ensure_normalized,
                           fd_dt, fd_dx, spectral_antiderivative)
 from .madelung import FluidCouple, gaussian_couple
 from .schrodinger import GaussianPacketSpec, normal_density, packet_sigma_sq
@@ -134,9 +134,7 @@ def monge_map_1d(rho0: np.ndarray, rho1: np.ndarray,
             raise ValueError(f"{name} density has shape {dens.shape}")
         if dens.min() <= 0.0:
             raise ValueError(f"{name} density must be strictly positive")
-        mass = grid.dx * float(dens.sum())
-        if abs(mass - 1.0) > MASS_TOL:
-            raise NormDrift(f"{name} density mass is {mass!r}, expected 1")
+        ensure_normalized(dens, grid, f"{name} density")
     cdf0 = _grid_cdf(rho0, grid)
     cdf1 = _grid_cdf(rho1, grid)
     raw = _invert_cdf(cdf1, rho1, grid, cdf0)

@@ -48,17 +48,18 @@ from .benamou_brenier import (GaussianMeasure, displacement_couple, euler_residu
                               transport_cost)
 from .competitors import (PerturbationSpec, check_perturbation, make_perturbation,
                           verify_theorem1)
-from .errors import AmplitudeInfeasible, ConfigError, MadelungLabError
-from .grid_fields import (BOUNDARY_TOL, MASS_TOL, GridSpec, ScalarField,
-                          box_integral, edge_leak)
+from .errors import (BoundaryLeak, ConfigError, MadelungLabError, NodeDetected,
+                     NormDrift)
+from .grid_fields import GridSpec, ScalarField, box_integral, mass_error
 from .io_formats import couple_to_csv, table_to_csv, write_json
 from .madelung import (constant_drift, decompose, drift, madelung_residuals,
                        spreading_mismatched_couple)
 from .nelson_sde import (estimate_I, marginal_histogram, marginal_l1,
                          renormalized_action, simulate_ensemble)
-from .schrodinger import (GaussianPacketSpec, free_propagate, gaussian_packet,
-                          packet_classical_action, packet_density, packet_initial,
-                          packet_quantum_action, packet_sigma_sq)
+from .schrodinger import (NODE_FLOOR, GaussianPacketSpec, ensure_wave_density,
+                          free_propagate, gaussian_packet, packet_classical_action,
+                          packet_density, packet_initial, packet_quantum_action,
+                          packet_sigma_sq)
 
 # ---------------------------------------------------------------------------
 # Config keys
@@ -156,24 +157,6 @@ def parse_config(path) -> tuple[dict, dict]:
     return cfg, entries
 
 
-def _build_grid(cfg: dict) -> GridSpec:
-    try:
-        grid = GridSpec(cfg["grid.x_min"], cfg["grid.x_max"], cfg["grid.n_x"],
-                        cfg["grid.n_t"])
-        grid.coarsen()  # every error radius is taken on the coarsened grid
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from None
-    return grid
-
-
-def _build_packet(cfg: dict) -> GaussianPacketSpec:
-    try:
-        return GaussianPacketSpec(cfg["packet.sigma0"], cfg["packet.mu0"],
-                                  cfg["packet.p"])
-    except ValueError as exc:
-        raise ConfigError(f"packet: {exc}") from None
-
-
 def _mc_params(cfg: dict) -> dict:
     return {"N": cfg["mc.N"], "n": cfg["mc.n"], "substeps": cfg["mc.substeps"],
             "seed": cfg["mc.seed"]}
@@ -260,24 +243,17 @@ def _half_nt(grid: GridSpec) -> GridSpec:
 # ---------------------------------------------------------------------------
 # Experiments
 
-def _packet_couple(cfg: dict):
-    grid = _build_grid(cfg)
-    spec = _build_packet(cfg)
+def run_gaussian_benchmark(cfg: dict, grid: GridSpec, spec: GaussianPacketSpec,
+                           out_dir: Path) -> tuple[dict, Checks, dict]:
     psi = gaussian_packet(spec, grid)
     rho, phase, couple = decompose(psi)
-    return grid, spec, psi, rho, phase, couple
-
-
-def run_gaussian_benchmark(cfg: dict, out_dir: Path) -> tuple[dict, Checks, dict]:
-    grid, spec, psi, rho, phase, couple = _packet_couple(cfg)
     checks = Checks()
 
     propagated = free_propagate(packet_initial(spec, grid), grid)
     checks.within("propagator-cross-check",
                   float(np.max(np.abs(propagated.values - psi.values))), 1e-8)
 
-    norms = grid.dx * psi.density().sum(axis=-1)
-    checks.within("norm-drift", float(np.max(np.abs(norms - 1.0))), 1e-10)
+    checks.within("norm-drift", mass_error(psi.density(), grid), 1e-10)
 
     second = box_integral(grid.x**2 * rho.values[-1], grid, "second moment")
     expected = float(packet_sigma_sq(spec, 1.0) + (spec.mu0 + spec.p) ** 2)
@@ -381,9 +357,8 @@ def run_gaussian_benchmark(cfg: dict, out_dir: Path) -> tuple[dict, Checks, dict
     return summary, checks, {"stepping": stepping.as_dict()}
 
 
-def run_theorem1_verify(cfg: dict, out_dir: Path) -> tuple[dict, Checks, dict]:
-    grid = _build_grid(cfg)
-    spec = _build_packet(cfg)
+def run_theorem1_verify(cfg: dict, grid: GridSpec, spec: GaussianPacketSpec,
+                        out_dir: Path) -> tuple[dict, Checks, dict]:
     base_kind = cfg["theorem.base"]
     base = THEOREM_BASES[base_kind](spec, grid)
 
@@ -417,8 +392,9 @@ def run_theorem1_verify(cfg: dict, out_dir: Path) -> tuple[dict, Checks, dict]:
     return summary, checks, {}
 
 
-def run_bb_compare(cfg: dict, out_dir: Path) -> tuple[dict, Checks, dict]:
-    grid, spec, psi, rho, phase, couple = _packet_couple(cfg)
+def run_bb_compare(cfg: dict, grid: GridSpec, spec: GaussianPacketSpec,
+                   out_dir: Path) -> tuple[dict, Checks, dict]:
+    couple = decompose(gaussian_packet(spec, grid))[2]
     checks = Checks()
     rng = np.random.default_rng(cfg["transport.seed"])
 
@@ -488,14 +464,25 @@ EXPERIMENTS = {
 # ---------------------------------------------------------------------------
 # Entry points
 
-def _load(config_path) -> tuple[dict, dict]:
-    """Parse a config and check what its experiment builds, running nothing."""
+def _load(config_path) -> tuple[dict, dict, GridSpec, GaussianPacketSpec]:
+    """Parse a config and check what its experiment builds, running nothing;
+    the config, the keys the file sets, and the grid and packet it builds."""
     cfg, entries = parse_config(config_path)
     name = cfg["experiment"]
     if name not in EXPERIMENTS:
         raise ConfigError(f"experiment: unknown name '{name}' "
                           f"(choose from {', '.join(sorted(EXPERIMENTS))})")
-    grid, spec = _build_grid(cfg), _build_packet(cfg)
+    try:
+        grid = GridSpec(cfg["grid.x_min"], cfg["grid.x_max"], cfg["grid.n_x"],
+                        cfg["grid.n_t"])
+        grid.coarsen()  # every error radius is taken on the coarsened grid
+    except ValueError as exc:
+        raise ConfigError(f"grid: {exc}") from None
+    try:
+        spec = GaussianPacketSpec(cfg["packet.sigma0"], cfg["packet.mu0"],
+                                  cfg["packet.p"])
+    except ValueError as exc:
+        raise ConfigError(f"packet: {exc}") from None
     # the quantum action gates are taken on the ensemble of mc.n steps, the
     # stabilization gates between every two settled sizes
     n_list = ", ".join(map(str, cfg["mc.n_list"]))
@@ -504,33 +491,25 @@ def _load(config_path) -> tuple[dict, dict]:
     if len({n for n in cfg["mc.n_list"] if n >= SETTLED_N}) < 2:
         raise ConfigError(f"mc.n_list: needs at least two sizes >= {SETTLED_N}, "
                           f"got {n_list}")
-    # Every experiment builds the packet's wave field, which refuses a density
-    # that is not finite, normalized and decaying on the box only once the
-    # output directory exists; the closed-form density tells beforehand.
+    # Every experiment builds the packet's wave field; the closed-form
+    # density meets the field's own check before the output directory exists.
     with np.errstate(all="ignore"):
         density = packet_density(spec, grid.x[np.newaxis, :], grid.t[:, np.newaxis])
-    if not np.all(np.isfinite(density)):
-        raise ConfigError("packet: its density is not finite on the grid")
-    mass = float(np.max(np.abs(grid.dx * density.sum(axis=-1) - 1.0)))
-    if mass > MASS_TOL:
-        raise ConfigError(f"packet: its density's mass on the box is off 1 by "
-                          f"{mass:.3e} at some time node")
-    leak = edge_leak(density, grid)
-    if leak > BOUNDARY_TOL:
-        raise ConfigError(f"packet: its density has relative boundary magnitude "
-                          f"{leak:.3e}, above the tolerance {BOUNDARY_TOL:.1e}")
+    try:
+        ensure_wave_density(density, grid, NODE_FLOOR)
+    except (ValueError, NormDrift, NodeDetected, BoundaryLeak) as exc:
+        raise ConfigError(f"packet: {exc}") from None
     if name == "theorem1-verify":
-        # the family's own builder and check, on the closed-form density
+        # the family's own builder and check, on the closed-form density; the
+        # density is above the node floor, so its positivity budget is not
+        # empty and only the grid can refuse
         rho = ScalarField(grid, density)
         for pert in _perturbation_specs(cfg):
             try:
                 check_perturbation(make_perturbation(pert, rho).values, grid)
-            except AmplitudeInfeasible as exc:
-                raise ConfigError(f"packet: its density leaves no room for the "
-                                  f"perturbation of seed {pert.seed}: {exc}") from None
             except ValueError as exc:
                 raise ConfigError(f"grid: seed {pert.seed}: {exc}") from None
-    return cfg, entries
+    return cfg, entries, grid, spec
 
 
 def validate(config_path) -> int:
@@ -540,15 +519,15 @@ def validate(config_path) -> int:
 
 
 def run(config_path) -> int:
-    cfg, entries = _load(config_path)
+    cfg, entries, grid, spec = _load(config_path)
     name = cfg["experiment"]
     runner, seed_key, _ = EXPERIMENTS[name]
     out_dir = Path(os.environ.get("OUTPUT_DIR") or f"out/{name}")
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    started = time.time()
-    summary, checks, timings = runner(cfg, out_dir)
-    elapsed = time.time() - started
+    started = time.perf_counter()
+    summary, checks, timings = runner(cfg, grid, spec, out_dir)
+    elapsed = time.perf_counter() - started
 
     summary["checks"] = checks.results
     summary["config"] = dict(sorted(entries.items()))

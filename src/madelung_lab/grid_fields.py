@@ -22,7 +22,8 @@ Quadrature over the box is the plain rectangle rule (it is spectrally
 accurate for smooth decaying integrands on a periodic grid) and carries
 the same decay guard. Time quadrature is the trapezoid rule;
 ``space_time_integral`` chains the two for every action functional.
-A density counts as normalized when its mass is 1 within ``MASS_TOL``.
+A density counts as normalized when its mass is 1 within ``MASS_TOL``
+in every slice (``mass_error``); ``ensure_normalized`` is that rule.
 Off the lattice a field is read by ``ScalarField.at``: linear in x,
 frozen at the time node to the left. The grid is uniform, so the lookup
 finds each position's segment in O(1) instead of by search; its result
@@ -38,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BoundaryLeak
+from .errors import BoundaryLeak, NormDrift
 
 # Relative magnitude a decaying field may show at the box edges before
 # spectral operations and box quadrature refuse it.
@@ -216,6 +217,18 @@ def ensure_decaying(values: np.ndarray, grid: GridSpec, what: str) -> None:
         raise BoundaryLeak(
             f"{what} has relative boundary magnitude {leak:.3e}, "
             f"above the tolerance {BOUNDARY_TOL:.1e}")
+
+
+def mass_error(density: np.ndarray, grid: GridSpec) -> float:
+    """Largest |dx * sum - 1| over a density's slices along the last axis."""
+    return float(np.max(np.abs(grid.dx * np.sum(density, axis=-1) - 1.0)))
+
+
+def ensure_normalized(density: np.ndarray, grid: GridSpec, what: str) -> None:
+    """Refuse a density whose ``mass_error`` is above ``MASS_TOL`` (or NaN)."""
+    worst = mass_error(density, grid)
+    if not worst <= MASS_TOL:
+        raise NormDrift(f"{what}'s mass on the box is off 1 by {worst:.3e}")
 
 
 def fd_dx(values: np.ndarray, grid: GridSpec) -> np.ndarray:

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NodeDetected, NormDrift, UnwrapInconsistent
-from .grid_fields import (MASS_TOL, GridSpec, ScalarField, ensure_decaying, fd_dt,
-                          fd_dx, spectral_dx)
+from .errors import NodeDetected, UnwrapInconsistent
+from .grid_fields import (GridSpec, ScalarField, ensure_decaying, ensure_normalized,
+                          fd_dt, fd_dx, spectral_dx)
 from .schrodinger import (NODE_FLOOR, GaussianPacketSpec, WaveField,
                           normal_density, packet_mean, packet_sigma_sq)
 
@@ -59,10 +59,7 @@ class FluidCouple:
         if dens.min() <= 0.0:
             raise ValueError(f"density must be strictly positive, "
                              f"min = {dens.min():.3e}")
-        mass = grid.dx * dens.sum(axis=-1)
-        worst = float(np.max(np.abs(mass - 1.0)))
-        if worst > MASS_TOL:
-            raise NormDrift(f"density mass off by {worst:.3e} at some time node")
+        ensure_normalized(dens, grid, "density")
         u = 0.5 * self.log_density_gradient.values
         ensure_decaying((self.v.values**2 + u**2) * dens, grid,
                         "finite action integrand")

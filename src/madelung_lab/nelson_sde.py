@@ -58,8 +58,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Diverged, NormDrift
-from .grid_fields import MASS_TOL, GridSpec, ScalarField, cumulative_trapezoid
+from .errors import Diverged
+from .grid_fields import GridSpec, ScalarField, cumulative_trapezoid, ensure_normalized
 from .madelung import DriftField
 
 BLOCK = 8192
@@ -141,9 +141,8 @@ def sample_initial(rho0: np.ndarray, grid: GridSpec, n_samples: int,
     if rho0.shape != (grid.n_x,):
         raise ValueError(f"density slice has shape {rho0.shape}, "
                          f"expected ({grid.n_x},)")
+    ensure_normalized(rho0, grid, "initial density")
     cdf = cumulative_trapezoid(rho0, grid)
-    if abs(cdf[-1] - 1.0) > MASS_TOL:
-        raise NormDrift(f"initial density mass is {cdf[-1]!r}, expected 1")
     cdf = cdf / cdf[-1]
     rng = np.random.Generator(np.random.Philox(key=[seed, _INIT_STREAM]))
     return np.interp(rng.random(n_samples), cdf, grid.x)

@@ -16,6 +16,7 @@ from madelung_lab import (GaussianPacketSpec, GridSpec, PerturbationSpec, decomp
 from madelung_lab.cli import EXPERIMENTS, Checks, main, parse_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+NODE_AT_ZERO = "packet: min |psi|^2 = 0.000e+00 is below the node floor 1.0e-60"
 # keys whose settings are now constants, with the values they last held:
 # the perturbation recipe of ``competitors``, the always written couple CSV
 # and the output directory, which is $OUTPUT_DIR or out/<experiment>
@@ -185,11 +186,12 @@ class TestValidate:
         # with no specs, families-all-pass would hold over an empty list
         pytest.param("experiment = theorem1-verify\ntheorem.n_specs = 0\n",
                      "theorem.n_specs: must be at least 1", id="vacuous-theorem-run"),
-        # a wide box keeps the far-off packet's mass and edges in bounds
+        # a wide box keeps the far-off packet's mass and edges in bounds, but
+        # its density underflows to 0 on the perturbation's support: the node
+        # floor refuses it before the perturbation's positivity budget could
         pytest.param("experiment = theorem1-verify\ngrid.x_min = -64\n"
                      "grid.x_max = 64\ngrid.n_x = 2048\npacket.mu0 = 42\n",
-                     "packet: its density leaves no room for the perturbation "
-                     "of seed 1000", id="packet-leaves-no-budget"),
+                     NODE_AT_ZERO, id="packet-leaves-no-budget"),
         # the sampled bumps of seeds 1000-1001 miss zero mass by > 1e-10
         pytest.param("experiment = theorem1-verify\ngrid.n_x = 128\ngrid.n_t = 32\n"
                      "theorem.n_specs = 2\n",
@@ -197,27 +199,32 @@ class TestValidate:
                      id="perturbation-mass-on-coarse-grid"),
         pytest.param("experiment = bb-compare\npacket.sigma0 = 0\n",
                      "packet: sigma0 must be positive", id="packet-without-width"),
-        # packets every experiment would build only to have the wave field
-        # refuse them (ZeroDivisionError, NormDrift, BoundaryLeak) once the
+        # packets that the wave field's own check (ensure_wave_density) refuses
+        # for a density that is not finite, not normalized, below the node
+        # floor or not decaying; the closed-form density meets it before the
         # output directory exists
         pytest.param("experiment = gaussian-benchmark\npacket.sigma0 = 1e-300\n",
-                     "packet: its density is not finite on the grid",
+                     "packet: wave density contains non-finite entries",
                      id="packet-width-underflows"),
         pytest.param("experiment = theorem1-verify\npacket.sigma0 = 1e-300\n",
-                     "packet: its density is not finite on the grid",
+                     "packet: wave density contains non-finite entries",
                      id="theorem-packet-width-underflows"),
         pytest.param("experiment = bb-compare\npacket.mu0 = 1e300\n",
-                     "packet: its density's mass on the box is off 1 by 1.000e+00",
+                     "packet: wave density's mass on the box is off 1 by 1.000e+00",
                      id="packet-centre-off-the-box"),
-        # the box checks come before the theorem's perturbation budget
+        # the packet checks come before the theorem's perturbation precheck
         pytest.param("experiment = theorem1-verify\npacket.mu0 = 1e300\n",
-                     "packet: its density's mass on the box is off 1 by 1.000e+00",
+                     "packet: wave density's mass on the box is off 1 by 1.000e+00",
                      id="theorem-packet-centre-off-the-box"),
         pytest.param("experiment = gaussian-benchmark\ngrid.x_min = 5\n",
-                     "packet: its density's mass on the box is off 1 by 1.000e+00",
+                     "packet: wave density's mass on the box is off 1 by 1.000e+00",
                      id="box-misses-the-packet"),
-        pytest.param("experiment = bb-compare\npacket.mu0 = 5\n",
-                     "packet: its density has relative boundary magnitude 3.995e-09",
+        # the paper's claim holds in the absence of nodes: the far tails of the
+        # default packet on a +-64 box underflow to exact zeros
+        pytest.param("experiment = bb-compare\ngrid.x_min = -64\ngrid.x_max = 64\n"
+                     "grid.n_x = 2048\n", NODE_AT_ZERO, id="wide-box-has-nodes"),
+        pytest.param("experiment = bb-compare\npacket.sigma0 = 1.8\n",
+                     "packet: wave density has relative boundary magnitude 4.436e-10",
                      id="packet-reaches-the-box-edge"),
         *[pytest.param(f"experiment = theorem1-verify\n{key} = {value}\n",
                        f":2: unknown key '{key}'", id=f"retired-{key}")

@@ -145,6 +145,13 @@ class TestPerturbation:
             make_perturbation(PerturbationSpec(seed=1000), sparse_base.rho)
         assert not isinstance(caught.value, AmplitudeInfeasible)
 
+    def test_density_without_budget_is_refused(self, grid):
+        # a density of zeros on the support leaves no positive rescaling; a
+        # density at or above the node floor there always leaves one
+        zeros = np.zeros((grid.n_t + 1, grid.n_x))
+        with pytest.raises(AmplitudeInfeasible):
+            make_perturbation(PerturbationSpec(seed=1000), ScalarField(grid, zeros))
+
 
 class TestVelocityCorrection:
     # X_y is read off a family member as its velocity minus the base's

@@ -36,6 +36,9 @@
   module imports, reads, calls or redefines them, so every other module
   builds a perturbation with ``make_perturbation`` and no second copy of
   the recipe creeps back in.
+* ``MASS_TOL`` is named only in ``grid_fields``: every other module
+  checks a mass with ``ensure_normalized``, so no second copy of the
+  mass rule creeps back in.
 * In ``nelson_sde`` no numpy call takes a whole ``<expr>.paths`` matrix
   as an argument (``np.isfinite(self.paths)``, ``np.diff(ens.paths)``):
   what such a call returns is a second buffer of N * n values. Reads of
@@ -377,17 +380,17 @@ def test_draw_sites_are_found(snippet):
     assert stray_draws(snippet)
 
 
-def recipe_sites(source: str) -> list[tuple[int, str]]:
-    """(line, enclosing function) of every name, attribute or import of a
-    recipe constant or of the recipe's unfitted builder."""
+def named_sites(source: str, names: tuple) -> list[tuple[int, str]]:
+    """(line, enclosing function) of every name, attribute or import of
+    one of ``names``."""
     bare = [(node.lineno, owner) for node, owner in owned_nodes(source)
-            if isinstance(node, ast.Name) and node.id in RECIPE]
-    return bare + [site for name in RECIPE for site in name_sites(source, name)]
+            if isinstance(node, ast.Name) and node.id in names]
+    return bare + [site for name in names for site in name_sites(source, name)]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_recipe_named_only_in_competitors(path):
-    sites = recipe_sites(path.read_text())
+    sites = named_sites(path.read_text(), RECIPE)
     if path.name == "competitors.py":
         assert sites
     else:
@@ -407,7 +410,27 @@ def test_recipe_named_only_in_competitors(path):
                  id="builder-call"),
 ])
 def test_recipe_sites_are_found(snippet):
-    assert recipe_sites(snippet)
+    assert named_sites(snippet, RECIPE)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_mass_tolerance_named_only_in_grid_fields(path):
+    sites = named_sites(path.read_text(), ("MASS_TOL",))
+    if path.name == "grid_fields.py":
+        assert sites
+    else:
+        assert sites == []
+
+
+@pytest.mark.parametrize("snippet", [
+    pytest.param("from .grid_fields import MASS_TOL\n", id="import"),
+    pytest.param("from . import grid_fields\n\ndef check(mass):\n"
+                 "    return abs(mass - 1.0) > grid_fields.MASS_TOL\n",
+                 id="attribute"),
+    pytest.param("MASS_TOL = 1e-8\n", id="second-copy"),
+])
+def test_mass_tolerance_sites_are_found(snippet):
+    assert named_sites(snippet, ("MASS_TOL",))
 
 
 def _numpy_call(node: ast.AST) -> bool:
