@@ -46,20 +46,19 @@ from .benamou_brenier import (GaussianMeasure, displacement_couple, euler_residu
                               gaussian_w2, monge_map_1d, packet_curvature_term_sup,
                               packet_endpoint_measures, quantum_vs_classical,
                               transport_cost)
-from .competitors import (PerturbationSpec, check_perturbation, make_perturbation,
-                          verify_theorem1)
+from .competitors import (VIOLATION_RADII, PerturbationSpec, check_perturbation,
+                          make_perturbation, verify_theorem1)
 from .errors import (BoundaryLeak, ConfigError, MadelungLabError, NodeDetected,
                      NormDrift)
 from .grid_fields import GridSpec, ScalarField, box_integral, mass_error
 from .io_formats import couple_to_csv, table_to_csv, write_json
 from .madelung import (constant_drift, decompose, drift, madelung_residuals,
                        spreading_mismatched_couple)
-from .nelson_sde import (estimate_I, marginal_histogram, marginal_l1,
-                         renormalized_action, simulate_ensemble)
-from .schrodinger import (NODE_FLOOR, GaussianPacketSpec, ensure_wave_density,
-                          free_propagate, gaussian_packet, packet_classical_action,
-                          packet_density, packet_initial, packet_quantum_action,
-                          packet_sigma_sq)
+from .nelson_sde import (MARGINAL_TIMES, estimate_I, marginal_histogram, marginal_l1,
+                         marginal_node, renormalized_action, simulate_ensemble)
+from .schrodinger import (GaussianPacketSpec, ensure_wave_density, free_propagate,
+                          gaussian_packet, packet_classical_action, packet_density,
+                          packet_initial, packet_quantum_action, packet_sigma_sq)
 
 # ---------------------------------------------------------------------------
 # Config keys
@@ -320,7 +319,7 @@ def run_gaussian_benchmark(cfg: dict, grid: GridSpec, spec: GaussianPacketSpec,
             tables = []
             for frac in distances:
                 x, est = marginal_histogram(ens, frac)
-                j = int(round(frac * grid.n_t))
+                j = marginal_node(frac, grid.n_t)
                 tables.append(np.column_stack([np.full(grid.n_x, frac), x, est,
                                                rho.values[j]]))
             table_to_csv(out_dir / "marginals.csv", "t,x,histogram,reference",
@@ -371,7 +370,7 @@ def run_theorem1_verify(cfg: dict, grid: GridSpec, spec: GaussianPacketSpec,
         checks.between("families-all-pass", report["n_pass"], report["n_specs"],
                        report["n_specs"])
         if constructed:
-            worst = min(r["min_margin"] + 6.0 * r["error_radius"]
+            worst = min(r["min_margin"] + VIOLATION_RADII * r["error_radius"]
                         for r in constructed)
             checks.between("minimization-margins", worst, 0.0, None)
             ratios = [r["derivative_ratio"] for r in constructed]
@@ -476,6 +475,9 @@ def _load(config_path) -> tuple[dict, dict, GridSpec, GaussianPacketSpec]:
         grid = GridSpec(cfg["grid.x_min"], cfg["grid.x_max"], cfg["grid.n_x"],
                         cfg["grid.n_t"])
         grid.coarsen()  # every error radius is taken on the coarsened grid
+        if name == "gaussian-benchmark":  # the one reader of rho at MARGINAL_TIMES
+            for frac in MARGINAL_TIMES:
+                marginal_node(frac, grid.n_t)
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from None
     try:
@@ -483,11 +485,16 @@ def _load(config_path) -> tuple[dict, dict, GridSpec, GaussianPacketSpec]:
                                   cfg["packet.p"])
     except ValueError as exc:
         raise ConfigError(f"packet: {exc}") from None
-    # the quantum action gates are taken on the ensemble of mc.n steps, the
-    # stabilization gates between every two settled sizes
+    # the quantum action and marginal gates are taken on the ensemble of mc.n
+    # steps, the stabilization gates between every two settled sizes
     n_list = ", ".join(map(str, cfg["mc.n_list"]))
     if cfg["mc.n"] not in cfg["mc.n_list"]:
         raise ConfigError(f"mc.n: {cfg['mc.n']} must be one of mc.n_list ({n_list})")
+    try:
+        for frac in MARGINAL_TIMES:
+            marginal_node(frac, cfg["mc.n"])
+    except ValueError as exc:
+        raise ConfigError(f"mc.n: {exc}") from None
     if len({n for n in cfg["mc.n_list"] if n >= SETTLED_N}) < 2:
         raise ConfigError(f"mc.n_list: needs at least two sizes >= {SETTLED_N}, "
                           f"got {n_list}")
@@ -496,7 +503,7 @@ def _load(config_path) -> tuple[dict, dict, GridSpec, GaussianPacketSpec]:
     with np.errstate(all="ignore"):
         density = packet_density(spec, grid.x[np.newaxis, :], grid.t[:, np.newaxis])
     try:
-        ensure_wave_density(density, grid, NODE_FLOOR)
+        ensure_wave_density(density, grid)
     except (ValueError, NormDrift, NodeDetected, BoundaryLeak) as exc:
         raise ConfigError(f"packet: {exc}") from None
     if name == "theorem1-verify":

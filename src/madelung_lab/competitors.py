@@ -57,6 +57,7 @@ from .madelung import FluidCouple
 
 Y_GRID = (-1.0, -0.75, -0.5, -0.25, -0.125, 0.0,
           0.125, 0.25, 0.5, 0.75, 1.0)
+VIOLATION_RADII = 6.0  # 3 combined radii: a margin takes two actions
 
 SPACE_SUPPORT = (-4.0, 4.0)
 TIME_WINDOW = (0.1, 0.9)
@@ -301,7 +302,8 @@ def verify_theorem1(base: FluidCouple, specs) -> dict:
     """Stationarity, minimality and convexity of the y-profiles.
 
     Verdict per spec: 'violated' only when the minimum margin falls
-    below 3 combined error radii; smaller dips are 'inconclusive'.
+    below 3 combined error radii (``VIOLATION_RADII`` radii: a margin is
+    the difference of two actions); smaller dips are 'inconclusive'.
     Construction failures (a lab error or a ValueError from the
     perturbation recipe) are reported as such, never as violations;
     any other exception is a bug and propagates.
@@ -325,7 +327,7 @@ def verify_theorem1(base: FluidCouple, specs) -> dict:
                               for y in Y_GRID]
         entry.update(stats)
 
-        tol = 3.0 * 2.0 * stats["error_radius"]
+        tol = VIOLATION_RADII * stats["error_radius"]
         convex_tol = 3.0 * 4.0 * stats["error_radius"]
         if stats["min_margin"] < -tol:
             entry["verdict"] = "violated"

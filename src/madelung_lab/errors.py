@@ -26,7 +26,7 @@ class NodeDetected(MadelungLabError):
     """The wave amplitude dips below the node floor somewhere on the grid.
 
     Phase unwrapping and the velocity field are meaningless across a node,
-    so decomposition stops rather than returning garbage.
+    so no wave field is built across one and decomposition never sees it.
     """
 
 

@@ -26,11 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NodeDetected, UnwrapInconsistent
+from .errors import UnwrapInconsistent
 from .grid_fields import (GridSpec, ScalarField, ensure_decaying, ensure_normalized,
                           fd_dt, fd_dx, spectral_dx)
-from .schrodinger import (NODE_FLOOR, GaussianPacketSpec, WaveField,
-                          normal_density, packet_mean, packet_sigma_sq)
+from .schrodinger import (GaussianPacketSpec, WaveField, normal_density, packet_mean,
+                          packet_sigma_sq)
 
 # Post-unwrap neighbour increments above this (in radians) mean the grid
 # cannot distinguish a fast phase from a wrap; just below pi.
@@ -92,14 +92,10 @@ def decompose(psi: WaveField):
     every time slice, then shifting whole slices by multiples of 2 pi so
     the centre column is continuous in time (it is anchored to the
     principal value at t = 0). Only the gradient of S is contractual;
-    the couple's velocity is that gradient. log rho is taken, so a
-    density below ``NODE_FLOOR`` raises even if ``psi`` allowed it.
+    the couple's velocity is that gradient; the field's floor keeps log rho finite.
     """
     grid = psi.grid
     dens = psi.density()
-    floor = float(dens.min())
-    if floor < NODE_FLOOR:
-        raise NodeDetected(f"min |psi|^2 = {floor:.3e} below floor {NODE_FLOOR:.1e}")
 
     raw = np.angle(psi.values)
     phase = np.unwrap(raw, axis=-1)

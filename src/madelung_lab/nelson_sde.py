@@ -72,6 +72,14 @@ _JOB_VALUES = 2**15
 MARGINAL_TIMES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
+def marginal_node(fraction: float, count: int) -> int:
+    """The i with i / count == fraction; a fraction between nodes is refused."""
+    i = int(round(fraction * count))
+    if abs(fraction * count - i) > 1e-9:
+        raise ValueError(f"t = {fraction} is not a node of {count} equal time steps")
+    return i
+
+
 @dataclass(frozen=True)
 class Ensemble:
     """Trajectory positions at the partition nodes i/n, i = 0 .. n.
@@ -306,10 +314,7 @@ def estimate_I(ens: Ensemble, b: DriftField, div_b: ScalarField) -> MCEstimate:
 
 def marginal_histogram(ens: Ensemble, fraction: float):
     """Histogram density at a partition time, bins centred on grid points."""
-    node = fraction * ens.n
-    i = int(round(node))
-    if abs(node - i) > 1e-9:
-        raise ValueError(f"t = {fraction} is not a partition node for n = {ens.n}")
+    i = marginal_node(fraction, ens.n)
     grid = ens.grid
     edges = np.concatenate([grid.x - 0.5 * grid.dx,
                             [grid.x[-1] + 0.5 * grid.dx]])
@@ -325,9 +330,7 @@ def marginal_l1(ens: Ensemble, rho: ScalarField) -> dict:
     out = {}
     for frac in MARGINAL_TIMES:
         _, est = marginal_histogram(ens, frac)
-        j = int(round(frac * grid.n_t))
-        if abs(frac * grid.n_t - j) > 1e-9:
-            raise ValueError(f"t = {frac} is not a grid time node")
+        j = marginal_node(frac, grid.n_t)
         out[float(frac)] = float(grid.dx * np.abs(est - rho.values[j]).sum())
     return out
 

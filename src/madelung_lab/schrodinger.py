@@ -43,18 +43,17 @@ class GaussianPacketSpec:
             raise ValueError(f"sigma0 must be positive, got {self.sigma0}")
 
 
-def ensure_wave_density(density: np.ndarray, grid: GridSpec,
-                        node_floor: float) -> None:
+def ensure_wave_density(density: np.ndarray, grid: GridSpec) -> None:
     """Refuse a |psi|^2 that is not, in this order, finite, normalized, at or
-    above ``node_floor`` (the paper's claim holds in the absence of nodes)
+    above ``NODE_FLOOR`` (the paper's claim holds in the absence of nodes)
     and decaying at the box edges."""
     if not np.all(np.isfinite(density)):
         raise ValueError("wave density contains non-finite entries")
     ensure_normalized(density, grid, "wave density")
     floor = float(density.min())
-    if floor < node_floor:
+    if floor < NODE_FLOOR:
         raise NodeDetected(f"min |psi|^2 = {floor:.3e} is below the "
-                           f"node floor {node_floor:.1e}")
+                           f"node floor {NODE_FLOOR:.1e}")
     ensure_decaying(density, grid, "wave density")
 
 
@@ -64,7 +63,6 @@ class WaveField:
 
     grid: GridSpec
     values: np.ndarray
-    node_floor: float = NODE_FLOOR
 
     def __post_init__(self) -> None:
         g = self.grid
@@ -73,14 +71,13 @@ class WaveField:
             raise ValueError(f"wave field has shape {arr.shape}, "
                              f"expected {(g.n_t + 1, g.n_x)}")
         object.__setattr__(self, "values", arr)
-        ensure_wave_density(np.abs(arr) ** 2, g, self.node_floor)
+        ensure_wave_density(np.abs(arr) ** 2, g)
 
     def density(self) -> np.ndarray:
         return np.abs(self.values) ** 2
 
 
-def free_propagate(psi0: np.ndarray, grid: GridSpec,
-                   node_floor: float = NODE_FLOOR) -> WaveField:
+def free_propagate(psi0: np.ndarray, grid: GridSpec) -> WaveField:
     """Evolve one normalized initial state to every time node at once."""
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (grid.n_x,):
@@ -91,7 +88,7 @@ def free_propagate(psi0: np.ndarray, grid: GridSpec,
     phases = np.exp(-0.5j * grid.wavenumbers**2 * grid.t[:, np.newaxis])
     values = np.fft.ifft(khat[np.newaxis, :] * phases, axis=-1)
     values[0] = psi0  # the t=0 slice is the input itself, not a transform roundtrip
-    return WaveField(grid, values, node_floor=node_floor)
+    return WaveField(grid, values)
 
 
 def _alpha(spec: GaussianPacketSpec, t):

@@ -17,6 +17,7 @@ from madelung_lab.cli import EXPERIMENTS, Checks, main, parse_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 NODE_AT_ZERO = "packet: min |psi|^2 = 0.000e+00 is below the node floor 1.0e-60"
+MARGINAL_OFF_NODE = "{}: t = 0.25 is not a node of 6 equal time steps"
 # keys whose settings are now constants, with the values they last held:
 # the perturbation recipe of ``competitors``, the always written couple CSV
 # and the output directory, which is $OUTPUT_DIR or out/<experiment>
@@ -233,6 +234,17 @@ class TestValidate:
                      "mc.n_list = 64,256\n", "mc.n: 100", id="n-not-in-n-list"),
         pytest.param("experiment = gaussian-benchmark\nmc.n = 256\n"
                      "mc.n_list = 64,128,256\n", "mc.n_list", id="one-settled-size"),
+        # the marginal gate reads the ensemble of mc.n steps at MARGINAL_TIMES;
+        # like the other mc rules this one binds every config
+        pytest.param("experiment = gaussian-benchmark\nmc.N = 2000\nmc.n = 6\n"
+                     "mc.n_list = 6,256,512\n", MARGINAL_OFF_NODE.format("mc.n"),
+                     id="marginal-times-off-the-partition"),
+        pytest.param("experiment = bb-compare\nmc.n = 6\nmc.n_list = 6,256,512\n",
+                     MARGINAL_OFF_NODE.format("mc.n"),
+                     id="bb-marginal-times-off-the-partition"),
+        # and rho at the same times, on the grid's time nodes
+        pytest.param("experiment = gaussian-benchmark\ngrid.n_t = 6\n",
+                     MARGINAL_OFF_NODE.format("grid"), id="marginal-times-off-the-grid"),
         # a non-finite number would reach the wave field, a negative seed
         # the generator, only after the output directory exists
         pytest.param("experiment = bb-compare\ngrid.x_max = inf\n",
@@ -260,6 +272,12 @@ class TestValidate:
         assert run_cli(["run", path]) == 1
         assert expected in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_only_the_benchmark_needs_marginal_time_nodes(self, tmp_path, capsys):
+        # no other experiment reads rho at MARGINAL_TIMES
+        path = write_config(tmp_path, "experiment = bb-compare\ngrid.n_t = 6\n")
+        assert run_cli(["validate", path]) == 0
+        assert "valid" in capsys.readouterr().out
 
     def test_precheck_refuses_with_the_family_build_message(self, tmp_path, capsys):
         # validate builds each perturbation with the family's own builder, so

@@ -9,12 +9,11 @@ once on the default lattice plus the second-order refinement ratio.
 import numpy as np
 import pytest
 
-from madelung_lab import (DriftField, FluidCouple, GaussianPacketSpec, GridSpec,
-                          NodeDetected, NormDrift, ScalarField,
+from madelung_lab import (DriftField, FluidCouple, GridSpec, NormDrift, ScalarField,
                           UnwrapInconsistent, WaveField,
                           constant_drift, continuity_residual, decompose, drift,
-                          free_propagate, gaussian_packet, madelung_residuals,
-                          packet_initial, spreading_mismatched_couple)
+                          gaussian_packet, madelung_residuals,
+                          spreading_mismatched_couple)
 
 from controls import (packet_phase, packet_velocity, plateau_couple,
                       translating_gaussian_couple)
@@ -53,16 +52,6 @@ class TestDecompose:
 
     def test_provenance_tagged(self, packet_couple):
         assert packet_couple.provenance == "schrodinger"
-
-    def test_node_floor_respected(self):
-        # propagation with the floor lowered keeps the exact zeros of the
-        # wide packet's far tail; log rho cannot be taken of them
-        wide = GridSpec(-48.0, 48.0, 2048, 64)
-        spec = GaussianPacketSpec(4.0, 0.0, 2.0)
-        psi = free_propagate(packet_initial(spec, wide), wide, node_floor=0.0)
-        assert psi.density().min() == 0.0
-        with pytest.raises(NodeDetected):
-            decompose(psi)
 
     def test_unresolvable_phase_rejected(self, grid):
         rho0 = np.exp(-grid.x**2 / 2.0) / np.sqrt(2.0 * np.pi)

@@ -420,7 +420,7 @@ class TestMarginals:
         g = GridSpec(-2.0, 2.0, 8, 6)
         ens = Ensemble(np.zeros((10, 5)), g)
         rho = ScalarField(g, np.full((7, 8), 0.25))
-        with pytest.raises(ValueError, match="t = 0.25 is not a grid time node"):
+        with pytest.raises(ValueError, match="t = 0.25 is not a node of 6 equal time steps"):
             marginal_l1(ens, rho)
 
 

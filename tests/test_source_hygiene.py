@@ -39,6 +39,10 @@
 * ``MASS_TOL`` is named only in ``grid_fields``: every other module
   checks a mass with ``ensure_normalized``, so no second copy of the
   mass rule creeps back in.
+* ``NODE_FLOOR`` is named only in ``schrodinger``: every ``WaveField``
+  holds min |psi|^2 at or above it, and every other module checks a wave
+  density with ``ensure_wave_density`` or trusts the field, so no second
+  copy of the node rule and no settable floor creeps back in.
 * In ``nelson_sde`` no numpy call takes a whole ``<expr>.paths`` matrix
   as an argument (``np.isfinite(self.paths)``, ``np.diff(ens.paths)``):
   what such a call returns is a second buffer of N * n values. Reads of
@@ -50,9 +54,8 @@
   no caller uses is a constant, not a parameter. A bare or
   module-qualified call counts only for the function that the calling
   module defines or imports; a method call on an object counts for
-  every function of its name. The kept exceptions, each with its
-  reason in ``UNSET_DEFAULTS_ALLOWED``, are ``free_propagate``'s
-  ``node_floor`` and the console script's ``main(argv)``.
+  every function of its name. The one kept exception, with its reason
+  in ``UNSET_DEFAULTS_ALLOWED``, is the console script's ``main(argv)``.
 """
 
 import ast
@@ -78,9 +81,6 @@ DRAW_ALLOWED = {"Philox": {"sample_initial", "_noise"}, "normal": {"_noise"},
                 "standard_normal": {"_scaled_normals"}}
 RECIPE = ("SPACE_SUPPORT", "TIME_WINDOW", "AMPLITUDE", "MODES", "raw_perturbation")
 UNSET_DEFAULTS_ALLOWED = {
-    ("free_propagate", "node_floor"):
-        "the wide-packet tests lower it to 0: the propagated far tail holds "
-        "exact zeros of FFT roundoff, which the default floor refuses",
     ("main", "argv"):
         "the madelung-lab console script of pyproject.toml calls main() with "
         "no argument, so argparse reads sys.argv",
@@ -431,6 +431,26 @@ def test_mass_tolerance_named_only_in_grid_fields(path):
 ])
 def test_mass_tolerance_sites_are_found(snippet):
     assert named_sites(snippet, ("MASS_TOL",))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_node_floor_named_only_in_schrodinger(path):
+    sites = named_sites(path.read_text(), ("NODE_FLOOR",))
+    if path.name == "schrodinger.py":
+        assert sites
+    else:
+        assert sites == []
+
+
+@pytest.mark.parametrize("snippet", [
+    pytest.param("from .schrodinger import NODE_FLOOR\n", id="import"),
+    pytest.param("from . import schrodinger\n\ndef check(dens):\n"
+                 "    return dens.min() < schrodinger.NODE_FLOOR\n",
+                 id="attribute"),
+    pytest.param("NODE_FLOOR = 1e-60\n", id="second-copy"),
+])
+def test_node_floor_sites_are_found(snippet):
+    assert named_sites(snippet, ("NODE_FLOOR",))
 
 
 def _numpy_call(node: ast.AST) -> bool:
