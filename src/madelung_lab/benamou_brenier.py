@@ -33,7 +33,7 @@ from .errors import OrderingViolated
 from .grid_fields import (GridSpec, box_integral, cumulative_trapezoid, ensure_normalized,
                           fd_dt, fd_dx, spectral_antiderivative)
 from .madelung import FluidCouple, gaussian_couple
-from .schrodinger import GaussianPacketSpec, normal_density, packet_sigma_sq
+from .schrodinger import GaussianPacketSpec, normal_density, packet_mean, packet_sigma_sq
 
 _NEWTON_ITERATIONS = 30
 
@@ -185,7 +185,8 @@ def packet_endpoint_measures(spec: GaussianPacketSpec) -> tuple[GaussianMeasure,
                                                                 GaussianMeasure]:
     """The packet's marginal Gaussians at t = 0 and t = 1."""
     return (GaussianMeasure(spec.mu0, spec.sigma0**2),
-            GaussianMeasure(spec.mu0 + spec.p, float(packet_sigma_sq(spec, 1.0))))
+            GaussianMeasure(float(packet_mean(spec, 1.0)),
+                            float(packet_sigma_sq(spec, 1.0))))
 
 
 def packet_curvature_term_sup(spec: GaussianPacketSpec, grid: GridSpec) -> float:
@@ -196,9 +197,8 @@ def packet_curvature_term_sup(spec: GaussianPacketSpec, grid: GridSpec) -> float
     value ``euler_residual`` converges to as the grid refines.
     """
     t = grid.t[1:-1, np.newaxis]
-    s_sq = packet_sigma_sq(spec, t)
-    mean = spec.mu0 + spec.p * t
-    return float(np.max(np.abs(grid.x[np.newaxis, :] - mean) / (4.0 * s_sq**2)))
+    moving = grid.x[np.newaxis, :] - packet_mean(spec, t)
+    return float(np.max(np.abs(moving) / (4.0 * packet_sigma_sq(spec, t) ** 2)))
 
 
 def quantum_vs_classical(g0: GaussianMeasure, g1: GaussianMeasure,

@@ -54,11 +54,12 @@ from .grid_fields import GridSpec, ScalarField, box_integral, mass_error
 from .io_formats import couple_to_csv, table_to_csv, write_json
 from .madelung import (constant_drift, decompose, drift, madelung_residuals,
                        spreading_mismatched_couple)
-from .nelson_sde import (MARGINAL_TIMES, estimate_I, marginal_histogram, marginal_l1,
-                         marginal_node, renormalized_action, simulate_ensemble)
+from .nelson_sde import (MARGINAL_TIMES, estimate_I, initial_moments, marginal_node,
+                         marginals, renormalized_action, simulate_ensemble)
 from .schrodinger import (GaussianPacketSpec, ensure_wave_density, free_propagate,
                           gaussian_packet, packet_classical_action, packet_density,
-                          packet_initial, packet_quantum_action, packet_sigma_sq)
+                          packet_fisher_action, packet_initial, packet_mean,
+                          packet_quantum_action, packet_sigma_sq)
 
 # ---------------------------------------------------------------------------
 # Config keys
@@ -210,7 +211,7 @@ class Stepping:
         ens = simulate_ensemble(b, rho0, grid, N, n, substeps, seed)
         self.seconds += time.perf_counter() - started
         self.steps += N * n * substeps
-        self.paths_bytes = max(self.paths_bytes, ens.paths.nbytes)
+        self.paths_bytes = max(self.paths_bytes, ens.nbytes)
         return ens
 
     def as_dict(self) -> dict:
@@ -255,7 +256,7 @@ def run_gaussian_benchmark(cfg: dict, grid: GridSpec, spec: GaussianPacketSpec,
     checks.within("norm-drift", mass_error(psi.density(), grid), 1e-10)
 
     second = box_integral(grid.x**2 * rho.values[-1], grid, "second moment")
-    expected = float(packet_sigma_sq(spec, 1.0) + (spec.mu0 + spec.p) ** 2)
+    expected = float(packet_sigma_sq(spec, 1.0) + packet_mean(spec, 1.0) ** 2)
     checks.within("second-moment", second - expected, 1e-6)
 
     r1, r2 = madelung_residuals(rho, phase)
@@ -277,10 +278,8 @@ def run_gaussian_benchmark(cfg: dict, grid: GridSpec, spec: GaussianPacketSpec,
                   classical.value - packet_classical_action(spec), 1e-5)
     checks.within("action-sum-rule",
                   finite.value + quantum.value - 2.0 * classical.value, 1e-8)
-    a = 2.0 * spec.sigma0**2
     checks.within("fisher-term",
-                  (classical.value - quantum.value) - 0.5 * np.arctan(1.0 / a),
-                  1e-6)
+                  (classical.value - quantum.value) - packet_fisher_action(spec), 1e-6)
 
     summary = {
         "experiment": "gaussian-benchmark",
@@ -310,26 +309,22 @@ def run_gaussian_benchmark(cfg: dict, grid: GridSpec, spec: GaussianPacketSpec,
                           _mc_band(mc_i, quantum))
             checks.within("mc-pathwise-vs-renormalized", mc_i.mean - ren.mean,
                           _pair_band(ren, mc_i))
-            distances = marginal_l1(ens, rho)
+            histograms, distances = marginals(ens, rho)
             checks.within("mc-marginals", max(distances.values()), 0.03)
-            checks.within("initial-mean", float(ens.paths[:, 0].mean()) - spec.mu0,
+            mean, variance = initial_moments(ens)
+            checks.within("initial-mean", mean - spec.mu0,
                           4.0 * spec.sigma0 / np.sqrt(mc["N"]))
-            checks.within("initial-variance",
-                          float(ens.paths[:, 0].var()) / spec.sigma0**2 - 1.0, 0.05)
-            tables = []
-            for frac in distances:
-                x, est = marginal_histogram(ens, frac)
-                j = marginal_node(frac, grid.n_t)
-                tables.append(np.column_stack([np.full(grid.n_x, frac), x, est,
-                                               rho.values[j]]))
+            checks.within("initial-variance", variance / spec.sigma0**2 - 1.0, 0.05)
+            tables = [np.column_stack([np.full(grid.n_x, frac), grid.x, est,
+                                       rho.values[marginal_node(frac, grid.n_t)]])
+                      for frac, est in histograms.items()]
             table_to_csv(out_dir / "marginals.csv", "t,x,histogram,reference",
                          np.vstack(tables).T)
             summary["mc"] = {"renormalized": ren.as_dict(),
                              "pathwise": mc_i.as_dict(),
-                             "marginal_l1": {f"{k:g}": v
-                                             for k, v in distances.items()},
+                             "marginal_l1": {f"{k:g}": v for k, v in distances.items()},
                              "params": mc}
-        del ens  # free the paths before the next, larger ensemble
+        del ens  # release the ensemble before the next, larger one
 
     settled = [n for n in n_list if n >= SETTLED_N]
     for i, n_a in enumerate(settled):

@@ -68,7 +68,7 @@ _NOISE_STREAM_BASE = 2
 # values per noise draw job (a full block draws one interval per job),
 # and per row chunk of an estimator's scratch
 _JOB_VALUES = 2**15
-# the times at which marginal_l1 compares the ensemble with the density
+# the times at which marginals compares the ensemble with the density
 MARGINAL_TIMES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
@@ -107,6 +107,10 @@ class Ensemble:
     @property
     def n(self) -> int:
         return self.paths.shape[1] - 1
+
+    @property
+    def nbytes(self) -> int:
+        return self.paths.nbytes
 
 
 @dataclass(frozen=True)
@@ -312,25 +316,27 @@ def estimate_I(ens: Ensemble, b: DriftField, div_b: ScalarField) -> MCEstimate:
     return MCEstimate.of_samples(totals)
 
 
-def marginal_histogram(ens: Ensemble, fraction: float):
-    """Histogram density at a partition time, bins centred on grid points."""
-    i = marginal_node(fraction, ens.n)
-    grid = ens.grid
-    edges = np.concatenate([grid.x - 0.5 * grid.dx,
-                            [grid.x[-1] + 0.5 * grid.dx]])
-    counts, _ = np.histogram(ens.paths[:, i], bins=edges)
-    return grid.x, counts / (ens.N * grid.dx)
+def initial_moments(ens: Ensemble) -> tuple[float, float]:
+    """Mean and variance of the initial positions."""
+    return float(ens.paths[:, 0].mean()), float(ens.paths[:, 0].var())
 
 
-def marginal_l1(ens: Ensemble, rho: ScalarField) -> dict:
-    """L1 distance of the histograms from a reference density at MARGINAL_TIMES."""
+def marginals(ens: Ensemble, rho: ScalarField) -> tuple[dict, dict]:
+    """Histogram densities (bins centred on grid points) at MARGINAL_TIMES and
+    their L1 distances from ``rho``, two dicts keyed by the time."""
     if rho.grid != ens.grid:
         raise ValueError("reference density lives on a different grid")
     grid = ens.grid
-    out = {}
+    edges = np.concatenate([grid.x - 0.5 * grid.dx, [grid.x[-1] + 0.5 * grid.dx]])
+    histograms, distances = {}, {}
     for frac in MARGINAL_TIMES:
-        _, est = marginal_histogram(ens, frac)
+        counts, _ = np.histogram(ens.paths[:, marginal_node(frac, ens.n)], bins=edges)
+        est = histograms[float(frac)] = counts / (ens.N * grid.dx)
         j = marginal_node(frac, grid.n_t)
-        out[float(frac)] = float(grid.dx * np.abs(est - rho.values[j]).sum())
-    return out
+        distances[float(frac)] = float(grid.dx * np.abs(est - rho.values[j]).sum())
+    return histograms, distances
 
+
+def marginal_l1(ens: Ensemble, rho: ScalarField) -> dict:
+    """The L1 distances of :func:`marginals`."""
+    return marginals(ens, rho)[1]

@@ -23,7 +23,7 @@ from madelung_lab import (Diverged, DriftField, Ensemble, GaussianPacketSpec,
                           estimate_I, gaussian_packet, marginal_l1,
                           mixture_ensemble, renormalized_action, sample_initial,
                           simulate_ensemble)
-from madelung_lab.nelson_sde import _JOB_VALUES, BLOCK, marginal_histogram
+from madelung_lab.nelson_sde import _JOB_VALUES, BLOCK, marginals
 
 CONTROL_N = 20_000
 CONTROL_PARTITION = 64
@@ -388,13 +388,18 @@ class TestEstimators:
 
 
 class TestMarginals:
-    def test_histogram_mass_is_one(self, big_ensemble):
-        _, est = marginal_histogram(big_ensemble, 0.5)
-        assert est.sum() * big_ensemble.grid.dx == pytest.approx(1.0, abs=1e-12)
+    def test_histogram_mass_is_one(self, big_ensemble, packet_couple):
+        histograms, _ = marginals(big_ensemble, packet_couple.rho)
+        for est in histograms.values():
+            assert est.sum() * big_ensemble.grid.dx == pytest.approx(1.0, abs=1e-12)
 
-    def test_histogram_refuses_off_node_time(self, big_ensemble):
-        with pytest.raises(ValueError):
-            marginal_histogram(big_ensemble, 1.0 / 3.0)
+    def test_histogram_refuses_off_node_time(self):
+        # t = 1/4 is a node of n_t = 4 but not of the n = 3 partition
+        g = GridSpec(-2.0, 2.0, 8, 4)
+        ens = Ensemble(np.zeros((10, 4)), g)
+        rho = ScalarField(g, np.full((5, 8), 0.25))
+        with pytest.raises(ValueError, match="t = 0.25 is not a node of 3 equal time steps"):
+            marginals(ens, rho)
 
     def test_marginals_close_to_reference(self, big_ensemble, packet_couple):
         dist = marginal_l1(big_ensemble, packet_couple.rho)
