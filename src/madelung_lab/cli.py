@@ -49,17 +49,17 @@ from .benamou_brenier import (GaussianMeasure, displacement_couple, euler_residu
 from .competitors import (VIOLATION_RADII, PerturbationSpec, check_perturbation,
                           make_perturbation, verify_theorem1)
 from .errors import (BoundaryLeak, ConfigError, MadelungLabError, NodeDetected,
-                     NormDrift)
+                     NormDrift, UnwrapInconsistent)
 from .grid_fields import GridSpec, ScalarField, box_integral, mass_error
 from .io_formats import couple_to_csv, table_to_csv, write_json
-from .madelung import (constant_drift, decompose, drift, madelung_residuals,
-                       spreading_mismatched_couple)
+from .madelung import (constant_drift, decompose, drift, ensure_resolved_phase,
+                       madelung_residuals, spreading_mismatched_couple)
 from .nelson_sde import (MARGINAL_TIMES, estimate_I, initial_moments, marginal_node,
                          marginals, renormalized_action, simulate_ensemble)
 from .schrodinger import (GaussianPacketSpec, ensure_wave_density, free_propagate,
                           gaussian_packet, packet_classical_action, packet_density,
                           packet_fisher_action, packet_initial, packet_mean,
-                          packet_quantum_action, packet_sigma_sq)
+                          packet_phase, packet_quantum_action, packet_sigma_sq)
 
 # ---------------------------------------------------------------------------
 # Config keys
@@ -493,14 +493,20 @@ def _load(config_path) -> tuple[dict, dict, GridSpec, GaussianPacketSpec]:
     if len({n for n in cfg["mc.n_list"] if n >= SETTLED_N}) < 2:
         raise ConfigError(f"mc.n_list: needs at least two sizes >= {SETTLED_N}, "
                           f"got {n_list}")
-    # Every experiment builds the packet's wave field; the closed-form
-    # density meets the field's own check before the output directory exists.
+    # Every experiment builds the packet's wave field: before the output
+    # directory exists, the closed-form density meets the field's own check
+    # and the closed-form phase the step rule of decompose.
+    x, t = grid.x[np.newaxis, :], grid.t[:, np.newaxis]
     with np.errstate(all="ignore"):
-        density = packet_density(spec, grid.x[np.newaxis, :], grid.t[:, np.newaxis])
+        density = packet_density(spec, x, t)
     try:
         ensure_wave_density(density, grid)
     except (ValueError, NormDrift, NodeDetected, BoundaryLeak) as exc:
         raise ConfigError(f"packet: {exc}") from None
+    try:
+        ensure_resolved_phase(packet_phase(spec, x, t))
+    except UnwrapInconsistent as exc:
+        raise ConfigError(f"grid: {exc}") from None
     if name == "theorem1-verify":
         # the family's own builder and check, on the closed-form density; the
         # density is above the node floor, so its positivity budget is not

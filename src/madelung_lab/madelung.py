@@ -85,6 +85,17 @@ def constant_drift(grid: GridSpec, value: float) -> DriftField:
     return DriftField(grid, np.full((grid.n_t + 1, grid.n_x), float(value)))
 
 
+def ensure_resolved_phase(phase: np.ndarray) -> None:
+    """Refuse a phase, continuous along x, whose largest step between
+    adjacent samples exceeds ``UNWRAP_STEP_LIMIT``: there the grid cannot
+    tell the phase from a wrap."""
+    step = float(np.max(np.abs(np.diff(phase, axis=-1))))
+    if step > UNWRAP_STEP_LIMIT:
+        raise UnwrapInconsistent(
+            f"phase increment {step:.3f} rad between adjacent samples; "
+            f"the grid cannot resolve this phase (limit {UNWRAP_STEP_LIMIT})")
+
+
 def decompose(psi: WaveField):
     """Split a wave field into (rho, S, couple) with v = dS/dx.
 
@@ -99,11 +110,7 @@ def decompose(psi: WaveField):
 
     raw = np.angle(psi.values)
     phase = np.unwrap(raw, axis=-1)
-    step = float(np.max(np.abs(np.diff(phase, axis=-1))))
-    if step > UNWRAP_STEP_LIMIT:
-        raise UnwrapInconsistent(
-            f"phase increment {step:.3f} rad between adjacent samples; "
-            f"the grid cannot resolve this phase (limit {UNWRAP_STEP_LIMIT})")
+    ensure_resolved_phase(phase)
 
     centre = grid.n_x // 2
     phase += raw[0, centre] - phase[0, centre]

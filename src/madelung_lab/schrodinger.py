@@ -130,6 +130,16 @@ def normal_density(x, mean, variance):
 def packet_density(spec: GaussianPacketSpec, x, t):
     return normal_density(x, packet_mean(spec, t), packet_sigma_sq(spec, t))
 
+def packet_phase(spec: GaussianPacketSpec, x, t):
+    """Phase matching ``gaussian_packet`` (continuous branch, no wraps)."""
+    t = np.asarray(t, dtype=float)
+    x = np.asarray(x, dtype=float)
+    var = packet_sigma_sq(spec, t)
+    moving = x - spec.mu0 - spec.p * t
+    return (moving**2 * t / (8.0 * spec.sigma0**2 * var)
+            - 0.5 * np.arctan(t / (2.0 * spec.sigma0**2))
+            + spec.p * (x - spec.mu0) - 0.5 * spec.p**2 * t)
+
 def packet_quantum_action(spec: GaussianPacketSpec) -> float:
     """Exact kinetic minus osmotic action over the unit time interval."""
     a = 2.0 * spec.sigma0**2

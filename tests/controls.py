@@ -3,8 +3,9 @@ the library against.
 
 None of these is run by an experiment, so they live with the tests:
 the translating Gaussian and the plateau are couples with closed-form
-actions and drifts, and the packet's phase and velocity are the oracles
-of ``decompose``.
+actions and drifts, and the packet's velocity is an oracle of
+``decompose`` (its phase, which ``validate`` reads, is
+``schrodinger.packet_phase``).
 """
 
 import numpy as np
@@ -42,17 +43,6 @@ def plateau_couple(grid: GridSpec, speed: float = 0.0) -> FluidCouple:
     v = np.full((grid.n_t + 1, grid.n_x), float(speed))
     return FluidCouple(ScalarField(grid, rho), ScalarField(grid, v),
                        ScalarField(grid, fd_dx(np.log(rho), grid)))
-
-
-def packet_phase(spec: GaussianPacketSpec, x, t):
-    """Phase matching ``gaussian_packet`` (continuous branch, no wraps)."""
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    var = packet_sigma_sq(spec, t)
-    moving = x - spec.mu0 - spec.p * t
-    return (moving**2 * t / (8.0 * spec.sigma0**2 * var)
-            - 0.5 * np.arctan(t / (2.0 * spec.sigma0**2))
-            + spec.p * (x - spec.mu0) - 0.5 * spec.p**2 * t)
 
 
 def packet_velocity(spec: GaussianPacketSpec, x, t):

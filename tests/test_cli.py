@@ -9,15 +9,23 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from madelung_lab import (GaussianPacketSpec, GridSpec, PerturbationSpec, decompose,
                           gaussian_packet, make_family)
 from madelung_lab.cli import EXPERIMENTS, Checks, main, parse_config
+from madelung_lab.nelson_sde import MARGINAL_TIMES
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 NODE_AT_ZERO = "packet: min |psi|^2 = 0.000e+00 is below the node floor 1.0e-60"
 MARGINAL_OFF_NODE = "{}: t = 0.25 is not a node of 6 equal time steps"
+PHASE_UNRESOLVED = ("grid: phase increment 3.003 rad between adjacent samples; "
+                    "the grid cannot resolve this phase (limit 2.8)")
+# 32 nodes on a box of 20: the phase of a packet of width 0.71 steps by
+# 3.003 rad between adjacent nodes, and decompose refuses it
+COARSE_PHASE = ("grid.x_min = -10\ngrid.x_max = 10\ngrid.n_x = 32\ngrid.n_t = 8\n"
+                "packet.sigma0 = 0.71\n")
 # keys whose settings are now constants, with the values they last held:
 # the perturbation recipe of ``competitors``, the always written couple CSV
 # and the output directory, which is $OUTPUT_DIR or out/<experiment>
@@ -227,6 +235,11 @@ class TestValidate:
         pytest.param("experiment = bb-compare\npacket.sigma0 = 1.8\n",
                      "packet: wave density has relative boundary magnitude 4.436e-10",
                      id="packet-reaches-the-box-edge"),
+        # the closed-form phase meets the step rule of decompose
+        pytest.param(f"experiment = bb-compare\n{COARSE_PHASE}", PHASE_UNRESOLVED,
+                     id="phase-steps-past-the-limit"),
+        pytest.param(f"experiment = gaussian-benchmark\n{COARSE_PHASE}mc.N = 200\n",
+                     PHASE_UNRESOLVED, id="benchmark-phase-steps-past-the-limit"),
         *[pytest.param(f"experiment = theorem1-verify\n{key} = {value}\n",
                        f":2: unknown key '{key}'", id=f"retired-{key}")
           for key, value in RETIRED_KEYS.items()],
@@ -396,6 +409,14 @@ class TestRun:
         # 400 samples cannot reproduce the marginals to 0.03 in L1
         out_dir = tmp_path / "out"
         monkeypatch.setenv("OUTPUT_DIR", str(out_dir))
+        binnings = []
+        histogram = np.histogram
+
+        def counted(*args, **kwargs):
+            binnings.append(args)
+            return histogram(*args, **kwargs)
+
+        monkeypatch.setattr(np, "histogram", counted)
         path = write_config(tmp_path,
                             "experiment = gaussian-benchmark\nmc.N = 400\n")
         assert run_cli(["run", path]) == 2
@@ -417,6 +438,15 @@ class TestRun:
         lines = (out_dir / "marginals.csv").read_text().splitlines()
         assert lines[0] == "t,x,histogram,reference"
         assert len(lines) == 1 + 5 * 512
+        # each marginal is binned once, and the CSV holds what the gate measured:
+        # %.17g reads back exactly, so its columns give the L1 distances bit for bit
+        assert len(binnings) == len(MARGINAL_TIMES)
+        table = np.loadtxt(out_dir / "marginals.csv", delimiter=",", skiprows=1)
+        dx = GridSpec(-12.0, 12.0, 512, 256).dx
+        for frac in MARGINAL_TIMES:
+            rows = table[table[:, 0] == frac]
+            distance = float(dx * np.abs(rows[:, 2] - rows[:, 3]).sum())
+            assert distance == summary["mc"]["marginal_l1"][f"{frac:g}"]
         # the couple CSV is written with no key asking for it
         lines = (out_dir / "packet_couple.csv").read_text().splitlines()
         assert lines[0] == "t,x,rho,v"

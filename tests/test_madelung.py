@@ -14,9 +14,9 @@ from madelung_lab import (DriftField, FluidCouple, GridSpec, NormDrift, ScalarFi
                           constant_drift, continuity_residual, decompose, drift,
                           gaussian_packet, madelung_residuals,
                           spreading_mismatched_couple)
+from madelung_lab.schrodinger import packet_phase
 
-from controls import (packet_phase, packet_velocity, plateau_couple,
-                      translating_gaussian_couple)
+from controls import packet_velocity, plateau_couple, translating_gaussian_couple
 
 # sup norms of the two fluid equation residuals for the default packet,
 # measured on the 512 x 256 lattice (frozen)

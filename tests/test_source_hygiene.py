@@ -26,23 +26,27 @@
   way, and in ``madelung_residuals``, the independent check of the
   energy equation: every other reader takes the attached field, so no
   log-gradient fallback creeps back in.
-* ``Philox`` appears only in ``sample_initial`` and ``_noise``, and
-  ``normal`` only in ``_noise``: the trajectory noise has one draw site,
-  the one that runs a job ahead of the stepping, so no second,
-  unpipelined draw path creeps back in.
-* ``SPACE_SUPPORT``, ``TIME_WINDOW``, ``AMPLITUDE`` and ``MODES``, the
-  constants of the perturbation recipe, and ``raw_perturbation``, the
-  recipe's unfitted builder, are named only in ``competitors``: no other
-  module imports, reads, calls or redefines them, so every other module
-  builds a perturbation with ``make_perturbation`` and no second copy of
-  the recipe creeps back in.
-* ``MASS_TOL`` is named only in ``grid_fields``: every other module
-  checks a mass with ``ensure_normalized``, so no second copy of the
-  mass rule creeps back in.
-* ``NODE_FLOOR`` is named only in ``schrodinger``: every ``WaveField``
-  holds min |psi|^2 at or above it, and every other module checks a wave
-  density with ``ensure_wave_density`` or trusts the field, so no second
-  copy of the node rule and no settable floor creeps back in.
+* ``Philox`` appears only in ``sample_initial`` and ``_noise``,
+  ``standard_normal`` only in ``_scaled_normals``, which ``_noise`` runs
+  a job ahead of the stepping, and ``normal`` nowhere: the trajectory
+  noise has one draw site, so no second, unpipelined draw path creeps
+  back in.
+* Each name of a row of ``owned_by`` below is named only in that row's
+  owner module: no other module imports, reads, calls or redefines it,
+  so no second copy of what it stands for creeps back in. The rows are
+  the perturbation recipe in ``competitors`` (its constants
+  ``SPACE_SUPPORT``, ``TIME_WINDOW``, ``AMPLITUDE`` and ``MODES`` and its
+  unfitted builder ``raw_perturbation``; every other module builds a
+  perturbation with ``make_perturbation``), ``MASS_TOL`` in
+  ``grid_fields`` (every other module checks a mass with
+  ``ensure_normalized``), ``NODE_FLOOR`` in ``schrodinger`` (every
+  ``WaveField`` holds min |psi|^2 at or above it, and every other module
+  checks a wave density with ``ensure_wave_density`` or trusts the
+  field, so no settable floor creeps back in either),
+  ``UNWRAP_STEP_LIMIT`` in ``madelung`` (every phase meets
+  ``ensure_resolved_phase``) and ``paths`` in ``nelson_sde`` (the path
+  matrix is read only by the ensemble's own estimators, so it can be
+  replaced by reducers in one module).
 * In ``nelson_sde`` no numpy call takes a whole ``<expr>.paths`` matrix
   as an argument (``np.isfinite(self.paths)``, ``np.diff(ens.paths)``):
   what such a call returns is a second buffer of N * n values. Reads of
@@ -77,7 +81,7 @@ BENCHMARK = {path.stem: path.read_text() for path in PERFBENCH}
 BLANKET = {"Exception", "BaseException"}
 INTERP_ALLOWED = {"sample_initial"}
 LOG_GRADIENT_ALLOWED = {"decompose", "madelung_residuals"}
-DRAW_ALLOWED = {"Philox": {"sample_initial", "_noise"}, "normal": {"_noise"},
+DRAW_ALLOWED = {"Philox": {"sample_initial", "_noise"}, "normal": set(),
                 "standard_normal": {"_scaled_normals"}}
 RECIPE = ("SPACE_SUPPORT", "TIME_WINDOW", "AMPLITUDE", "MODES", "raw_perturbation")
 UNSET_DEFAULTS_ALLOWED = {
@@ -375,6 +379,8 @@ def test_noise_has_one_draw_site(path):
                  "def mixture_ensemble(rng, shape):\n"
                  "    return rng.standard_normal(shape)\n",
                  id="second-standard-normal-site"),
+    pytest.param("def _noise(rng, shape, root_h):\n"
+                 "    return rng.normal(0.0, root_h, shape)\n", id="normal-in-the-noise"),
 ])
 def test_draw_sites_are_found(snippet):
     assert stray_draws(snippet)
@@ -388,69 +394,70 @@ def named_sites(source: str, names: tuple) -> list[tuple[int, str]]:
     return bare + [site for name in names for site in name_sites(source, name)]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_recipe_named_only_in_competitors(path):
-    sites = named_sites(path.read_text(), RECIPE)
-    if path.name == "competitors.py":
-        assert sites
-    else:
-        assert sites == []
+def owned_by(owner: str, names: tuple, snippets: list):
+    """The two tests of the rule that ``names`` are named only in module
+    ``owner``: every library module keeps it, and each snippet, which
+    names one of them outside the owner, breaks it."""
+
+    @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+    def named_only_in_owner(path):
+        sites = named_sites(path.read_text(), names)
+        assert bool(sites) if path.stem == owner else sites == []
+
+    @pytest.mark.parametrize("snippet", snippets)
+    def sites_are_found(snippet):
+        assert named_sites(snippet, names)
+
+    return named_only_in_owner, sites_are_found
 
 
-@pytest.mark.parametrize("snippet", [
-    pytest.param("from .competitors import AMPLITUDE\n", id="import"),
-    pytest.param("from . import competitors\n\n"
-                 "BOX = competitors.SPACE_SUPPORT\n", id="module-level"),
-    pytest.param("def window(t):\n    t0, t1 = TIME_WINDOW\n    return t0\n",
-                 id="function"),
-    pytest.param("MODES = 3\n", id="second-copy"),
-    pytest.param("from .competitors import raw_perturbation\n", id="builder-import"),
-    pytest.param("from . import competitors\n\ndef precheck(spec, grid):\n"
-                 "    return competitors.raw_perturbation(spec, grid)\n",
-                 id="builder-call"),
-])
-def test_recipe_sites_are_found(snippet):
-    assert named_sites(snippet, RECIPE)
-
-
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_mass_tolerance_named_only_in_grid_fields(path):
-    sites = named_sites(path.read_text(), ("MASS_TOL",))
-    if path.name == "grid_fields.py":
-        assert sites
-    else:
-        assert sites == []
-
-
-@pytest.mark.parametrize("snippet", [
-    pytest.param("from .grid_fields import MASS_TOL\n", id="import"),
-    pytest.param("from . import grid_fields\n\ndef check(mass):\n"
-                 "    return abs(mass - 1.0) > grid_fields.MASS_TOL\n",
-                 id="attribute"),
-    pytest.param("MASS_TOL = 1e-8\n", id="second-copy"),
-])
-def test_mass_tolerance_sites_are_found(snippet):
-    assert named_sites(snippet, ("MASS_TOL",))
-
-
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_node_floor_named_only_in_schrodinger(path):
-    sites = named_sites(path.read_text(), ("NODE_FLOOR",))
-    if path.name == "schrodinger.py":
-        assert sites
-    else:
-        assert sites == []
-
-
-@pytest.mark.parametrize("snippet", [
-    pytest.param("from .schrodinger import NODE_FLOOR\n", id="import"),
-    pytest.param("from . import schrodinger\n\ndef check(dens):\n"
-                 "    return dens.min() < schrodinger.NODE_FLOOR\n",
-                 id="attribute"),
-    pytest.param("NODE_FLOOR = 1e-60\n", id="second-copy"),
-])
-def test_node_floor_sites_are_found(snippet):
-    assert named_sites(snippet, ("NODE_FLOOR",))
+test_recipe_named_only_in_competitors, test_recipe_sites_are_found = owned_by(
+    "competitors", RECIPE, [
+        pytest.param("from .competitors import AMPLITUDE\n", id="import"),
+        pytest.param("from . import competitors\n\n"
+                     "BOX = competitors.SPACE_SUPPORT\n", id="module-level"),
+        pytest.param("def window(t):\n    t0, t1 = TIME_WINDOW\n    return t0\n",
+                     id="function"),
+        pytest.param("MODES = 3\n", id="second-copy"),
+        pytest.param("from .competitors import raw_perturbation\n",
+                     id="builder-import"),
+        pytest.param("from . import competitors\n\ndef precheck(spec, grid):\n"
+                     "    return competitors.raw_perturbation(spec, grid)\n",
+                     id="builder-call"),
+    ])
+test_mass_tolerance_named_only_in_grid_fields, test_mass_tolerance_sites_are_found = \
+    owned_by("grid_fields", ("MASS_TOL",), [
+        pytest.param("from .grid_fields import MASS_TOL\n", id="import"),
+        pytest.param("from . import grid_fields\n\ndef check(mass):\n"
+                     "    return abs(mass - 1.0) > grid_fields.MASS_TOL\n",
+                     id="attribute"),
+        pytest.param("MASS_TOL = 1e-8\n", id="second-copy"),
+    ])
+test_node_floor_named_only_in_schrodinger, test_node_floor_sites_are_found = owned_by(
+    "schrodinger", ("NODE_FLOOR",), [
+        pytest.param("from .schrodinger import NODE_FLOOR\n", id="import"),
+        pytest.param("from . import schrodinger\n\ndef check(dens):\n"
+                     "    return dens.min() < schrodinger.NODE_FLOOR\n",
+                     id="attribute"),
+        pytest.param("NODE_FLOOR = 1e-60\n", id="second-copy"),
+    ])
+test_unwrap_limit_named_only_in_madelung, test_unwrap_limit_sites_are_found = owned_by(
+    "madelung", ("UNWRAP_STEP_LIMIT",), [
+        pytest.param("from .madelung import UNWRAP_STEP_LIMIT\n", id="import"),
+        pytest.param("import numpy as np\n\ndef resolved(phase):\n"
+                     "    step = np.max(np.abs(np.diff(phase, axis=-1)))\n"
+                     "    return step <= madelung.UNWRAP_STEP_LIMIT\n", id="attribute"),
+        pytest.param("UNWRAP_STEP_LIMIT = 2.8\n", id="second-copy"),
+    ])
+test_paths_named_only_in_nelson_sde, test_paths_sites_are_found = owned_by(
+    "nelson_sde", ("paths",), [
+        pytest.param("def initial_mean(ens):\n    return ens.paths[:, 0].mean()\n",
+                     id="column-read"),
+        pytest.param("def path_bytes(ens):\n    return ens.paths.nbytes\n",
+                     id="size-read"),
+        pytest.param("def simulate(b, grid):\n    paths = run(b, grid)\n"
+                     "    return paths\n", id="local-name"),
+    ])
 
 
 def _numpy_call(node: ast.AST) -> bool:
