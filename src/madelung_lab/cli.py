@@ -198,7 +198,9 @@ class Checks:
 
 class Stepping:
     """Wall seconds and trajectory steps spent simulating ensembles, and
-    the bytes of the largest path matrix simulated."""
+    the bytes of the largest block buffer they held: each block of
+    trajectories is stepped into one buffer of its positions at the
+    partition nodes and reduced before the next block reuses it."""
 
     def __init__(self):
         self.seconds = 0.0
@@ -211,7 +213,7 @@ class Stepping:
         ens = simulate_ensemble(b, rho0, grid, N, n, substeps, seed)
         self.seconds += time.perf_counter() - started
         self.steps += N * n * substeps
-        self.paths_bytes = max(self.paths_bytes, ens.nbytes)
+        self.paths_bytes = max(self.paths_bytes, ens.block_bytes)
         return ens
 
     def as_dict(self) -> dict:
@@ -324,7 +326,6 @@ def run_gaussian_benchmark(cfg: dict, grid: GridSpec, spec: GaussianPacketSpec,
                              "pathwise": mc_i.as_dict(),
                              "marginal_l1": {f"{k:g}": v for k, v in distances.items()},
                              "params": mc}
-        del ens  # release the ensemble before the next, larger one
 
     settled = [n for n in n_list if n >= SETTLED_N]
     for i, n_a in enumerate(settled):

@@ -34,6 +34,7 @@ a grid are read at the same positions from one location.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -93,6 +94,10 @@ class GridSpec:
         return self.x_min + self.dx * np.arange(self.n_x)
 
     @cached_property
+    def inverse_dx(self) -> float:
+        return 1.0 / self.dx
+
+    @cached_property
     def x_steps(self) -> np.ndarray:
         """Node spacings ``x[i + 1] - x[i]``, the divisors of ``np.interp``."""
         return np.diff(self.x)
@@ -111,22 +116,23 @@ class GridSpec:
         return 2.0 * np.pi * np.fft.fftfreq(self.n_x, d=self.dx)
 
     def locate(self, positions: np.ndarray) -> tuple:
-        """Segment index j, offset x - x[j] and on-node mask of each position.
+        """Segment index j and offset x - x[j] of each position.
 
         Positions must be finite; they are clipped to the first and last
         node. ``(x - x_min) / dx - 1/2`` rounded toward zero is the
-        segment holding x or the one before it; one comparison with the
-        next node settles which, as ``np.interp``'s search would.
+        segment holding x or the one before it, also when the product
+        with the cached 1/dx is off in its last bit; one comparison with
+        the next node settles which, as ``np.interp``'s search would.
         :meth:`ScalarField.read` takes the result.
         """
         x = np.maximum(positions, self.x[0])
         np.minimum(x, self.x[-1], out=x)
         u = x - (self.x_min + 0.5 * self.dx)
-        u /= self.dx
+        u *= self.inverse_dx
         j = u.astype(np.intp)
-        j += self.x_next.take(j) <= x
-        offset = x - self.x.take(j)
-        return j, offset, offset == 0.0
+        j += self.x_next.take(j, mode="clip") <= x
+        offset = x - self.x.take(j, mode="clip")
+        return j, offset
 
     def coarsen(self) -> "GridSpec":
         """Grid with every second node removed in both directions."""
@@ -179,19 +185,32 @@ class ScalarField:
     def read(self, located: tuple, t: float) -> np.ndarray:
         """Values at positions already located on this field's grid,
         frozen at the time node <= t; see :meth:`at`."""
-        j, offset, on_node = located
+        j, offset = located
         g = self.grid
-        node = min(int(np.floor(t * g.n_t + 1e-9)), g.n_t)
+        node = min(math.floor(t * g.n_t + 1e-9), g.n_t)
         row = self.values[node]
         slope = (row[1:] - row[:-1]) / g.x_steps
-        value = row.take(j)
-        # the last node has no segment; its offset is 0, so the clipped
+        value = row.take(j, mode="clip")
+        # every j is a node, so "clip" only skips the bounds check; the
+        # last node has no segment, but its offset is 0, so the clipped
         # slope is never used there
         out = slope.take(j, mode="clip")
         out *= offset
         out += value
-        np.copyto(out, value, where=on_node)
+        if self._needs_node_copy[node]:
+            np.copyto(out, value, where=offset == 0.0)
         return out
+
+    @cached_property
+    def _needs_node_copy(self) -> np.ndarray:
+        """Per time node, whether slope * 0 + value can differ from the
+        value on a node: a -0.0 entry turns into +0.0 (when its slope is
+        not negative), and a non-finite slope makes the product NaN."""
+        rows = self.values
+        with np.errstate(over="ignore", invalid="ignore"):
+            slopes = (rows[:, 1:] - rows[:, :-1]) / self.grid.x_steps
+        return (np.signbit(rows) & (rows == 0.0)).any(axis=1) \
+            | ~np.isfinite(slopes).all(axis=1)
 
 
 def edge_leak(values: np.ndarray, grid: GridSpec) -> float:

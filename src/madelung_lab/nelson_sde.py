@@ -13,8 +13,7 @@ size n that defines the discrete action
 Subtracting n (the expected quadratic variation of the noise alone)
 renormalizes F_n; for a Markovian drift the renormalized value
 estimates the expected time integral of b^2 + div b, hence the quantum
-action of the underlying couple. An ensemble therefore keeps only the
-positions at the partition nodes. A drift is a scalar field; it and its
+action of the underlying couple. A drift is a scalar field; it and its
 divergence are read along trajectories by :meth:`ScalarField.at`
 (linear in x, frozen at the time node to the left), so the stepping and
 the estimators share one rule. A drift equal to one value c on the
@@ -36,11 +35,16 @@ the one a draw per substep would give. The noise is drawn as standard
 normals scaled by sqrt(h) in place: the values of ``normal(0, sqrt(h))``
 except that a -0.0 draw keeps its sign.
 
-Memory: the path matrix, N * (n + 1) float64 values, is the only
-allocation that grows with N * n. Every estimator's scratch is O(N)
-(one value per trajectory, or one column of the paths) or one chunk of
-``max(1, _JOB_VALUES // n)`` rows, so a run's peak is the paths plus
-a bounded remainder.
+Memory: no path matrix is held. Each block of trajectories is stepped
+into one (block size, n + 1) buffer of its positions at the partition
+nodes, and that buffer is reduced to what the estimators read before
+the next block reuses it: per trajectory, n times the summed squared
+partition increment and the positions at each of ``MARGINAL_TIMES``
+that is a partition node. For a single drift read by lookup, the
+trapezoid of b^2 + div b at the partition nodes is summed during the
+stepping, at the positions the drift lookup of each node's first
+substep has located. An ensemble therefore holds O(N) values, and a
+run's peak is one block buffer plus those and a bounded remainder.
 
 Mixtures: convex combinations of drifts share one X0 and one Brownian
 path per trajectory. The component diffusions q^{b_j} are co-evolved on
@@ -54,6 +58,7 @@ so it is stepped once.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,35 +87,31 @@ def marginal_node(fraction: float, count: int) -> int:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Trajectory positions at the partition nodes i/n, i = 0 .. n.
+    """What the estimators read of N trajectories stepped over n partition
+    intervals, one value per trajectory each; no path is kept.
 
-    ``paths`` has shape (N, n + 1), one row per trajectory; ``N`` and
-    ``n`` are read from that shape.
+    ``squared_increments`` holds n times each trajectory's summed squared
+    partition increment. ``positions`` maps each time of
+    ``MARGINAL_TIMES`` that is a node of the partition (t = 0 always is)
+    to the positions there. For a single drift read by lookup,
+    ``pathwise`` holds each trajectory's trapezoid of b^2 + div b, and
+    ``drift`` and ``divergence`` are the fields it read; otherwise all
+    three are None. ``block_bytes`` is the size of the one block buffer
+    that the stepping held.
     """
 
-    paths: np.ndarray
     grid: GridSpec
-
-    def __post_init__(self) -> None:
-        if self.paths.ndim != 2 or self.paths.shape[0] < 1 \
-                or self.paths.shape[1] < 2:
-            raise ValueError(f"paths shape {self.paths.shape} is not (N, n + 1) "
-                             f"with N, n >= 1")
-        for rows in _row_chunks(self.paths):
-            if not np.all(np.isfinite(self.paths[rows])):
-                raise ValueError("ensemble contains non-finite positions")
+    n: int
+    squared_increments: np.ndarray
+    positions: dict
+    pathwise: np.ndarray | None
+    drift: DriftField | None
+    divergence: ScalarField | None
+    block_bytes: int
 
     @property
     def N(self) -> int:
-        return self.paths.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.paths.shape[1] - 1
-
-    @property
-    def nbytes(self) -> int:
-        return self.paths.nbytes
+        return self.squared_increments.size
 
 
 @dataclass(frozen=True)
@@ -142,6 +143,18 @@ def _row_chunks(paths: np.ndarray):
         yield slice(start, start + rows)
 
 
+def _marginal_columns(n: int) -> dict:
+    """The node i of each time of MARGINAL_TIMES that is a node of n equal
+    steps; :func:`marginals` refuses the others."""
+    columns = {}
+    for frac in MARGINAL_TIMES:
+        try:
+            columns[frac] = marginal_node(frac, n)
+        except ValueError:
+            continue
+    return columns
+
+
 def sample_initial(rho0: np.ndarray, grid: GridSpec, n_samples: int,
                    seed: int) -> np.ndarray:
     """Inverse-CDF samples from a density given on the spatial grid.
@@ -161,9 +174,11 @@ def sample_initial(rho0: np.ndarray, grid: GridSpec, n_samples: int,
 
 
 def _check_inside(positions: np.ndarray, grid: GridSpec, t: float) -> None:
+    """Refuse positions beyond a 20% margin around the box; NaN counts as
+    beyond it."""
     width = grid.x_max - grid.x_min
     low, high = grid.x_min - 0.2 * width, grid.x_max + 0.2 * width
-    if np.min(positions) < low or np.max(positions) > high:
+    if not (low <= np.min(positions) and np.max(positions) <= high):
         worst = float(np.max(np.abs(positions)))
         raise Diverged(f"trajectory reached |q| = {worst:.3f} at t = {t:.4f}, "
                        f"outside the 20% margin around the box")
@@ -201,67 +216,154 @@ def _noise(pool: ThreadPoolExecutor, seed: int, N: int, n: int,
     yield from pending.result()
 
 
-def mixture_ensemble(drifts: list[DriftField], weights, rho0, grid: GridSpec,
-                     N: int, n: int, substeps: int, seed: int) -> Ensemble:
-    """Simulate the convex mixture of drifts on common (X0, W).
+def _constant(b: DriftField) -> float | None:
+    """The one value of a drift equal to it everywhere, else None: such a
+    drift pulls every position by that value, so its track is stepped with
+    the scalar and never looked up."""
+    first = b.values.flat[0]
+    return float(first) if np.all(b.values == first) else None
 
-    ``rho0`` is the initial density sampled on ``grid.x``; pass None to
-    start every trajectory at the origin.
-    """
-    if not drifts:
-        raise ValueError("need at least one drift")
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (len(drifts),):
-        raise ValueError("one weight per drift required")
-    if np.any(weights < 0.0) or abs(weights.sum() - 1.0) > 1e-12:
-        raise ValueError(f"weights must be convex, got {weights.tolist()}")
-    for index, b in enumerate(drifts):
-        if b.grid != grid:
-            raise ValueError(f"drift {index} lives on a different grid")
-    if n < 1 or substeps < 1 or N < 1:
-        raise ValueError("N, n and substeps must be positive")
 
+def _summed_divergence(drifts: list[DriftField]) -> ScalarField | None:
+    """The divergence whose pathwise sums the stepping records: the single
+    drift's when it is read by lookup, else None. A constant drift takes
+    no lookup to reuse, and a mixture's recorded track follows no one
+    drift."""
+    if len(drifts) == 1 and _constant(drifts[0]) is None:
+        return drifts[0].divergence()
+    return None
+
+
+def _add_node(sums: np.ndarray, pull: np.ndarray, divergence: ScalarField,
+              located: tuple, t: float, weight: float) -> None:
+    """Add a partition node's trapezoid term of b^2 + div b: ``pull`` is b
+    read at the ``located`` positions, frozen at the node's time ``t``.
+    The term is formed in place; a sum and a product are the same in
+    either order."""
+    term = divergence.read(located, t)
+    term += pull ** 2
+    term *= weight
+    sums += term
+
+
+def _initial_positions(rho0, grid: GridSpec, N: int, seed: int) -> np.ndarray:
+    """N samples of ``rho0``, or N zeros when it is None."""
     if rho0 is None:
-        x0 = np.zeros(N)
-    else:
-        x0 = sample_initial(rho0, grid, N, seed)
+        return np.zeros(N)
+    return sample_initial(rho0, grid, N, seed)
 
-    # a drift equal to one value c everywhere pulls every position by c,
-    # so its track is stepped with the scalar and never looked up
-    constants = [float(b.values.flat[0]) if np.all(b.values == b.values.flat[0])
-                 else None for b in drifts]
+
+def _path_blocks(drifts: list[DriftField], weights: np.ndarray, x0: np.ndarray,
+                 grid: GridSpec, n: int, substeps: int, seed: int,
+                 divergence: ScalarField | None):
+    """Step the trajectories from ``x0`` one block at a time.
+
+    Yields each block's rows, its (width, n + 1) positions at the
+    partition nodes, in one buffer that the next block reuses, and, when
+    ``divergence`` is given (the single drift's, read by lookup), the
+    block's trapezoid of b^2 + div b per trajectory; else None. The
+    other arguments are those of :func:`mixture_ensemble`, checked there.
+    """
+    N = x0.size
+    constants = [_constant(b) for b in drifts]
     mixing = len(drifts) > 1
     h = 1.0 / (n * substeps)
     root_h = np.sqrt(h)
-    paths = np.empty((N, n + 1))
+    buffer = np.empty((min(N, BLOCK), n + 1))
 
     with ThreadPoolExecutor(max_workers=1) as pool:
         noise = _noise(pool, seed, N, n, substeps, root_h)
         for start in range(0, N, BLOCK):
             stop = min(start + BLOCK, N)
+            paths = buffer[:stop - start]
             components = [x0[start:stop].copy() for _ in drifts]
-            mixed = x0[start:stop].copy()
-            paths[start:stop, 0] = mixed
+            # the first track is the recorded one
+            tracks = [x0[start:stop].copy(), *components] if mixing else components
+            paths[:, 0] = x0[start:stop]
+            sums = None if divergence is None else np.zeros(stop - start)
             for i in range(n):
                 for sub, dw in enumerate(next(noise), start=i * substeps):
                     t_left = sub * h
-                    pulls = [b.evaluate(q, t_left) if c is None else c
-                             for b, c, q in zip(drifts, constants, components)]
+                    pulls = []
+                    for b, c, q in zip(drifts, constants, components):
+                        if c is None:
+                            located = grid.locate(q)
+                            pulls.append(b.read(located, t_left))
+                        else:
+                            pulls.append(c)
+                    if sums is not None and sub == i * substeps:
+                        # node i's lookup of the one drift serves its sums:
+                        # t_left is i / n up to rounding, on the same time node
+                        _add_node(sums, pulls[0], divergence, located, i / n,
+                                  1.0 if i else 0.5)
                     for j, pull in enumerate(pulls):
                         step = pull * h
                         step += dw
                         components[j] += step
                     if mixing:
                         beta = sum(w * pull for w, pull in zip(weights, pulls))
-                        mixed += beta * h + dw
-                # the first track is the recorded one
-                tracks = [mixed, *components] if mixing else components
+                        tracks[0] += beta * h + dw
                 t_node = (i + 1) / n
                 for q in tracks:
                     _check_inside(q, grid, t_node)
-                paths[start:stop, i + 1] = tracks[0]
+                paths[:, i + 1] = tracks[0]
+            if sums is not None:
+                located = grid.locate(components[0])
+                _add_node(sums, drifts[0].read(located, 1.0), divergence, located,
+                          1.0, 0.5)
+                sums /= n
+            yield slice(start, stop), paths, sums
 
-    return Ensemble(paths, grid)
+
+def _sum_squared_increments(paths: np.ndarray, out: np.ndarray) -> None:
+    """n times each row's summed squared increment along ``paths``, into
+    ``out``. The increments are formed one row chunk at a time, so the
+    scratch is one chunk's; each row's sum does not depend on the chunking."""
+    n = paths.shape[1] - 1
+    for rows in _row_chunks(paths):
+        dq = np.diff(paths[rows], axis=1)
+        out[rows] = n * np.einsum("ij,ij->i", dq, dq)
+
+
+def mixture_ensemble(drifts: list[DriftField], weights, rho0, grid: GridSpec,
+                     N: int, n: int, substeps: int, seed: int) -> Ensemble:
+    """Simulate the convex mixture of drifts on common (X0, W).
+
+    ``rho0`` is the initial density sampled on ``grid.x``; pass None to
+    start every trajectory at the origin. Each block is reduced to the
+    fields of :class:`Ensemble` as soon as it is stepped.
+    """
+    if not drifts:
+        raise ValueError("need at least one drift")
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (len(drifts),):
+        raise ValueError("one weight per drift required")
+    if not (np.all(weights >= 0.0) and abs(weights.sum() - 1.0) <= 1e-12):
+        raise ValueError(f"weights must be finite and convex, got {weights.tolist()}")
+    for index, b in enumerate(drifts):
+        if b.grid != grid:
+            raise ValueError(f"drift {index} lives on a different grid")
+    if n < 1 or substeps < 1 or N < 1:
+        raise ValueError("N, n and substeps must be positive")
+
+    x0 = _initial_positions(rho0, grid, N, seed)
+    divergence = _summed_divergence(drifts)
+    columns = _marginal_columns(n)
+    squared = np.empty(N)
+    positions = {frac: np.empty(N) if i else x0 for frac, i in columns.items()}
+    pathwise = None if divergence is None else np.empty(N)
+    with closing(_path_blocks(drifts, weights, x0, grid, n, substeps, seed,
+                              divergence)) as blocks:
+        for rows, paths, sums in blocks:
+            _sum_squared_increments(paths, squared[rows])
+            for frac, i in columns.items():
+                if i:
+                    positions[frac][rows] = paths[:, i]
+            if pathwise is not None:
+                pathwise[rows] = sums
+    return Ensemble(grid, n, squared, positions, pathwise,
+                    None if divergence is None else drifts[0], divergence,
+                    min(N, BLOCK) * (n + 1) * 8)
 
 
 def simulate_ensemble(b: DriftField, rho0, grid: GridSpec, N: int, n: int,
@@ -271,18 +373,8 @@ def simulate_ensemble(b: DriftField, rho0, grid: GridSpec, N: int, n: int,
 
 
 def discrete_action(ens: Ensemble) -> MCEstimate:
-    """n times the mean summed squared partition increment.
-
-    The increments are formed one row chunk at a time, so the scratch
-    next to the paths is one value per trajectory and at most two
-    chunks' increments (the next chunk's is formed before the last one's
-    is released). Each row's sum does not depend on the chunking.
-    """
-    per_path = np.empty(ens.N)
-    for rows in _row_chunks(ens.paths):
-        dq = np.diff(ens.paths[rows], axis=1)
-        per_path[rows] = ens.n * np.einsum("ij,ij->i", dq, dq)
-    return MCEstimate.of_samples(per_path)
+    """n times the mean summed squared partition increment."""
+    return MCEstimate.of_samples(ens.squared_increments)
 
 
 def renormalized_action(ens: Ensemble) -> MCEstimate:
@@ -296,8 +388,9 @@ def estimate_I(ens: Ensemble, b: DriftField, div_b: ScalarField) -> MCEstimate:
 
     The integrand is read along each trajectory at the partition nodes
     by the drift's own rule, :meth:`ScalarField.at`, and integrated by
-    the trapezoid rule; b and div b share the grid, so each node's
-    positions are located once and both fields are read from that.
+    the trapezoid rule. The sums are taken during the stepping, so only
+    an ensemble of one drift read by lookup has them, and ``b`` and
+    ``div_b`` must equal (by value) that drift and its divergence.
     Independent of the renormalized action estimator, which never
     looks at b.
     """
@@ -305,20 +398,20 @@ def estimate_I(ens: Ensemble, b: DriftField, div_b: ScalarField) -> MCEstimate:
         raise ValueError("drift field lives on a different grid")
     if div_b.grid != ens.grid:
         raise ValueError("divergence field lives on a different grid")
-    totals = np.zeros(ens.N)
-    for i in range(ens.n + 1):
-        t_i = i / ens.n
-        located = ens.grid.locate(ens.paths[:, i])
-        values = b.read(located, t_i) ** 2 + div_b.read(located, t_i)
-        weight = 0.5 if i in (0, ens.n) else 1.0
-        totals += weight * values
-    totals /= ens.n
-    return MCEstimate.of_samples(totals)
+    if ens.pathwise is None:
+        raise ValueError("the ensemble records no pathwise sums: only a single "
+                         "drift read by lookup has them, not a mixture or a "
+                         "constant drift")
+    if not (np.array_equal(b.values, ens.drift.values)
+            and np.array_equal(div_b.values, ens.divergence.values)):
+        raise ValueError("b and div_b must be the ensemble's drift and its divergence")
+    return MCEstimate.of_samples(ens.pathwise)
 
 
 def initial_moments(ens: Ensemble) -> tuple[float, float]:
     """Mean and variance of the initial positions."""
-    return float(ens.paths[:, 0].mean()), float(ens.paths[:, 0].var())
+    x0 = ens.positions[0.0]
+    return float(x0.mean()), float(x0.var())
 
 
 def marginals(ens: Ensemble, rho: ScalarField) -> tuple[dict, dict]:
@@ -330,7 +423,8 @@ def marginals(ens: Ensemble, rho: ScalarField) -> tuple[dict, dict]:
     edges = np.concatenate([grid.x - 0.5 * grid.dx, [grid.x[-1] + 0.5 * grid.dx]])
     histograms, distances = {}, {}
     for frac in MARGINAL_TIMES:
-        counts, _ = np.histogram(ens.paths[:, marginal_node(frac, ens.n)], bins=edges)
+        marginal_node(frac, ens.n)  # refuses a time between partition nodes
+        counts, _ = np.histogram(ens.positions[frac], bins=edges)
         est = histograms[float(frac)] = counts / (ens.N * grid.dx)
         j = marginal_node(frac, grid.n_t)
         distances[float(frac)] = float(grid.dx * np.abs(est - rho.values[j]).sum())

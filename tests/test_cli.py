@@ -5,6 +5,7 @@ is exercised end to end on small, fast configurations plus every
 config-error path the parser promises to catch.
 """
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -26,6 +27,17 @@ PHASE_UNRESOLVED = ("grid: phase increment 3.003 rad between adjacent samples; "
 # 3.003 rad between adjacent nodes, and decompose refuses it
 COARSE_PHASE = ("grid.x_min = -10\ngrid.x_max = 10\ngrid.n_x = 32\ngrid.n_t = 8\n"
                 "packet.sigma0 = 0.71\n")
+# a gaussian-benchmark whose ensembles span two full blocks of 8192 paths
+# and 37 more, on a small lattice, and the sha256 of two of its outputs,
+# recorded while every ensemble still held its whole path matrix: reducing
+# each block as soon as it is stepped keeps every byte
+PINNED_BENCHMARK = ("experiment = gaussian-benchmark\ngrid.n_x = 256\ngrid.n_t = 64\n"
+                    "mc.N = 16421\nmc.n = 64\nmc.substeps = 2\nmc.seed = 7\n"
+                    "mc.n_list = 64,256,512\n")
+PINNED_SHA256 = {
+    "summary.json": "e5bf5136e3b3c4bea18b5d4f3370d2d35a5df18d44c94d0a1385951ddafa0568",
+    "marginals.csv": "3d011c5e0cb48e63900b88503ff618431a84c985a4f00ef6f961105691e1ecbc",
+}
 # keys whose settings are now constants, with the values they last held:
 # the perturbation recipe of ``competitors``, the always written couple CSV
 # and the output directory, which is $OUTPUT_DIR or out/<experiment>
@@ -404,6 +416,15 @@ class TestRun:
             blobs.append((out_dir / "summary.json").read_bytes())
         capsys.readouterr()
         assert blobs[0] == blobs[1]
+
+    def test_benchmark_outputs_keep_their_bytes(self, tmp_path, monkeypatch, capsys):
+        out_dir = tmp_path / "out"
+        monkeypatch.setenv("OUTPUT_DIR", str(out_dir))
+        # mc-marginals and fisher-term fail at this size; the bytes are the pin
+        assert run_cli(["run", write_config(tmp_path, PINNED_BENCHMARK)]) == 2
+        capsys.readouterr()
+        for name, digest in PINNED_SHA256.items():
+            assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() == digest, name
 
     def test_failing_check_exits_two(self, tmp_path, monkeypatch, capsys):
         # 400 samples cannot reproduce the marginals to 0.03 in L1

@@ -128,6 +128,27 @@ class TestLookup:
             [grid.x_min, grid.x[-1], grid.x_max, -30.0, 30.0]])
         self.assert_matches_interp(grid, positions, steps)
 
+    @pytest.mark.parametrize("row", ["single-negative-zero", "slope-overflow"])
+    def test_rows_whose_nodes_need_the_entry_itself(self, row):
+        # on a node slope * 0 + value is the value, except for a -0.0 entry
+        # whose slope is not negative (it reads +0.0) and beside a slope
+        # that overflows (it reads NaN); only the row holding one copies
+        # the entries onto its nodes, and the other rows must not need it
+        grid = LOOKUP_GRIDS[0]
+        values = np.random.default_rng(5).uniform(0.5, 1.5, (grid.n_t + 1, grid.n_x))
+        if row == "single-negative-zero":
+            values[2, 100] = -0.0
+        else:
+            values[2, 100], values[2, 101] = -1e308, 1e308
+        f = ScalarField(grid, values)
+        positions = np.concatenate([grid.x, np.nextafter(grid.x, np.inf),
+                                    np.nextafter(grid.x, -np.inf)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for node in range(grid.n_t + 1):
+                got = f.at(positions, node / grid.n_t)
+                expected = np.interp(positions, grid.x, values[node])
+                assert np.array_equal(bits(got), bits(expected)), node
+
 
 def complex_spectral_dx(values, grid):
     """The full complex-FFT derivative, Nyquist mode zeroed: the oracle

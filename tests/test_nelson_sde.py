@@ -17,20 +17,23 @@ import numpy as np
 import pytest
 
 import madelung_lab
-from madelung_lab import (Diverged, DriftField, Ensemble, GaussianPacketSpec,
+from madelung_lab import (Diverged, DriftField, GaussianPacketSpec,
                           GridSpec, MCEstimate, NormDrift, ScalarField,
                           constant_drift, decompose, discrete_action, drift,
                           estimate_I, gaussian_packet, marginal_l1,
                           mixture_ensemble, renormalized_action, sample_initial,
                           simulate_ensemble)
-from madelung_lab.nelson_sde import _JOB_VALUES, BLOCK, marginals
+from madelung_lab.nelson_sde import (_JOB_VALUES, BLOCK, _check_inside,
+                                     _initial_positions, _path_blocks,
+                                     _summed_divergence, marginals)
 
 CONTROL_N = 20_000
 CONTROL_PARTITION = 64
 
-# sha256 of the float64 paths, recorded with the earlier kernel (drift
-# read by np.interp's binary search, one noise draw per substep): the
-# O(1) lookup and the one draw per partition interval keep both streams.
+# sha256 of the float64 path matrix (the block buffers in row order),
+# recorded with the earlier kernel (drift read by np.interp's binary
+# search, one noise draw per substep): the O(1) lookup and the one draw
+# per partition interval keep both streams.
 SINGLE_DRIFT_SHA256 = "987085e6a331c0740fb37702016aeb4a281d5c1d3029761436f4c91babd2d658"
 MIXTURE_SHA256 = "45a441759b7a0ed0b884b33344046e1afc67edeebdcfa5495c94076b9c19a021"
 # recorded with one noise draw per partition interval, before the draws
@@ -49,9 +52,42 @@ ZERO_DRIFT_SHA256 = \
     "4eb8a6c4a5c9fbd7233eb7670267634f5b777eb492c6146100d887786cb6ce58"
 
 
+def path_blocks(drifts, weights, rho0, grid, N, n, substeps, seed):
+    """The block buffers of the stepping, as ``mixture_ensemble`` steps them."""
+    return _path_blocks(drifts, np.asarray(weights, dtype=float),
+                        _initial_positions(rho0, grid, N, seed), grid, n, substeps,
+                        seed, _summed_divergence(drifts))
+
+
+def path_matrix(*args) -> np.ndarray:
+    """The (N, n + 1) positions at the partition nodes, which the library
+    never holds at once."""
+    return np.vstack([paths.copy() for _, paths, _ in path_blocks(*args)])
+
+
+def paths_sha256(*args) -> str:
+    digest = hashlib.sha256()
+    for _, paths, _ in path_blocks(*args):
+        digest.update(np.ascontiguousarray(paths, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+def same_reductions(a, b) -> bool:
+    """Whether two ensembles hold the same per-trajectory values, bit for bit."""
+    return (np.array_equal(a.squared_increments, b.squared_increments)
+            and a.positions.keys() == b.positions.keys()
+            and all(np.array_equal(a.positions[t], b.positions[t]) for t in a.positions))
+
+
 @pytest.fixture(scope="module")
 def control_grid():
     return GridSpec(-12.0, 12.0, 512, 64)
+
+
+@pytest.fixture(scope="module")
+def packet(control_grid):
+    _, _, couple = decompose(gaussian_packet(GaussianPacketSpec(), control_grid))
+    return drift(couple), couple.rho.values[0]
 
 
 @pytest.fixture(scope="module")
@@ -96,41 +132,46 @@ class TestSampling:
 class TestSimulation:
     def test_bitwise_deterministic(self, control_grid):
         b = constant_drift(control_grid, 1.0)
-        e1 = simulate_ensemble(b, None, control_grid, 500, 16, 2, 9)
-        e2 = simulate_ensemble(b, None, control_grid, 500, 16, 2, 9)
-        assert np.array_equal(e1.paths, e2.paths)
+        args = ([b], [1.0], None, control_grid, 500, 16, 2, 9)
+        assert np.array_equal(path_matrix(*args), path_matrix(*args))
+        assert same_reductions(simulate_ensemble(b, None, control_grid, 500, 16, 2, 9),
+                               simulate_ensemble(b, None, control_grid, 500, 16, 2, 9))
 
     def test_single_drift_mixture_is_the_plain_ensemble(self, control_grid):
         b = constant_drift(control_grid, 1.0)
         plain = simulate_ensemble(b, None, control_grid, 500, 16, 2, 9)
         mixed = mixture_ensemble([b], [1.0], None, control_grid, 500, 16, 2, 9)
-        assert np.array_equal(plain.paths, mixed.paths)
+        assert same_reductions(plain, mixed)
 
     def test_single_drift_matches_duplicated_mixture(self, grid, packet_drift,
                                                      packet_couple):
         # the one-drift ensemble steps its component track only; mixing
         # a drift with itself runs the general kernel on the same noise
         rho0 = packet_couple.rho.values[0]
-        single = simulate_ensemble(packet_drift, rho0, grid, 300, 16, 2, 5)
-        doubled = mixture_ensemble([packet_drift, packet_drift], [0.5, 0.5],
-                                   rho0, grid, 300, 16, 2, 5)
-        assert np.array_equal(single.paths, doubled.paths)
+        single = path_matrix([packet_drift], [1.0], rho0, grid, 300, 16, 2, 5)
+        doubled = path_matrix([packet_drift, packet_drift], [0.5, 0.5],
+                              rho0, grid, 300, 16, 2, 5)
+        assert np.array_equal(single, doubled)
+        assert same_reductions(
+            simulate_ensemble(packet_drift, rho0, grid, 300, 16, 2, 5),
+            mixture_ensemble([packet_drift, packet_drift], [0.5, 0.5],
+                             rho0, grid, 300, 16, 2, 5))
 
     def test_increment_decomposition(self, control_grid):
         # on common noise a constant drift c moves every path by c * t
         # away from the driftless one, so the difference at node i is
         # c i / n up to rounding
         n = 16
-        shifted = simulate_ensemble(constant_drift(control_grid, 3.0), None,
-                                    control_grid, 500, n, 2, 9)
-        free = simulate_ensemble(constant_drift(control_grid, 0.0), None,
-                                 control_grid, 500, n, 2, 9)
+        shifted = path_matrix([constant_drift(control_grid, 3.0)], [1.0], None,
+                              control_grid, 500, n, 2, 9)
+        free = path_matrix([constant_drift(control_grid, 0.0)], [1.0], None,
+                           control_grid, 500, n, 2, 9)
         offset = 3.0 * np.arange(n + 1) / n
-        residual = shifted.paths - free.paths - offset
+        residual = shifted - free - offset
         assert np.max(np.abs(residual)) < 1e-12
 
     def test_big_ensemble_end_moments(self, big_ensemble):
-        q1 = big_ensemble.paths[:, -1]
+        q1 = big_ensemble.positions[1.0]
         n = big_ensemble.N
         # free packet at t = 1: mean 0, variance 1.25
         assert abs(q1.mean()) < 4.0 * np.sqrt(1.25 / n)
@@ -154,6 +195,18 @@ class TestSimulation:
         with pytest.raises(ValueError):
             mixture_ensemble([b, b], [-0.5, 1.5], None, control_grid, 10, 4, 1, 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_weights_refused_before_stepping(self, grid, packet_drift,
+                                                         bad, monkeypatch):
+        # a NaN weight passes a sign check and a sum check that compare
+        # with NaN; it must be refused before any block is stepped
+        def no_stepping(*args):
+            raise AssertionError("stepped with a non-finite weight")
+        monkeypatch.setattr(GridSpec, "locate", no_stepping)
+        b1 = constant_drift(grid, 0.5)
+        with pytest.raises(ValueError, match="weights must be finite and convex"):
+            mixture_ensemble([packet_drift, b1], [0.5, bad], None, grid, 100, 4, 1, 0)
+
     def test_grid_mismatch_rejected(self, control_grid, grid):
         b = constant_drift(grid, 0.0)
         with pytest.raises(ValueError):
@@ -167,50 +220,37 @@ class TestSimulation:
             mixture_ensemble([b], [1.0], None, control_grid, N, n, substeps, 0)
 
 
-def paths_sha256(ens: Ensemble) -> str:
-    return hashlib.sha256(np.ascontiguousarray(ens.paths, dtype="<f8").tobytes()
-                          ).hexdigest()
-
-
 class TestStreamFingerprint:
-    @pytest.fixture(scope="class")
-    def packet(self, control_grid):
-        _, _, couple = decompose(gaussian_packet(GaussianPacketSpec(), control_grid))
-        return drift(couple), couple.rho.values[0]
-
     def test_single_drift_over_two_blocks(self, control_grid, packet):
         # the second block is partial; three substeps per interval
         b, rho0 = packet
-        ens = simulate_ensemble(b, rho0, control_grid, BLOCK + 37, 8, 3, 7)
-        assert paths_sha256(ens) == SINGLE_DRIFT_SHA256
+        assert paths_sha256([b], [1.0], rho0, control_grid, BLOCK + 37, 8, 3, 7) \
+            == SINGLE_DRIFT_SHA256
 
     def test_two_drift_mixture(self, control_grid, packet):
         b, rho0 = packet
-        ens = mixture_ensemble([b, constant_drift(control_grid, 0.5)], [0.25, 0.75],
-                               rho0, control_grid, 1000, 8, 3, 7)
-        assert paths_sha256(ens) == MIXTURE_SHA256
+        assert paths_sha256([b, constant_drift(control_grid, 0.5)], [0.25, 0.75],
+                            rho0, control_grid, 1000, 8, 3, 7) == MIXTURE_SHA256
 
     def test_sweep_sized_block(self, control_grid, packet):
         b, rho0 = packet
-        ens = simulate_ensemble(b, rho0, control_grid, 1024, 12, 4, 7)
-        assert paths_sha256(ens) == SWEEP_SHA256
+        assert paths_sha256([b], [1.0], rho0, control_grid, 1024, 12, 4, 7) \
+            == SWEEP_SHA256
 
     def test_two_drift_mixture_over_two_blocks(self, control_grid, packet):
         b, rho0 = packet
-        ens = mixture_ensemble([b, constant_drift(control_grid, 0.5)], [0.25, 0.75],
-                               rho0, control_grid, BLOCK + 37, 8, 3, 7)
-        assert paths_sha256(ens) == MIXTURE_TWO_BLOCKS_SHA256
+        assert paths_sha256([b, constant_drift(control_grid, 0.5)], [0.25, 0.75],
+                            rho0, control_grid, BLOCK + 37, 8, 3, 7) \
+            == MIXTURE_TWO_BLOCKS_SHA256
 
     def test_constant_drift_over_two_blocks(self, control_grid, packet):
         _, rho0 = packet
-        ens = simulate_ensemble(constant_drift(control_grid, 3.0), rho0,
-                                control_grid, BLOCK + 37, 8, 3, 7)
-        assert paths_sha256(ens) == CONSTANT_DRIFT_SHA256
+        assert paths_sha256([constant_drift(control_grid, 3.0)], [1.0], rho0,
+                            control_grid, BLOCK + 37, 8, 3, 7) == CONSTANT_DRIFT_SHA256
 
     def test_zero_drift_from_the_origin(self, control_grid):
-        ens = simulate_ensemble(constant_drift(control_grid, 0.0), None,
-                                control_grid, BLOCK + 37, 8, 3, 7)
-        assert paths_sha256(ens) == ZERO_DRIFT_SHA256
+        assert paths_sha256([constant_drift(control_grid, 0.0)], [1.0], None,
+                            control_grid, BLOCK + 37, 8, 3, 7) == ZERO_DRIFT_SHA256
 
 
 class TestConstantTracks:
@@ -233,11 +273,11 @@ class TestConstantTracks:
         weights = [0.25, 0.75] if with_packet else [1.0]
 
         def run(b):
-            return mixture_ensemble([*lead, b], weights, rho0, grid, 1000, 8, 3, 7)
+            return path_matrix([*lead, b], weights, rho0, grid, 1000, 8, 3, 7)
 
         looked_up = run(self._almost_constant(grid))
         shortcut = run(constant_drift(grid, 3.0))
-        assert np.array_equal(looked_up.paths, shortcut.paths)
+        assert np.array_equal(looked_up, shortcut)
 
     @pytest.fixture
     def locate_calls(self, monkeypatch):
@@ -265,13 +305,13 @@ class TestConstantTracks:
 
 
 class CountingDrift(DriftField):
-    """A drift that records the live thread count at every lookup."""
+    """A drift that records the live thread count at every read."""
 
     seen: list
 
-    def evaluate(self, x, t):
+    def read(self, located, t):
         self.seen.append(threading.active_count())
-        return super().evaluate(x, t)
+        return super().read(located, t)
 
 
 class TestNoiseWorker:
@@ -327,46 +367,78 @@ class TestEstimators:
         assert ren.mean == raw.mean - const3_ensemble.n
         assert ren.std_error == raw.std_error
 
-    def test_direct_estimator_exact_for_constant_drift(self, control_grid,
-                                                       const3_ensemble):
-        b = constant_drift(control_grid, 3.0)
-        est = estimate_I(const3_ensemble, b, b.divergence())
+    def test_direct_estimator_exact_for_constant_drift(self, control_grid):
+        # 3.0 on every node the centred paths reach, so b^2 + div b reads
+        # 9 + 0 at every partition node; the field is not constant, so its
+        # track is looked up and the pathwise sums are recorded
+        b = TestConstantTracks._almost_constant(control_grid)
+        ens = simulate_ensemble(b, None, control_grid, CONTROL_N, CONTROL_PARTITION,
+                                2, 43)
+        est = estimate_I(ens, b, b.divergence())
         assert est.mean == 9.0
         assert est.std_error == 0.0
 
     def test_direct_estimator_reads_left_time_node(self):
-        # b and div b are constant in x but differ at every time node;
-        # partition times 0, 1/3, 2/3, 1 on n_t = 8 fall on or after
-        # nodes 0, 2, 5, 8, and every other node carries a poison value
-        g = GridSpec(-2.0, 2.0, 8, 8)
+        # b is constant in x, so div b = 0, but b differs at every time
+        # node; partition times 0, 1/3, 2/3, 1 on n_t = 8 fall on or after
+        # nodes 0, 2, 5, 8, and every other node carries a poison value.
+        # One substep per interval: the stepping reads b only at those times.
+        g = GridSpec(-8.0, 8.0, 8, 8)
         b_nodes = np.full(9, 100.0)
-        div_nodes = np.full(9, 100.0)
         b_nodes[[0, 2, 5, 8]] = [1.0, 2.0, 3.0, 4.0]
-        div_nodes[[0, 2, 5, 8]] = [1.0, -1.0, 0.0, 0.0]
         b = DriftField(g, np.repeat(b_nodes[:, None], 8, axis=1))
-        div_b = ScalarField(g, np.repeat(div_nodes[:, None], 8, axis=1))
-        paths = np.linspace(-1.5, 1.5, 24).reshape(6, 4)
-        est = estimate_I(Ensemble(paths, g), b, div_b)
-        # (1/3) * (2/2 + 3 + 9 + 16/2), b^2 + div b at nodes 0, 2, 5, 8
-        assert est.mean == 7.0
+        est = estimate_I(simulate_ensemble(b, None, g, 6, 3, 1, 0), b, b.divergence())
+        # (1/3) * (1/2 + 4 + 9 + 16/2), b^2 at nodes 0, 2, 5, 8
+        assert est.mean == (0.5 * 1.0 + 4.0 + 9.0 + 0.5 * 16.0) / 3
         assert est.std_error == 0.0
 
-    def test_direct_estimator_is_the_two_lookup_formula(self, big_ensemble,
-                                                        packet_drift):
-        # reference: b and div b each looked up by ScalarField.at; the
-        # estimator locates each node's positions once for both fields
-        ens, div_b = big_ensemble, packet_drift.divergence()
-        totals = np.zeros(ens.N)
-        for i in range(ens.n + 1):
-            t_i = i / ens.n
-            q = ens.paths[:, i]
+    def test_direct_estimator_is_the_two_lookup_formula(self, grid, packet_drift,
+                                                        packet_couple):
+        # reference: b and div b each looked up by ScalarField.at at the
+        # partition times, which n = 12 puts between the time nodes of
+        # n_t = 256; the stepping sums reuse each node's drift lookup
+        rho0, n = packet_couple.rho.values[0], 12
+        args = ([packet_drift], [1.0], rho0, grid, BLOCK + 37, n, 2, 5)
+        paths = path_matrix(*args)
+        div_b = packet_drift.divergence()
+        totals = np.zeros(paths.shape[0])
+        for i in range(n + 1):
+            t_i = i / n
+            q = paths[:, i]
             values = packet_drift.evaluate(q, t_i) ** 2 + div_b.at(q, t_i)
-            totals += (0.5 if i in (0, ens.n) else 1.0) * values
-        totals /= ens.n
-        expected = np.array([totals.mean(), totals.std(ddof=1) / np.sqrt(ens.N)])
-        est = estimate_I(ens, packet_drift, div_b)
+            totals += (0.5 if i in (0, n) else 1.0) * values
+        totals /= n
+        expected = np.array([totals.mean(), totals.std(ddof=1) / np.sqrt(totals.size)])
+        est = estimate_I(simulate_ensemble(packet_drift, *args[2:]), packet_drift, div_b)
         got = np.array([est.mean, est.std_error])
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    def test_direct_estimator_needs_the_recorded_sums(self, control_grid,
+                                                      const3_ensemble):
+        # a constant drift takes no lookup and a mixture follows no one
+        # drift, so neither records the pathwise sums
+        b = constant_drift(control_grid, 3.0)
+        with pytest.raises(ValueError, match="records no pathwise sums"):
+            estimate_I(const3_ensemble, b, b.divergence())
+        tilted = DriftField(control_grid, np.broadcast_to(
+            0.1 * control_grid.x, (control_grid.n_t + 1, control_grid.n_x)))
+        mixed = mixture_ensemble([tilted, b], [0.5, 0.5], None, control_grid,
+                                 100, 8, 1, 0)
+        with pytest.raises(ValueError, match="records no pathwise sums"):
+            estimate_I(mixed, tilted, tilted.divergence())
+
+    def test_direct_estimator_checks_its_fields_by_value(self, control_grid):
+        tilted = DriftField(control_grid, np.broadcast_to(
+            0.1 * control_grid.x, (control_grid.n_t + 1, control_grid.n_x)))
+        ens = simulate_ensemble(tilted, None, control_grid, 100, 8, 1, 0)
+        # equal fields that are other objects pass
+        copy = DriftField(control_grid, tilted.values.copy())
+        assert estimate_I(ens, copy, copy.divergence()).N == 100
+        other = DriftField(control_grid, 2.0 * tilted.values)
+        with pytest.raises(ValueError, match="the ensemble's drift"):
+            estimate_I(ens, other, tilted.divergence())
+        with pytest.raises(ValueError, match="the ensemble's drift"):
+            estimate_I(ens, tilted, other.divergence())
 
     def test_direct_estimator_grid_mismatch(self, grid, control_grid, const3_ensemble):
         b = constant_drift(grid, 3.0)
@@ -395,8 +467,8 @@ class TestMarginals:
 
     def test_histogram_refuses_off_node_time(self):
         # t = 1/4 is a node of n_t = 4 but not of the n = 3 partition
-        g = GridSpec(-2.0, 2.0, 8, 4)
-        ens = Ensemble(np.zeros((10, 4)), g)
+        g = GridSpec(-8.0, 8.0, 8, 4)
+        ens = simulate_ensemble(constant_drift(g, 0.0), None, g, 10, 3, 1, 0)
         rho = ScalarField(g, np.full((5, 8), 0.25))
         with pytest.raises(ValueError, match="t = 0.25 is not a node of 3 equal time steps"):
             marginals(ens, rho)
@@ -422,36 +494,47 @@ class TestMarginals:
 
     def test_marginal_times_must_be_grid_nodes(self):
         # t = 1/4 is a node of the n = 4 partition but not of n_t = 6
-        g = GridSpec(-2.0, 2.0, 8, 6)
-        ens = Ensemble(np.zeros((10, 5)), g)
+        g = GridSpec(-8.0, 8.0, 8, 6)
+        ens = simulate_ensemble(constant_drift(g, 0.0), None, g, 10, 4, 1, 0)
         rho = ScalarField(g, np.full((7, 8), 0.25))
         with pytest.raises(ValueError, match="t = 0.25 is not a node of 6 equal time steps"):
             marginal_l1(ens, rho)
 
 
 class TestContainers:
-    def test_ensemble_shape_validation(self, control_grid):
-        with pytest.raises(ValueError):
-            Ensemble(np.zeros(10), control_grid)
-        with pytest.raises(ValueError):
-            Ensemble(np.zeros((10, 1)), control_grid)
+    def test_ensemble_shape_validation(self, control_grid, packet):
+        # one value per trajectory in every field, over a partial second
+        # block; the partition's nodes among MARGINAL_TIMES are the ones kept
+        b, rho0 = packet
+        ens = simulate_ensemble(b, rho0, control_grid, BLOCK + 37, 6, 1, 7)
+        assert (ens.N, ens.n) == (BLOCK + 37, 6)
+        assert sorted(ens.positions) == [0.0, 0.5, 1.0]
+        for values in [ens.squared_increments, ens.pathwise, *ens.positions.values()]:
+            assert values.shape == (BLOCK + 37,)
+        assert ens.block_bytes == BLOCK * 7 * 8
 
-    def test_ensemble_rejects_nonfinite(self, control_grid):
-        paths = np.zeros((10, 5))
-        paths[0, 0] = np.inf
-        with pytest.raises(ValueError):
-            Ensemble(paths, control_grid)
+    def test_ensemble_rejects_nonfinite(self, control_grid, packet):
+        # two drifts whose slope overflows between the nodes at x = 0 and
+        # x = dx, with opposite signs: the paths starting in that segment
+        # are pulled to +inf and -inf, so the mixed track is NaN there, and
+        # the node check refuses it before any other track
+        _, rho0 = packet
+        values = np.zeros((control_grid.n_t + 1, control_grid.n_x))
+        centre = control_grid.n_x // 2
+        values[:, centre], values[:, centre + 1] = -1e308, 1e308
+        up, down = DriftField(control_grid, values), DriftField(control_grid, -values)
+        with np.errstate(all="ignore"), pytest.raises(Diverged, match="nan"):
+            mixture_ensemble([up, down], [0.5, 0.5], rho0, control_grid, 1000, 4, 1, 7)
 
     @pytest.mark.parametrize("row, value", [(-1, np.nan), (0, np.inf)],
                              ids=["nan-in-last-row", "inf-in-row-0"])
     def test_every_chunk_is_checked(self, control_grid, row, value):
-        # the finiteness check runs one row chunk at a time; the matrix
-        # spans three full chunks and a one-row tail
-        n = 64
-        paths = np.zeros((3 * (_JOB_VALUES // n) + 1, n + 1))
-        paths[row, n // 2] = value
-        with pytest.raises(ValueError, match="non-finite"):
-            Ensemble(paths, control_grid)
+        # every trajectory of a block is checked at each partition node;
+        # NaN counts as outside the box
+        positions = np.zeros(BLOCK)
+        positions[row] = value
+        with pytest.raises(Diverged):
+            _check_inside(positions, control_grid, 0.5)
 
     def test_mc_estimate_validation(self):
         with pytest.raises(ValueError):
@@ -463,15 +546,15 @@ class TestContainers:
         ens = zero_drift_ensemble
         assert ens.N == CONTROL_N
         assert ens.n == CONTROL_PARTITION
-        assert ens.paths.shape == (CONTROL_N, CONTROL_PARTITION + 1)
+        assert ens.squared_increments.shape == (CONTROL_N,)
         # started at the origin, pure noise: variance t at t = 1
-        assert np.all(ens.paths[:, 0] == 0.0)
-        assert abs(ens.paths[:, -1].var() - 1.0) < 0.05
+        assert np.all(ens.positions[0.0] == 0.0)
+        assert abs(ens.positions[1.0].var() - 1.0) < 0.05
 
 
 class TestChunkedScratch:
-    """Every per-path reduction runs over row chunks, so the path matrix
-    is the only allocation that grows with N * n."""
+    """Each block is reduced one row chunk at a time, so the scratch beside
+    the block buffer is one chunk's increments."""
 
     @pytest.mark.parametrize("n", [1, 64, 512])
     @pytest.mark.parametrize("size", ["one", "rows-1", "rows", "rows+1", "blocks"])
@@ -479,10 +562,11 @@ class TestChunkedScratch:
         rows = _JOB_VALUES // n  # rows per chunk
         N = {"one": 1, "rows-1": rows - 1, "rows": rows,
              "rows+1": rows + 1, "blocks": BLOCK + 37}[size]
-        paths = np.random.default_rng(n).normal(0.0, 1.0, (N, n + 1))
-        dq = np.diff(paths, axis=1)
+        args = ([constant_drift(control_grid, 0.0)], [1.0], None, control_grid,
+                N, n, 1, n)
+        dq = np.diff(path_matrix(*args), axis=1)
         expected = MCEstimate.of_samples(n * np.einsum("ij,ij->i", dq, dq))
-        got = discrete_action(Ensemble(paths, control_grid))
+        got = discrete_action(mixture_ensemble(*args))
         assert np.array_equal(np.array([got.mean, got.std_error]).view(np.int64),
                               np.array([expected.mean, expected.std_error]
                                        ).view(np.int64))
@@ -500,8 +584,9 @@ def peak_bytes(call) -> int:
 
 
 class TestScratchMemory:
-    """The estimators' scratch stays under 16 values per trajectory plus
-    1 MiB, whatever n is: it is O(N) or one row chunk, never O(N n)."""
+    """An ensemble holds under 16 values per trajectory: the stepping adds
+    one block buffer of BLOCK * (n + 1) values and 1 MiB, and the
+    estimators 1 MiB, whatever n is; nothing is O(N n)."""
 
     N = 2 * BLOCK + 3
 
@@ -509,19 +594,32 @@ class TestScratchMemory:
     def case(self, request):
         n = request.param
         grid = GridSpec(-12.0, 12.0, 512, 64)
-        paths = np.random.default_rng(n).normal(0.0, 1.0, (self.N, n + 1))
-        b = constant_drift(grid, 1.0)
+        # not constant, so the stepping looks it up and records its sums
+        b = DriftField(grid, np.broadcast_to(1.0 + 1e-3 * grid.x,
+                                             (grid.n_t + 1, grid.n_x)))
         rho = ScalarField(grid, np.full((grid.n_t + 1, grid.n_x), 1.0 / 24.0))
-        return paths, grid, b, rho
+        # a first small run imports numpy.random and caches the drift's
+        # per-row flags, once per process, before any peak is measured
+        simulate_ensemble(b, None, grid, 10, n, 1, 3)
+        return n, grid, b, rho
 
-    @pytest.mark.parametrize("estimator", ["Ensemble", "renormalized_action",
-                                           "estimate_I", "marginal_l1"])
+    @pytest.mark.parametrize("kind", ["simulate_ensemble", "mixture_ensemble"])
+    def test_stepping_holds_one_block(self, case, kind):
+        n, grid, b, _ = case
+        drifts = {"simulate_ensemble": [b],
+                  "mixture_ensemble": [b, constant_drift(grid, 0.0)]}[kind]
+        weights = np.full(len(drifts), 1.0 / len(drifts))
+        peak = peak_bytes(lambda: mixture_ensemble(drifts, weights, None, grid,
+                                                   self.N, n, 1, 3))
+        assert peak < BLOCK * (n + 1) * 8 + 16 * self.N * 8 + 2**20
+
+    @pytest.mark.parametrize("estimator", ["renormalized_action", "estimate_I",
+                                           "marginal_l1"])
     def test_peak_is_not_a_second_path_matrix(self, case, estimator):
-        paths, grid, b, rho = case
-        ens = Ensemble(paths, grid)
+        n, grid, b, rho = case
+        ens = simulate_ensemble(b, None, grid, self.N, n, 1, 3)
         div_b = b.divergence()
-        calls = {"Ensemble": lambda: Ensemble(paths, grid),
-                 "renormalized_action": lambda: renormalized_action(ens),
+        calls = {"renormalized_action": lambda: renormalized_action(ens),
                  "estimate_I": lambda: estimate_I(ens, b, div_b),
                  "marginal_l1": lambda: marginal_l1(ens, rho)}
         assert peak_bytes(calls[estimator]) < 16 * self.N * 8 + 2**20

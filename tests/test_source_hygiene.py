@@ -44,14 +44,14 @@
   checks a wave density with ``ensure_wave_density`` or trusts the
   field, so no settable floor creeps back in either),
   ``UNWRAP_STEP_LIMIT`` in ``madelung`` (every phase meets
-  ``ensure_resolved_phase``) and ``paths`` in ``nelson_sde`` (the path
-  matrix is read only by the ensemble's own estimators, so it can be
-  replaced by reducers in one module).
+  ``ensure_resolved_phase``) and ``paths`` in ``nelson_sde`` (the block
+  buffer of the stepping is reduced inside that module, so no other
+  module can come to depend on paths the ensemble no longer keeps).
 * In ``nelson_sde`` no numpy call takes a whole ``<expr>.paths`` matrix
   as an argument (``np.isfinite(self.paths)``, ``np.diff(ens.paths)``):
-  what such a call returns is a second buffer of N * n values. Reads of
-  a slice (a column ``ens.paths[:, i]`` or a row chunk) stay allowed, so
-  the path matrix is the only allocation that grows with N * n.
+  what such a call returns is a second buffer of that matrix's size.
+  Reads of a slice (a column ``ens.paths[:, i]`` or a row chunk) stay
+  allowed.
 * Every parameter with a default in a library ``def`` is set, by
   keyword, by position or through ``*args`` or ``**kwargs``, by some
   call in the library or in ``perfbench/`` to that function: a setting
