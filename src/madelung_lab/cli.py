@@ -12,10 +12,8 @@ config key moves them. Every run writes
                     sorted keys, no timestamps: byte identical across reruns
     manifest.json   config hash, seed, package/library versions, wall
                     time and peak resident memory; for gaussian-benchmark
-                    also the seconds spent stepping ensembles, the
-                    trajectory steps taken, in total and per second, and
-                    the bytes of the largest path matrix held, the floor
-                    under the peak
+                    also the seconds spent stepping ensembles and the
+                    trajectory steps taken, in total and per second
 
 plus CSV dumps of what the experiment produced: packet_couple.csv and
 marginals.csv (gaussian-benchmark), y_profiles.csv (theorem1-verify),
@@ -197,15 +195,11 @@ class Checks:
 
 
 class Stepping:
-    """Wall seconds and trajectory steps spent simulating ensembles, and
-    the bytes of the largest block buffer they held: each block of
-    trajectories is stepped into one buffer of its positions at the
-    partition nodes and reduced before the next block reuses it."""
+    """Wall seconds and trajectory steps spent simulating ensembles."""
 
     def __init__(self):
         self.seconds = 0.0
         self.steps = 0
-        self.paths_bytes = 0
 
     def simulate(self, b, rho0, grid: GridSpec, N: int, n: int, substeps: int,
                  seed: int):
@@ -213,13 +207,11 @@ class Stepping:
         ens = simulate_ensemble(b, rho0, grid, N, n, substeps, seed)
         self.seconds += time.perf_counter() - started
         self.steps += N * n * substeps
-        self.paths_bytes = max(self.paths_bytes, ens.block_bytes)
         return ens
 
     def as_dict(self) -> dict:
         return {"seconds": self.seconds, "trajectory_steps": self.steps,
-                "trajectory_steps_per_s": self.steps / self.seconds,
-                "paths_bytes": self.paths_bytes}
+                "trajectory_steps_per_s": self.steps / self.seconds}
 
 
 # partition size from which the renormalized action has settled; the

@@ -28,23 +28,23 @@ therefore reproducible bit for bit regardless of scheduling, and
 trajectory k's noise does not depend on N. Each partition interval
 steps on a (substeps, block size) array of noise. The arrays are drawn
 in jobs of several intervals, one job ahead of the stepping, on one
-worker thread that each call opens and closes; the jobs follow the
-stream order, and a generator fills a (k, substeps, width) array with
-the values of k successive (substeps, width) fills, so the stream is
-the one a draw per substep would give. The noise is drawn as standard
-normals scaled by sqrt(h) in place: the values of ``normal(0, sqrt(h))``
-except that a -0.0 draw keeps its sign.
+worker thread that each call opens and closes, into two buffers that
+the jobs fill in turn; the jobs follow the stream order, and a
+generator fills a (k, substeps, width) array with the values of k
+successive (substeps, width) fills, so the stream is the one a draw per
+substep would give. The noise is drawn as standard normals scaled by
+sqrt(h) in place: the values of ``normal(0, sqrt(h))`` except that a
+-0.0 draw keeps its sign.
 
-Memory: no path matrix is held. Each block of trajectories is stepped
-into one (block size, n + 1) buffer of its positions at the partition
-nodes, and that buffer is reduced to what the estimators read before
-the next block reuses it: per trajectory, n times the summed squared
-partition increment and the positions at each of ``MARGINAL_TIMES``
-that is a partition node. For a single drift read by lookup, the
-trapezoid of b^2 + div b at the partition nodes is summed during the
-stepping, at the positions the drift lookup of each node's first
-substep has located. An ensemble therefore holds O(N) values, and a
-run's peak is one block buffer plus those and a bounded remainder.
+Memory: no position is held beyond the interval being stepped. Each
+partition interval is reduced as soon as it is stepped: per trajectory,
+its squared increment is added to a running sum, in the order of the
+intervals, and its end positions are copied when that node is one of
+``MARGINAL_TIMES``. For a single drift read by lookup, the trapezoid of
+b^2 + div b at the partition nodes is summed during the stepping, at
+the positions the drift lookup of each node's first substep has
+located. An ensemble therefore holds O(N) values, and the stepping adds
+O(block size) values per track and the two noise buffers.
 
 Mixtures: convex combinations of drifts share one X0 and one Brownian
 path per trajectory. The component diffusions q^{b_j} are co-evolved on
@@ -70,8 +70,7 @@ from .madelung import DriftField
 BLOCK = 8192
 _INIT_STREAM = 1
 _NOISE_STREAM_BASE = 2
-# values per noise draw job (a full block draws one interval per job),
-# and per row chunk of an estimator's scratch
+# values per noise draw job (a full block draws one interval per job)
 _JOB_VALUES = 2**15
 # the times at which marginals compares the ensemble with the density
 MARGINAL_TIMES = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -96,8 +95,7 @@ class Ensemble:
     to the positions there. For a single drift read by lookup,
     ``pathwise`` holds each trajectory's trapezoid of b^2 + div b, and
     ``drift`` and ``divergence`` are the fields it read; otherwise all
-    three are None. ``block_bytes`` is the size of the one block buffer
-    that the stepping held.
+    three are None.
     """
 
     grid: GridSpec
@@ -107,7 +105,6 @@ class Ensemble:
     pathwise: np.ndarray | None
     drift: DriftField | None
     divergence: ScalarField | None
-    block_bytes: int
 
     @property
     def N(self) -> int:
@@ -135,24 +132,16 @@ class MCEstimate:
         return {"mean": self.mean, "std_error": self.std_error, "N": self.N}
 
 
-def _row_chunks(paths: np.ndarray):
-    """Row slices covering ``paths``, of ``_JOB_VALUES // n`` rows (at least
-    one) each, so a buffer formed per chunk stays one job's size."""
-    rows = max(1, _JOB_VALUES // (paths.shape[1] - 1))
-    for start in range(0, paths.shape[0], rows):
-        yield slice(start, start + rows)
-
-
-def _marginal_columns(n: int) -> dict:
-    """The node i of each time of MARGINAL_TIMES that is a node of n equal
-    steps; :func:`marginals` refuses the others."""
-    columns = {}
+def _marginal_nodes(n: int) -> dict:
+    """Each time of MARGINAL_TIMES that is a node of n equal steps, keyed by
+    its node i; :func:`marginals` refuses the others."""
+    nodes = {}
     for frac in MARGINAL_TIMES:
         try:
-            columns[frac] = marginal_node(frac, n)
+            nodes[marginal_node(frac, n)] = frac
         except ValueError:
             continue
-    return columns
+    return nodes
 
 
 def sample_initial(rho0: np.ndarray, grid: GridSpec, n_samples: int,
@@ -184,23 +173,32 @@ def _check_inside(positions: np.ndarray, grid: GridSpec, t: float) -> None:
                        f"outside the 20% margin around the box")
 
 
-def _scaled_normals(rng: np.random.Generator, shape: tuple,
+def _scaled_normals(rng: np.random.Generator, out: np.ndarray,
                     root_h: float) -> np.ndarray:
-    """``normal(0, root_h, shape)``'s values, bar the sign of a zero, as
-    standard normals scaled in place."""
-    z = rng.standard_normal(shape)
-    z *= root_h
-    return z
+    """Fill ``out`` with ``normal(0, root_h)``'s values, bar the sign of a
+    zero, as standard normals scaled in place."""
+    rng.standard_normal(out=out)
+    out *= root_h
+    return out
 
 
 def _noise(pool: ThreadPoolExecutor, seed: int, N: int, n: int,
            substeps: int, root_h: float):
     """Yield each block's (substeps, width) interval noise in stream order.
 
-    Each job fills ``k`` intervals of one block in one call, and job
-    j + 1 is submitted to ``pool`` before job j is handed out, also
-    across block boundaries, so the draw runs beside the stepping.
+    Each job fills ``k`` intervals of one block in one call, into one of
+    two buffers in turn. Job j + 1 is submitted to ``pool`` before job j
+    is handed out, also across block boundaries, so the draw runs beside
+    the stepping, and job j + 1 refills the buffer of job j - 1, whose
+    last interval has been stepped by then. The draw stays on the worker
+    thread: with it on the calling thread, the shipped
+    ``gaussian-benchmark`` (4 substeps per interval) took 18.4-22.0 s
+    against 14.3-16.5 s beside it, four runs each on 2 cores, for 0.5 MB
+    less peak memory.
     """
+    # a job holds at most _JOB_VALUES values, or one interval of a full block
+    size = max(_JOB_VALUES, substeps * min(N, BLOCK))
+    buffer, spare = np.empty(size), np.empty(size)
     pending = None
     for block_index, start in enumerate(range(0, N, BLOCK)):
         width = min(BLOCK, N - start)
@@ -208,8 +206,10 @@ def _noise(pool: ThreadPoolExecutor, seed: int, N: int, n: int,
             np.random.Philox(key=[seed, _NOISE_STREAM_BASE + block_index]))
         k = max(1, _JOB_VALUES // (substeps * width))
         for first in range(0, n, k):
-            job = pool.submit(_scaled_normals, rng,
-                              (min(k, n - first), substeps, width), root_h)
+            rows = min(k, n - first)
+            out = buffer[:rows * substeps * width].reshape(rows, substeps, width)
+            job = pool.submit(_scaled_normals, rng, out, root_h)
+            buffer, spare = spare, buffer
             if pending is not None:
                 yield from pending.result()
             pending = job
@@ -258,29 +258,28 @@ def _path_blocks(drifts: list[DriftField], weights: np.ndarray, x0: np.ndarray,
                  divergence: ScalarField | None):
     """Step the trajectories from ``x0`` one block at a time.
 
-    Yields each block's rows, its (width, n + 1) positions at the
-    partition nodes, in one buffer that the next block reuses, and, when
-    ``divergence`` is given (the single drift's, read by lookup), the
-    block's trapezoid of b^2 + div b per trajectory; else None. The
-    other arguments are those of :func:`mixture_ensemble`, checked there.
+    Yields, for each block and each partition node i = 1, ..., n in turn,
+    the block's rows, i, the block's recorded positions at node i and,
+    when ``divergence`` is given (the single drift's, read by lookup),
+    the block's trapezoid of b^2 + div b per trajectory, complete at node
+    n; else None. The positions are the stepping's own track, which the
+    next interval overwrites. The other arguments are those of
+    :func:`mixture_ensemble`, checked there.
     """
     N = x0.size
     constants = [_constant(b) for b in drifts]
     mixing = len(drifts) > 1
     h = 1.0 / (n * substeps)
     root_h = np.sqrt(h)
-    buffer = np.empty((min(N, BLOCK), n + 1))
 
     with ThreadPoolExecutor(max_workers=1) as pool:
         noise = _noise(pool, seed, N, n, substeps, root_h)
         for start in range(0, N, BLOCK):
-            stop = min(start + BLOCK, N)
-            paths = buffer[:stop - start]
-            components = [x0[start:stop].copy() for _ in drifts]
+            rows = slice(start, min(start + BLOCK, N))
+            components = [x0[rows].copy() for _ in drifts]
             # the first track is the recorded one
-            tracks = [x0[start:stop].copy(), *components] if mixing else components
-            paths[:, 0] = x0[start:stop]
-            sums = None if divergence is None else np.zeros(stop - start)
+            tracks = [x0[rows].copy(), *components] if mixing else components
+            sums = None if divergence is None else np.zeros(components[0].size)
             for i in range(n):
                 for sub, dw in enumerate(next(noise), start=i * substeps):
                     t_left = sub * h
@@ -306,23 +305,12 @@ def _path_blocks(drifts: list[DriftField], weights: np.ndarray, x0: np.ndarray,
                 t_node = (i + 1) / n
                 for q in tracks:
                     _check_inside(q, grid, t_node)
-                paths[:, i + 1] = tracks[0]
-            if sums is not None:
-                located = grid.locate(components[0])
-                _add_node(sums, drifts[0].read(located, 1.0), divergence, located,
-                          1.0, 0.5)
-                sums /= n
-            yield slice(start, stop), paths, sums
-
-
-def _sum_squared_increments(paths: np.ndarray, out: np.ndarray) -> None:
-    """n times each row's summed squared increment along ``paths``, into
-    ``out``. The increments are formed one row chunk at a time, so the
-    scratch is one chunk's; each row's sum does not depend on the chunking."""
-    n = paths.shape[1] - 1
-    for rows in _row_chunks(paths):
-        dq = np.diff(paths[rows], axis=1)
-        out[rows] = n * np.einsum("ij,ij->i", dq, dq)
+                if sums is not None and i + 1 == n:
+                    located = grid.locate(components[0])
+                    _add_node(sums, drifts[0].read(located, 1.0), divergence,
+                              located, 1.0, 0.5)
+                    sums /= n
+                yield rows, i + 1, tracks[0], sums
 
 
 def mixture_ensemble(drifts: list[DriftField], weights, rho0, grid: GridSpec,
@@ -330,8 +318,9 @@ def mixture_ensemble(drifts: list[DriftField], weights, rho0, grid: GridSpec,
     """Simulate the convex mixture of drifts on common (X0, W).
 
     ``rho0`` is the initial density sampled on ``grid.x``; pass None to
-    start every trajectory at the origin. Each block is reduced to the
-    fields of :class:`Ensemble` as soon as it is stepped.
+    start every trajectory at the origin. Each partition interval of a
+    block is reduced to the fields of :class:`Ensemble` as soon as it is
+    stepped; a trajectory's squared increments are summed left to right.
     """
     if not drifts:
         raise ValueError("need at least one drift")
@@ -348,22 +337,27 @@ def mixture_ensemble(drifts: list[DriftField], weights, rho0, grid: GridSpec,
 
     x0 = _initial_positions(rho0, grid, N, seed)
     divergence = _summed_divergence(drifts)
-    columns = _marginal_columns(n)
+    nodes = _marginal_nodes(n)
     squared = np.empty(N)
-    positions = {frac: np.empty(N) if i else x0 for frac, i in columns.items()}
+    positions = {frac: np.empty(N) if i else x0 for i, frac in nodes.items()}
     pathwise = None if divergence is None else np.empty(N)
     with closing(_path_blocks(drifts, weights, x0, grid, n, substeps, seed,
-                              divergence)) as blocks:
-        for rows, paths, sums in blocks:
-            _sum_squared_increments(paths, squared[rows])
-            for frac, i in columns.items():
-                if i:
-                    positions[frac][rows] = paths[:, i]
-            if pathwise is not None:
-                pathwise[rows] = sums
+                              divergence)) as paths:
+        for rows, i, q, sums in paths:
+            if i == 1:
+                previous, total = x0[rows].copy(), np.zeros(q.size)
+            increment = q - previous
+            increment *= increment
+            total += increment
+            previous[...] = q
+            if i in nodes:
+                positions[nodes[i]][rows] = q
+            if i == n:
+                squared[rows] = n * total
+                if pathwise is not None:
+                    pathwise[rows] = sums
     return Ensemble(grid, n, squared, positions, pathwise,
-                    None if divergence is None else drifts[0], divergence,
-                    min(N, BLOCK) * (n + 1) * 8)
+                    None if divergence is None else drifts[0], divergence)
 
 
 def simulate_ensemble(b: DriftField, rho0, grid: GridSpec, N: int, n: int,

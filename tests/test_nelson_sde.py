@@ -30,7 +30,7 @@ from madelung_lab.nelson_sde import (_JOB_VALUES, BLOCK, _check_inside,
 CONTROL_N = 20_000
 CONTROL_PARTITION = 64
 
-# sha256 of the float64 path matrix (the block buffers in row order),
+# sha256 of the float64 (N, n + 1) path matrix in row-major order,
 # recorded with the earlier kernel (drift read by np.interp's binary
 # search, one noise draw per substep): the O(1) lookup and the one draw
 # per partition interval keep both streams.
@@ -52,24 +52,22 @@ ZERO_DRIFT_SHA256 = \
     "4eb8a6c4a5c9fbd7233eb7670267634f5b777eb492c6146100d887786cb6ce58"
 
 
-def path_blocks(drifts, weights, rho0, grid, N, n, substeps, seed):
-    """The block buffers of the stepping, as ``mixture_ensemble`` steps them."""
-    return _path_blocks(drifts, np.asarray(weights, dtype=float),
-                        _initial_positions(rho0, grid, N, seed), grid, n, substeps,
-                        seed, _summed_divergence(drifts))
-
-
-def path_matrix(*args) -> np.ndarray:
+def path_matrix(drifts, weights, rho0, grid, N, n, substeps, seed) -> np.ndarray:
     """The (N, n + 1) positions at the partition nodes, which the library
-    never holds at once."""
-    return np.vstack([paths.copy() for _, paths, _ in path_blocks(*args)])
+    never holds at once, gathered from the per-node yields of the stepping
+    as ``mixture_ensemble`` steps it."""
+    x0 = _initial_positions(rho0, grid, N, seed)
+    columns = {}
+    for rows, i, q, _ in _path_blocks(drifts, np.asarray(weights, dtype=float), x0,
+                                      grid, n, substeps, seed,
+                                      _summed_divergence(drifts)):
+        columns.setdefault(rows.start, [x0[rows]]).append(q.copy())
+    return np.vstack([np.column_stack(block) for block in columns.values()])
 
 
 def paths_sha256(*args) -> str:
-    digest = hashlib.sha256()
-    for _, paths, _ in path_blocks(*args):
-        digest.update(np.ascontiguousarray(paths, dtype="<f8").tobytes())
-    return digest.hexdigest()
+    """The sha256 of :func:`path_matrix`'s float64 bytes in row-major order."""
+    return hashlib.sha256(path_matrix(*args).astype("<f8").tobytes()).hexdigest()
 
 
 def same_reductions(a, b) -> bool:
@@ -339,6 +337,36 @@ class TestNoiseWorker:
         assert max(b.seen) == before + 1
         assert threading.active_count() == before
 
+    def test_noise_buffers_survive_rapid_switching(self, control_grid, packet):
+        # the sweep-sized block takes an 8- and a 4-interval job, and the
+        # two-block mixture's jobs cross the block boundary: a noise buffer
+        # refilled while one of its intervals is still being stepped
+        # changes the pinned stream. Switching threads every microsecond
+        # gives such a race every chance to show.
+        b, rho0 = packet
+        cases = {
+            SWEEP_SHA256: ([b], [1.0], rho0, control_grid, 1024, 12, 4, 7),
+            MIXTURE_TWO_BLOCKS_SHA256: ([b, constant_drift(control_grid, 0.5)],
+                                        [0.25, 0.75], rho0, control_grid,
+                                        BLOCK + 37, 8, 3, 7),
+        }
+        digests = {}
+
+        def step():
+            for pin, args in cases.items():
+                digests[pin] = paths_sha256(*args)
+
+        worker = threading.Thread(target=step, daemon=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert digests == {pin: pin for pin in cases}
+
     def test_import_starts_no_thread(self):
         probe = ("import threading, madelung_lab.nelson_sde; "
                  "print(threading.active_count())")
@@ -511,7 +539,6 @@ class TestContainers:
         assert sorted(ens.positions) == [0.0, 0.5, 1.0]
         for values in [ens.squared_increments, ens.pathwise, *ens.positions.values()]:
             assert values.shape == (BLOCK + 37,)
-        assert ens.block_bytes == BLOCK * 7 * 8
 
     def test_ensemble_rejects_nonfinite(self, control_grid, packet):
         # two drifts whose slope overflows between the nodes at x = 0 and
@@ -553,23 +580,31 @@ class TestContainers:
 
 
 class TestChunkedScratch:
-    """Each block is reduced one row chunk at a time, so the scratch beside
-    the block buffer is one chunk's increments."""
+    """Each partition interval is reduced as soon as it is stepped, whatever
+    the block and noise job sizes; the sizes straddle the widest block
+    whose n intervals draw their noise in one job, and a block boundary."""
 
     @pytest.mark.parametrize("n", [1, 64, 512])
     @pytest.mark.parametrize("size", ["one", "rows-1", "rows", "rows+1", "blocks"])
     def test_discrete_action_is_the_one_block_formula(self, control_grid, n, size):
-        rows = _JOB_VALUES // n  # rows per chunk
+        rows = _JOB_VALUES // n  # the widest block drawn in one job
         N = {"one": 1, "rows-1": rows - 1, "rows": rows,
              "rows+1": rows + 1, "blocks": BLOCK + 37}[size]
         args = ([constant_drift(control_grid, 0.0)], [1.0], None, control_grid,
                 N, n, 1, n)
         dq = np.diff(path_matrix(*args), axis=1)
-        expected = MCEstimate.of_samples(n * np.einsum("ij,ij->i", dq, dq))
+        # n times each trajectory's squared increments, summed left to right
+        total = np.zeros(N)
+        for column in dq.T:
+            total += column * column
+        expected = MCEstimate.of_samples(n * total)
         got = discrete_action(mixture_ensemble(*args))
         assert np.array_equal(np.array([got.mean, got.std_error]).view(np.int64),
                               np.array([expected.mean, expected.std_error]
                                        ).view(np.int64))
+        # einsum sums each row in an order of its own
+        np.testing.assert_allclose(n * total, n * np.einsum("ij,ij->i", dq, dq),
+                                   rtol=1e-13, atol=0.0)
 
 
 def peak_bytes(call) -> int:
@@ -584,9 +619,9 @@ def peak_bytes(call) -> int:
 
 
 class TestScratchMemory:
-    """An ensemble holds under 16 values per trajectory: the stepping adds
-    one block buffer of BLOCK * (n + 1) values and 1 MiB, and the
-    estimators 1 MiB, whatever n is; nothing is O(N n)."""
+    """An ensemble holds under 16 values per trajectory, and the stepping
+    and the estimators each add under 1 MiB to it, whatever n is: no
+    buffer spans the partition nodes, and nothing is O(N n)."""
 
     N = 2 * BLOCK + 3
 
@@ -604,14 +639,14 @@ class TestScratchMemory:
         return n, grid, b, rho
 
     @pytest.mark.parametrize("kind", ["simulate_ensemble", "mixture_ensemble"])
-    def test_stepping_holds_one_block(self, case, kind):
+    def test_stepping_holds_no_block_buffer(self, case, kind):
         n, grid, b, _ = case
         drifts = {"simulate_ensemble": [b],
                   "mixture_ensemble": [b, constant_drift(grid, 0.0)]}[kind]
         weights = np.full(len(drifts), 1.0 / len(drifts))
         peak = peak_bytes(lambda: mixture_ensemble(drifts, weights, None, grid,
                                                    self.N, n, 1, 3))
-        assert peak < BLOCK * (n + 1) * 8 + 16 * self.N * 8 + 2**20
+        assert peak < 16 * self.N * 8 + 2**20
 
     @pytest.mark.parametrize("estimator", ["renormalized_action", "estimate_I",
                                            "marginal_l1"])

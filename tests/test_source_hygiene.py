@@ -44,14 +44,20 @@
   checks a wave density with ``ensure_wave_density`` or trusts the
   field, so no settable floor creeps back in either),
   ``UNWRAP_STEP_LIMIT`` in ``madelung`` (every phase meets
-  ``ensure_resolved_phase``) and ``paths`` in ``nelson_sde`` (the block
-  buffer of the stepping is reduced inside that module, so no other
-  module can come to depend on paths the ensemble no longer keeps).
-* In ``nelson_sde`` no numpy call takes a whole ``<expr>.paths`` matrix
-  as an argument (``np.isfinite(self.paths)``, ``np.diff(ens.paths)``):
-  what such a call returns is a second buffer of that matrix's size.
-  Reads of a slice (a column ``ens.paths[:, i]`` or a row chunk) stay
-  allowed.
+  ``ensure_resolved_phase``) and ``paths`` in ``nelson_sde`` (the
+  stepping's positions, node by node, which that module reduces as each
+  interval is stepped, so no other module can come to depend on
+  positions the ensemble does not keep).
+* No module holds node positions beyond the current interval. Besides
+  the ``paths`` row above, two rules keep this. No library module calls
+  a numpy allocator (``empty``, ``zeros``, ``ones``, ``full``) with a
+  shape of several entries one of which is ``n + 1``
+  (``np.empty((width, n + 1))``): that is a buffer over every partition
+  node of a block or an ensemble; a 1-D ``n + 1`` array stays allowed.
+  And in ``nelson_sde`` no numpy call takes a whole ``<expr>.paths``
+  matrix as an argument (``np.diff(ens.paths)``): what such a call
+  returns is a second buffer of that matrix's size. Reads of a slice
+  (a column ``ens.paths[:, i]``) stay allowed.
 * Every parameter with a default in a library ``def`` is set, by
   keyword, by position or through ``*args`` or ``**kwargs``, by some
   call in the library or in ``perfbench/`` to that function: a setting
@@ -83,6 +89,7 @@ INTERP_ALLOWED = {"sample_initial"}
 LOG_GRADIENT_ALLOWED = {"decompose", "madelung_residuals"}
 DRAW_ALLOWED = {"Philox": {"sample_initial", "_noise"}, "normal": set(),
                 "standard_normal": {"_scaled_normals"}}
+ALLOCATORS = {"empty", "zeros", "ones", "full"}
 RECIPE = ("SPACE_SUPPORT", "TIME_WINDOW", "AMPLITUDE", "MODES", "raw_perturbation")
 UNSET_DEFAULTS_ALLOWED = {
     ("main", "argv"):
@@ -503,8 +510,64 @@ def test_sliced_path_reads_pass():
                "    dq = np.diff(ens.paths[rows], axis=1)\n"
                "    counts, _ = np.histogram(ens.paths[:, i], bins=edges)\n"
                "    located = ens.grid.locate(ens.paths[:, i])\n"
-               "    return np.empty(ens.paths.shape[0]), _row_chunks(ens.paths)\n")
+               "    return np.empty(ens.paths.shape[0])\n")
     assert whole_path_reads(snippet) == []
+
+
+def _every_node(node: ast.AST) -> bool:
+    """Whether ``node`` is ``n + 1`` or ``1 + n``, with ``n`` a name or an
+    attribute: the count of a partition's nodes."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
+        return False
+    operands = [node.left, node.right]
+    return (any(isinstance(side, ast.Constant) and side.value == 1 for side in operands)
+            and any(getattr(side, "id", getattr(side, "attr", None)) == "n"
+                    for side in operands))
+
+
+def node_buffers(source: str) -> list[tuple[int, str]]:
+    """(line, enclosing function) of every numpy allocator call whose shape,
+    positional or keyword, is a tuple of several entries with an ``n + 1``."""
+    found = []
+    for node, owner in owned_nodes(source):
+        if not (_numpy_call(node) and node.func.attr in ALLOCATORS):
+            continue
+        shapes = [*node.args[:1], *(kw.value for kw in node.keywords
+                                     if kw.arg == "shape")]
+        if any(isinstance(shape, ast.Tuple) and len(shape.elts) > 1
+               and any(map(_every_node, shape.elts)) for shape in shapes):
+            found.append((node.lineno, owner))
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_allocates_a_buffer_over_the_nodes(path):
+    assert node_buffers(path.read_text()) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    pytest.param("import numpy as np\n\ndef _path_blocks(N, n):\n"
+                 "    buffer = np.empty((min(N, BLOCK), n + 1))\n", id="block-buffer"),
+    pytest.param("import numpy\n\ndef path_matrix(ens):\n"
+                 "    return numpy.zeros((ens.N, ens.n + 1))\n", id="path-matrix"),
+    pytest.param("import numpy as np\n\ndef buffer(width, n):\n"
+                 "    return np.full(shape=(width, 1 + n), fill_value=np.nan)\n",
+                 id="keyword"),
+    pytest.param("import numpy as np\n\nclass E:\n    def nodes(self, N):\n"
+                 "        return np.ones((self.n + 1, N))\n", id="nodes-first"),
+])
+def test_node_buffers_are_found(snippet):
+    assert node_buffers(snippet)
+
+
+def test_one_dimensional_and_lattice_arrays_pass():
+    snippet = ("import numpy as np\n\ndef arrays(grid, N, n):\n"
+               "    times = np.linspace(0.0, 1.0, n + 1)\n"
+               "    weights = np.ones(n + 1)\n"
+               "    lattice = np.zeros((grid.n_t + 1, grid.n_x))\n"
+               "    track = np.empty((N, 2))\n"
+               "    return np.full((N, n + 2), 0.0)\n")
+    assert node_buffers(snippet) == []
 
 
 def defaulted_parameters(source: str) -> list[tuple[str | None, str, str, int | None]]:
