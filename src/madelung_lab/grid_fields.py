@@ -29,7 +29,10 @@ frozen at the time node to the left. The grid is uniform, so the lookup
 finds each position's segment in O(1) instead of by search; its result
 is bitwise equal to ``np.interp`` on that node's row. The lookup is two
 steps, ``GridSpec.locate`` and ``ScalarField.read``, so fields sharing
-a grid are read at the same positions from one location.
+a grid are read at the same positions from one location. Each field
+builds its table of segment slopes once, at its first read, and reads
+every row from it; a field's values must therefore not change after
+its first read.
 """
 
 from __future__ import annotations
@@ -125,14 +128,13 @@ class GridSpec:
         the next node settles which, as ``np.interp``'s search would.
         :meth:`ScalarField.read` takes the result.
         """
-        x = np.maximum(positions, self.x[0])
-        np.minimum(x, self.x[-1], out=x)
+        x = positions.clip(self.x_min, self.x[-1])
         u = x - (self.x_min + 0.5 * self.dx)
         u *= self.inverse_dx
         j = u.astype(np.intp)
         j += self.x_next.take(j, mode="clip") <= x
-        offset = x - self.x.take(j, mode="clip")
-        return j, offset
+        x -= self.x.take(j, mode="clip")  # in place: x is now the offset
+        return j, x
 
     def coarsen(self) -> "GridSpec":
         """Grid with every second node removed in both directions."""
@@ -178,23 +180,24 @@ class ScalarField:
         is needed (see :meth:`GridSpec.locate`). The value is
         ``np.interp``'s own ``slope * (x - x[j]) + row[j]``, and on a
         node (clipped positions included) it is ``row[j]`` itself, which
-        also keeps the sign of a -0.0 entry.
+        also keeps the sign of a -0.0 entry. The slopes come from a
+        table of every row's, which the field builds once, at its first
+        read; the values must not change after that.
         """
         return self.read(self.grid.locate(positions), t)
 
     def read(self, located: tuple, t: float) -> np.ndarray:
         """Values at positions already located on this field's grid,
-        frozen at the time node <= t; see :meth:`at`."""
+        frozen at the time node <= t; see :meth:`at`. The slopes are the
+        node's row of the field's slope table, not recomputed."""
         j, offset = located
         g = self.grid
         node = min(math.floor(t * g.n_t + 1e-9), g.n_t)
-        row = self.values[node]
-        slope = (row[1:] - row[:-1]) / g.x_steps
-        value = row.take(j, mode="clip")
+        value = self.values[node].take(j, mode="clip")
         # every j is a node, so "clip" only skips the bounds check; the
         # last node has no segment, but its offset is 0, so the clipped
         # slope is never used there
-        out = slope.take(j, mode="clip")
+        out = self._slopes[node].take(j, mode="clip")
         out *= offset
         out += value
         if self._needs_node_copy[node]:
@@ -202,15 +205,21 @@ class ScalarField:
         return out
 
     @cached_property
+    def _slopes(self) -> np.ndarray:
+        """Per time node, ``np.interp``'s segment slopes ``(row[1:] -
+        row[:-1]) / x_steps``; one that overflows stays inf or NaN."""
+        rows = self.values
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (rows[:, 1:] - rows[:, :-1]) / self.grid.x_steps
+
+    @cached_property
     def _needs_node_copy(self) -> np.ndarray:
         """Per time node, whether slope * 0 + value can differ from the
         value on a node: a -0.0 entry turns into +0.0 (when its slope is
         not negative), and a non-finite slope makes the product NaN."""
         rows = self.values
-        with np.errstate(over="ignore", invalid="ignore"):
-            slopes = (rows[:, 1:] - rows[:, :-1]) / self.grid.x_steps
         return (np.signbit(rows) & (rows == 0.0)).any(axis=1) \
-            | ~np.isfinite(slopes).all(axis=1)
+            | ~np.isfinite(self._slopes).all(axis=1)
 
 
 def edge_leak(values: np.ndarray, grid: GridSpec) -> float:

@@ -149,12 +149,17 @@ def sample_initial(rho0: np.ndarray, grid: GridSpec, n_samples: int,
     """Inverse-CDF samples from a density given on the spatial grid.
 
     The CDF comes from the cumulative trapezoid rule and is inverted by
-    linear interpolation, so samples never leave the box.
+    linear interpolation, so samples never leave the box. A density with
+    a negative entry is refused: its CDF is not monotone, and
+    ``np.interp`` is undefined on such knots.
     """
     rho0 = np.asarray(rho0, dtype=float)
     if rho0.shape != (grid.n_x,):
         raise ValueError(f"density slice has shape {rho0.shape}, "
                          f"expected ({grid.n_x},)")
+    if rho0.min() < 0.0:
+        raise ValueError(f"initial density has a negative entry, "
+                         f"{rho0.min():.3e}: its CDF is not monotone")
     ensure_normalized(rho0, grid, "initial density")
     cdf = cumulative_trapezoid(rho0, grid)
     cdf = cdf / cdf[-1]
@@ -167,7 +172,7 @@ def _check_inside(positions: np.ndarray, grid: GridSpec, t: float) -> None:
     beyond it."""
     width = grid.x_max - grid.x_min
     low, high = grid.x_min - 0.2 * width, grid.x_max + 0.2 * width
-    if not (low <= np.min(positions) and np.max(positions) <= high):
+    if not (low <= positions.min() and positions.max() <= high):
         worst = float(np.max(np.abs(positions)))
         raise Diverged(f"trajectory reached |q| = {worst:.3f} at t = {t:.4f}, "
                        f"outside the 20% margin around the box")
@@ -239,10 +244,11 @@ def _add_node(sums: np.ndarray, pull: np.ndarray, divergence: ScalarField,
     """Add a partition node's trapezoid term of b^2 + div b: ``pull`` is b
     read at the ``located`` positions, frozen at the node's time ``t``.
     The term is formed in place; a sum and a product are the same in
-    either order."""
+    either order, and a weight of 1.0 is not multiplied."""
     term = divergence.read(located, t)
     term += pull ** 2
-    term *= weight
+    if weight != 1.0:
+        term *= weight
     sums += term
 
 
@@ -271,6 +277,8 @@ def _path_blocks(drifts: list[DriftField], weights: np.ndarray, x0: np.ndarray,
     mixing = len(drifts) > 1
     h = 1.0 / (n * substeps)
     root_h = np.sqrt(h)
+    locate = grid.locate
+    reads = [b.read for b in drifts]
 
     with ThreadPoolExecutor(max_workers=1) as pool:
         noise = _noise(pool, seed, N, n, substeps, root_h)
@@ -284,10 +292,10 @@ def _path_blocks(drifts: list[DriftField], weights: np.ndarray, x0: np.ndarray,
                 for sub, dw in enumerate(next(noise), start=i * substeps):
                     t_left = sub * h
                     pulls = []
-                    for b, c, q in zip(drifts, constants, components):
+                    for read, c, q in zip(reads, constants, components):
                         if c is None:
-                            located = grid.locate(q)
-                            pulls.append(b.read(located, t_left))
+                            located = locate(q)
+                            pulls.append(read(located, t_left))
                         else:
                             pulls.append(c)
                     if sums is not None and sub == i * substeps:
@@ -295,19 +303,22 @@ def _path_blocks(drifts: list[DriftField], weights: np.ndarray, x0: np.ndarray,
                         # t_left is i / n up to rounding, on the same time node
                         _add_node(sums, pulls[0], divergence, located, i / n,
                                   1.0 if i else 0.5)
-                    for j, pull in enumerate(pulls):
-                        step = pull * h
-                        step += dw
-                        components[j] += step
                     if mixing:
+                        # before the pulls below become steps
                         beta = sum(w * pull for w, pull in zip(weights, pulls))
                         tracks[0] += beta * h + dw
+                    # a looked-up pull is a fresh array, stepped in place; a
+                    # constant's pull * h is a float, so += dw makes the array
+                    for q, pull in zip(components, pulls):
+                        pull *= h
+                        pull += dw
+                        q += pull
                 t_node = (i + 1) / n
                 for q in tracks:
                     _check_inside(q, grid, t_node)
                 if sums is not None and i + 1 == n:
-                    located = grid.locate(components[0])
-                    _add_node(sums, drifts[0].read(located, 1.0), divergence,
+                    located = locate(components[0])
+                    _add_node(sums, reads[0](located, 1.0), divergence,
                               located, 1.0, 0.5)
                     sums /= n
                 yield rows, i + 1, tracks[0], sums
@@ -356,6 +367,10 @@ def mixture_ensemble(drifts: list[DriftField], weights, rho0, grid: GridSpec,
                 squared[rows] = n * total
                 if pathwise is not None:
                     pathwise[rows] = sums
+    if divergence is not None:
+        # estimate_I checks the values; the slope table that the stepping's
+        # reads built (one float per lattice entry) is not kept
+        divergence = ScalarField(grid, divergence.values)
     return Ensemble(grid, n, squared, positions, pathwise,
                     None if divergence is None else drifts[0], divergence)
 

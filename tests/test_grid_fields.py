@@ -149,6 +149,19 @@ class TestLookup:
                 expected = np.interp(positions, grid.x, values[node])
                 assert np.array_equal(bits(got), bits(expected)), node
 
+    def test_read_takes_the_prebuilt_slope_table(self):
+        # the field builds its slopes once; read takes the node's row of
+        # that table, so a substituted table moves every value off a node
+        grid = LOOKUP_GRIDS[0]
+        f = self.field(grid)
+        table = np.arange(grid.n_t + 1.0)[:, None] * np.ones(grid.n_x - 1)
+        object.__setattr__(f, "_slopes", table)
+        positions = grid.x[:-1] + 0.5 * grid.dx
+        j, offset = grid.locate(positions)
+        got = f.at(positions, 2.5 / grid.n_t)
+        expected = table[2].take(j) * offset + f.values[2].take(j)
+        assert np.array_equal(bits(got), bits(expected))
+
 
 def complex_spectral_dx(values, grid):
     """The full complex-FFT derivative, Nyquist mode zeroed: the oracle

@@ -126,6 +126,15 @@ class TestSampling:
         with pytest.raises(NormDrift):
             sample_initial(rho, grid, 10, 0)
 
+    def test_negative_density_refused(self, control_grid):
+        # mass 1, but the dip makes the CDF non-monotone, where np.interp
+        # is undefined
+        rho = np.exp(-control_grid.x**2 / 2.0)
+        rho[250:262] = -0.2
+        rho /= control_grid.dx * rho.sum()
+        with pytest.raises(ValueError, match="negative"):
+            sample_initial(rho, control_grid, 100_000, 0)
+
 
 class TestSimulation:
     def test_bitwise_deterministic(self, control_grid):
@@ -297,9 +306,17 @@ class TestConstantTracks:
 
     def test_packet_drift_looks_up_every_substep(self, grid, packet_drift,
                                                  packet_couple, locate_calls):
+        # per block: one lookup per substep, and one at t = 1 for the sums
         simulate_ensemble(packet_drift, packet_couple.rho.values[0],
-                          grid, 1000, 8, 3, 7)
-        assert len(locate_calls) >= 8 * 3
+                          grid, BLOCK + 37, 8, 3, 7)
+        assert locate_calls == [BLOCK] * (8 * 3 + 1) + [37] * (8 * 3 + 1)
+
+    def test_mixture_looks_up_each_track_every_substep(self, grid, packet_drift,
+                                                       packet_couple, locate_calls):
+        # a mixture records no sums, so it makes no lookup at t = 1
+        mixture_ensemble([packet_drift, self._almost_constant(grid)], [0.25, 0.75],
+                         packet_couple.rho.values[0], grid, BLOCK + 37, 8, 3, 7)
+        assert locate_calls == [BLOCK] * (2 * 8 * 3) + [37] * (2 * 8 * 3)
 
 
 class CountingDrift(DriftField):
@@ -647,6 +664,13 @@ class TestScratchMemory:
         peak = peak_bytes(lambda: mixture_ensemble(drifts, weights, None, grid,
                                                    self.N, n, 1, 3))
         assert peak < 16 * self.N * 8 + 2**20
+
+    def test_ensemble_keeps_no_slope_table(self, case):
+        # the divergence's reads built its slope table during the stepping
+        n, grid, b, _ = case
+        ens = simulate_ensemble(b, None, grid, 100, n, 1, 3)
+        assert "_slopes" not in vars(ens.divergence)
+        assert np.array_equal(ens.divergence.values, b.divergence().values)
 
     @pytest.mark.parametrize("estimator", ["renormalized_action", "estimate_I",
                                            "marginal_l1"])
