@@ -15,7 +15,9 @@ v^2 - u^2 plus a vanishing boundary term. Tests pin this identity.
 Every report carries an error radius: its distance to the same
 integrand integrated on every second node in both directions. The
 drift action retakes div b on that coarse grid. Cheap, and honest as
-long as the integrand is resolved.
+long as the integrand is resolved. A report is the trapezoid in time of
+row integrals over the box, which ``action_rows`` also takes on a block
+of a couple's rows: a competitor member is integrated on its hull rows.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .grid_fields import GridSpec, ScalarField, space_time_integral
-from .madelung import DriftField, FluidCouple
+from .grid_fields import GridSpec, ScalarField, row_integrals, time_integrate
+from .madelung import DriftField, FluidCouple, action_integrand
 
 
 @dataclass(frozen=True)
@@ -44,23 +46,31 @@ class ActionReport:
                 "error_radius": self.error_radius, "grid": dict(self.grid)}
 
 
-def _report(kind: str, grid: GridSpec, fine: np.ndarray, coarse: np.ndarray,
-            what: str) -> ActionReport:
-    """Integral of ``fine`` on ``grid``; the radius is its distance to the
-    integral of ``coarse`` on ``grid.coarsen()``."""
-    value = space_time_integral(fine, grid, what)
-    half = space_time_integral(coarse, grid.coarsen(), what)
+def series_report(kind: str, grid: GridSpec, fine: np.ndarray,
+                  coarse: np.ndarray) -> ActionReport:
+    """Trapezoid of the row integrals ``fine`` on ``grid``; the radius is its
+    distance to the trapezoid of ``coarse`` on ``grid.coarsen()``."""
+    value = time_integrate(fine, grid)
+    half = time_integrate(coarse, grid.coarsen())
     return ActionReport(value, abs(value - half), kind, asdict(grid))
 
 
+def action_rows(rho: np.ndarray, v: np.ndarray, log_density_gradient: np.ndarray,
+                grid: GridSpec, fisher_weight: float,
+                first_row: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Row integrals of the action integrand on rows from ``first_row`` on,
+    and on the coarse grid's among them (even rows, every second column)."""
+    integrand = action_integrand(rho, v, log_density_gradient, fisher_weight)
+    return (row_integrals(integrand, grid, "action integrand"),
+            row_integrals(integrand[first_row % 2::2, ::2], grid.coarsen(),
+                          "action integrand"))
+
+
 def _couple_report(couple: FluidCouple, fisher_weight: float, kind: str) -> ActionReport:
-    kernel = couple.v.values**2
-    if fisher_weight != 0.0:
-        u = 0.5 * couple.log_density_gradient.values
-        kernel += fisher_weight * u**2
-    integrand = kernel * couple.rho.values
-    return _report(kind, couple.rho.grid, integrand, integrand[::2, ::2],
-                   "action integrand")
+    grid = couple.rho.grid
+    return series_report(kind, grid, *action_rows(
+        couple.rho.values, couple.v.values, couple.log_density_gradient.values,
+        grid, fisher_weight))
 
 
 def quantum_action(couple: FluidCouple) -> ActionReport:
@@ -92,6 +102,7 @@ def drift_action(b: DriftField, rho: ScalarField) -> ActionReport:
     if b.grid != rho.grid:
         raise ValueError("drift and density live on different grids")
     coarse = DriftField(rho.grid.coarsen(), b.values[::2, ::2])
-    return _report("drift", rho.grid, _drift_integrand(b, rho.values),
-                   _drift_integrand(coarse, rho.values[::2, ::2]),
-                   "drift action integrand")
+    what = "drift action integrand"
+    return series_report(
+        "drift", rho.grid, row_integrals(_drift_integrand(b, rho.values), rho.grid, what),
+        row_integrals(_drift_integrand(coarse, rho.values[::2, ::2]), coarse.grid, what))

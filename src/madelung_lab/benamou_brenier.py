@@ -30,8 +30,8 @@ import numpy as np
 
 from .action_functionals import classical_action, quantum_action
 from .errors import OrderingViolated
-from .grid_fields import (GridSpec, box_integral, cumulative_trapezoid, ensure_normalized,
-                          fd_dt, fd_dx, spectral_antiderivative)
+from .grid_fields import (GridSpec, cumulative_trapezoid, ensure_normalized, fd_dt, fd_dx,
+                          row_integrals, spectral_antiderivative)
 from .madelung import FluidCouple, gaussian_couple
 from .schrodinger import GaussianPacketSpec, normal_density, packet_mean, packet_sigma_sq
 
@@ -155,7 +155,7 @@ def transport_cost(plan: TransportPlan1D, rho0: np.ndarray) -> float:
     """Quadratic cost of the plan against the source density."""
     grid = plan.grid
     integrand = (plan.map_samples - grid.x) ** 2 * np.asarray(rho0, dtype=float)
-    return box_integral(integrand, grid, "transport cost integrand")
+    return float(row_integrals(integrand, grid, "transport cost integrand"))
 
 
 def displacement_couple(g0: GaussianMeasure, g1: GaussianMeasure,

@@ -48,7 +48,7 @@ from .competitors import (VIOLATION_RADII, PerturbationSpec, check_perturbation,
                           make_perturbation, verify_theorem1)
 from .errors import (BoundaryLeak, ConfigError, MadelungLabError, NodeDetected,
                      NormDrift, UnwrapInconsistent)
-from .grid_fields import GridSpec, ScalarField, box_integral, mass_error
+from .grid_fields import GridSpec, ScalarField, mass_error, row_integrals
 from .io_formats import couple_to_csv, table_to_csv, write_json
 from .madelung import (constant_drift, decompose, drift, ensure_resolved_phase,
                        madelung_residuals, spreading_mismatched_couple)
@@ -249,7 +249,7 @@ def run_gaussian_benchmark(cfg: dict, grid: GridSpec, spec: GaussianPacketSpec,
 
     checks.within("norm-drift", mass_error(psi.density(), grid), 1e-10)
 
-    second = box_integral(grid.x**2 * rho.values[-1], grid, "second moment")
+    second = float(row_integrals(grid.x**2 * rho.values[-1], grid, "second moment"))
     expected = float(packet_sigma_sq(spec, 1.0) + packet_mean(spec, 1.0) ** 2)
     checks.within("second-moment", second - expected, 1e-6)
 
@@ -318,6 +318,7 @@ def run_gaussian_benchmark(cfg: dict, grid: GridSpec, spec: GaussianPacketSpec,
                              "pathwise": mc_i.as_dict(),
                              "marginal_l1": {f"{k:g}": v for k, v in distances.items()},
                              "params": mc}
+        del ens  # its estimates are taken; release it before the next is stepped
 
     settled = [n for n in n_list if n >= SETTLED_N]
     for i, n_a in enumerate(settled):

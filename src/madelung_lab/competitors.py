@@ -13,9 +13,9 @@ equation. In one dimension that correction integrates exactly:
 
 with u vanishing outside the support of g because the right hand side
 has zero spatial mean. A family is just (base, g): it solves u once
-at construction, and ``CompetitorFamily.couple(y)`` builds the member
-at y. The member at y = 0 is the base couple itself, provenance
-included, so ``evaluate_family`` builds ten members, not eleven.
+at construction, and ``CompetitorFamily.member_rows(y)`` builds the
+member at y where it differs from the base. The member at y = 0 is the
+base couple itself, so ``evaluate_family`` builds ten members, not eleven.
 Evaluating the quantum action at the fixed probe points
 ``Y_GRID`` then probes whether the base couple is the minimizer among
 couples with the same endpoint densities: for a wave field couple the
@@ -34,10 +34,9 @@ level as the base couple's.
 
 A family records its hull: the rows and the columns outside which g
 and u are exactly zero (u reaches one row past g on each side, through
-the time difference of g). A member is a full couple, checked on the
-whole lattice, but its fields are copies of the base's with only the
-hull block updated, and the log density bump is transformed on the
-hull rows alone. Those rows keep their full width: a zero row
+the time difference of g). A member is built, checked and integrated on
+the hull rows alone, at full width, since its log density gradient
+differs there; the base's row integrals fill the other rows. A zero row
 transforms to zeros, so the member is the one a whole-lattice build
 gives, value for value, while masking the transform's ringing off the
 support columns would move the error radii.
@@ -49,11 +48,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .action_functionals import ActionReport, quantum_action
+from .action_functionals import ActionReport, action_rows, series_report
 from .errors import AmplitudeInfeasible, MadelungLabError, SupportLeak
-from .grid_fields import (ScalarField, fd_dt, spectral_antiderivative, spectral_dx,
-                          taper)
-from .madelung import FluidCouple
+from .grid_fields import (ScalarField, ensure_finite, fd_dt, spectral_antiderivative,
+                          spectral_dx, taper)
+from .madelung import FluidCouple, ensure_couple_rows, ensure_positive
 
 Y_GRID = (-1.0, -0.75, -0.5, -0.25, -0.125, 0.0,
           0.125, 0.25, 0.5, 0.75, 1.0)
@@ -236,39 +235,48 @@ class CompetitorFamily:
         object.__setattr__(self, "hull",
                            (_span(live.any(axis=1)), _span(live.any(axis=0))))
 
-    def couple(self, y: float) -> FluidCouple:
-        """The member (rho + y g, v + y u / (rho + y g)) at y.
-
-        The member at y = 0 is ``base`` itself, provenance included: a
-        rebuilt one has the base's fields bit for bit and the same
-        quantum action, so it is not built again. Any other member is
-        the base's fields with the hull block updated.
-        """
+    def member_rows(self, y: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """rho + y g, v + y u / (rho + y g) and d(log(rho + y g))/dx on the hull
+        rows at full width, checked by the couple's rules, positivity first
+        (before the log). The other rows are the base's, which obey the
+        rules, so a failing rule reports the whole member's worst value."""
         if abs(y) > 1.0:
             raise ValueError(f"y must lie in [-1, 1], got {y}")
-        if y == 0.0:
-            return self.base
         base = self.base
         grid = base.rho.grid
         rows, cols = self.hull
         rho, g = base.rho.values[rows, cols], self.g.values[rows, cols]
         bumped = rho + y * g
-        rho_y = base.rho.values.copy()
-        rho_y[rows, cols] = bumped
-        v_y = base.v.values.copy()
-        v_y[rows, cols] += y * self.u.values[rows, cols] / bumped
+        ensure_positive(bumped)
+        rho_y = base.rho.values[rows].copy()
+        rho_y[:, cols] = bumped
+        v_y = base.v.values[rows].copy()
+        v_y[:, cols] += y * self.u.values[rows, cols] / bumped
 
         # d(log rho_y)/dx splits into the base part plus a compactly
-        # supported spectral part; plain differences on log(rho + y g) lose
-        # two orders of stationarity accuracy. The hull rows are
-        # transformed at full width.
-        log_bump = np.zeros((bumped.shape[0], grid.n_x))
-        log_bump[:, cols] = np.log1p(np.where(g != 0.0, y * g / rho, 0.0))
-        log_grad = base.log_density_gradient.values.copy()
-        log_grad[rows] += spectral_dx(log_bump, grid, "log density bump")
+        # supported spectral part, of log1p(y g / rho) where g is nonzero and
+        # +0.0 elsewhere; plain differences on log(rho + y g) lose two
+        # orders of stationarity accuracy.
+        log_bump = np.zeros_like(rho_y)
+        np.log1p(y * g / rho, out=log_bump[:, cols], where=g != 0.0)
+        log_grad = spectral_dx(log_bump, grid, "log density bump")
+        log_grad += base.log_density_gradient.values[rows]
+        for values in (rho_y, v_y, log_grad):
+            ensure_finite(values, "scalar field")
+        ensure_couple_rows(rho_y, v_y, log_grad, grid)
+        return rho_y, v_y, log_grad
 
-        return FluidCouple(ScalarField(grid, rho_y), ScalarField(grid, v_y),
-                           ScalarField(grid, log_grad), provenance="competitor")
+    def couple(self, y: float) -> FluidCouple:
+        """The member at y: the base's fields with the hull rows of
+        ``member_rows``; at y = 0, ``base`` itself, provenance included."""
+        if y == 0.0:
+            return self.base
+        base = self.base
+        fields = [f.values.copy() for f in (base.rho, base.v, base.log_density_gradient)]
+        for values, block in zip(fields, self.member_rows(y)):
+            values[self.hull[0]] = block
+        return FluidCouple(*(ScalarField(base.rho.grid, f) for f in fields),
+                           provenance="competitor")
 
 
 def make_family(base: FluidCouple, spec: PerturbationSpec) -> CompetitorFamily:
@@ -276,8 +284,23 @@ def make_family(base: FluidCouple, spec: PerturbationSpec) -> CompetitorFamily:
 
 
 def evaluate_family(fam: CompetitorFamily) -> list[tuple[float, ActionReport]]:
-    """Quantum action at the probe points ``Y_GRID`` of the family."""
-    return [(y, quantum_action(fam.couple(y))) for y in Y_GRID]
+    """Quantum action at the probe points ``Y_GRID`` of the family: each
+    member's row integrals on its hull rows, spliced into the base's, give
+    ``quantum_action(fam.couple(y))`` bit for bit."""
+    base = fam.base
+    grid = base.rho.grid
+    fine, coarse = action_rows(base.rho.values, base.v.values,
+                               base.log_density_gradient.values, grid, -1.0)
+    rows = fam.hull[0]
+    coarse_rows = slice((rows.start + 1) // 2, (rows.stop + 1) // 2)
+    profile = []
+    for y in Y_GRID:
+        fine_y, coarse_y = fine.copy(), coarse.copy()
+        if y != 0.0:
+            fine_y[rows], coarse_y[coarse_rows] = action_rows(
+                *fam.member_rows(y), grid, -1.0, rows.start)
+        profile.append((y, series_report("quantum", grid, fine_y, coarse_y)))
+    return profile
 
 
 def _profile_stats(profile: dict[float, ActionReport]) -> dict:

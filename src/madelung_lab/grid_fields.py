@@ -20,8 +20,8 @@ on purpose:
 
 Quadrature over the box is the plain rectangle rule (it is spectrally
 accurate for smooth decaying integrands on a periodic grid) and carries
-the same decay guard. Time quadrature is the trapezoid rule;
-``space_time_integral`` chains the two for every action functional.
+the same decay guard; ``row_integrals`` applies it to every row of a
+field, or of a block of rows. Time quadrature is the trapezoid rule.
 A density counts as normalized when its mass is 1 within ``MASS_TOL``
 in every slice (``mass_error``); ``ensure_normalized`` is that rule.
 Off the lattice a field is read by ``ScalarField.at``: linear in x,
@@ -144,12 +144,16 @@ class GridSpec:
         return GridSpec(self.x_min, self.x_max, self.n_x // 2, self.n_t // 2)
 
 
+def ensure_finite(values: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} contains non-finite entries")
+
+
 def _checked_values(values: np.ndarray, shape: tuple, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.shape != shape:
         raise ValueError(f"{what} has shape {arr.shape}, expected {shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} contains non-finite entries")
+    ensure_finite(arr, what)
     return arr
 
 
@@ -166,7 +170,8 @@ class ScalarField:
                            _checked_values(self.values, (g.n_t + 1, g.n_x), "scalar field"))
 
     def at(self, positions: np.ndarray, t: float) -> np.ndarray:
-        """Values at arbitrary finite positions, frozen at the time node <= t.
+        """Values at arbitrary finite positions, frozen at the time node <= t
+        (the last node for t > 1); a t below 0, beyond rounding, is refused.
 
         Linear interpolation in x; outside the box the boundary value
         extends constantly. This is the one off-lattice rule of the lab:
@@ -193,6 +198,8 @@ class ScalarField:
         j, offset = located
         g = self.grid
         node = min(math.floor(t * g.n_t + 1e-9), g.n_t)
+        if node < 0:
+            raise ValueError(f"t = {t} lies before the first time node")
         value = self.values[node].take(j, mode="clip")
         # every j is a node, so "clip" only skips the bounds check; the
         # last node has no segment, but its offset is 0, so the clipped
@@ -248,8 +255,9 @@ def ensure_decaying(values: np.ndarray, grid: GridSpec, what: str) -> None:
 
 
 def mass_error(density: np.ndarray, grid: GridSpec) -> float:
-    """Largest |dx * sum - 1| over a density's slices along the last axis."""
-    return float(np.max(np.abs(grid.dx * np.sum(density, axis=-1) - 1.0)))
+    """Largest |dx * sum - 1| over a density's slices along the last axis
+    (0 when there are none)."""
+    return float(np.max(np.abs(grid.dx * np.sum(density, axis=-1) - 1.0), initial=0.0))
 
 
 def ensure_normalized(density: np.ndarray, grid: GridSpec, what: str) -> None:
@@ -307,17 +315,11 @@ def spectral_antiderivative(values: np.ndarray, grid: GridSpec,
     return prim - prim[..., :1]
 
 
-def box_integral(values: np.ndarray, grid: GridSpec, what: str = "integrand") -> float:
-    """Rectangle rule integral of one decaying spatial slice."""
+def row_integrals(values: np.ndarray, grid: GridSpec, what: str) -> np.ndarray:
+    """Rectangle rule over the box of every spatial slice of a decaying
+    field, any number of rows; each row's sum is the same alone or in a block."""
     ensure_decaying(values, grid, what)
-    return float(grid.dx * np.sum(values, axis=-1))
-
-
-def space_time_integral(values: np.ndarray, grid: GridSpec, what: str) -> float:
-    """Rectangle rule over the box at every time node, then the trapezoid
-    rule in time, for a decaying field of shape (n_t + 1, n_x)."""
-    ensure_decaying(values, grid, what)
-    return time_integrate(grid.dx * values.sum(axis=-1), grid)
+    return grid.dx * values.sum(axis=-1)
 
 
 def cumulative_trapezoid(values: np.ndarray, grid: GridSpec) -> np.ndarray:

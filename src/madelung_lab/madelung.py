@@ -55,14 +55,40 @@ class FluidCouple:
         grid = self.rho.grid
         if self.v.grid != grid or self.log_density_gradient.grid != grid:
             raise ValueError("couple fields live on different grids")
-        dens = self.rho.values
-        if dens.min() <= 0.0:
-            raise ValueError(f"density must be strictly positive, "
-                             f"min = {dens.min():.3e}")
-        ensure_normalized(dens, grid, "density")
-        u = 0.5 * self.log_density_gradient.values
-        ensure_decaying((self.v.values**2 + u**2) * dens, grid,
-                        "finite action integrand")
+        ensure_positive(self.rho.values)
+        ensure_couple_rows(self.rho.values, self.v.values,
+                           self.log_density_gradient.values, grid)
+
+
+def action_integrand(rho: np.ndarray, v: np.ndarray, log_density_gradient: np.ndarray,
+                     fisher_weight: float) -> np.ndarray:
+    """(v^2 + w u^2) rho, u = (1/2) d(log rho)/dx, on any block of a couple's
+    rows: w = -1 is the quantum action's integrand, +1 the finite action's.
+    Formed in place on its own temporaries, bit for bit (v**2 + w * u**2) * rho."""
+    kernel = v**2
+    if fisher_weight != 0.0:
+        fisher = 0.5 * log_density_gradient
+        fisher *= fisher
+        fisher *= fisher_weight
+        kernel += fisher
+    kernel *= rho
+    return kernel
+
+
+def ensure_positive(density: np.ndarray) -> None:
+    """Refuse a density with an entry <= 0 (an empty block has none)."""
+    low = density.min(initial=np.inf)
+    if low <= 0.0:
+        raise ValueError(f"density must be strictly positive, min = {low:.3e}")
+
+
+def ensure_couple_rows(rho: np.ndarray, v: np.ndarray, log_density_gradient: np.ndarray,
+                       grid: GridSpec) -> None:
+    """A couple's rules past positivity and finiteness, on any block of its
+    rows: a normalized density and a decaying finite action integrand."""
+    ensure_normalized(rho, grid, "density")
+    ensure_decaying(action_integrand(rho, v, log_density_gradient, 1.0), grid,
+                    "finite action integrand")
 
 
 class DriftField(ScalarField):

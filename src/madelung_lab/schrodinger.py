@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NodeDetected
-from .grid_fields import GridSpec, ensure_decaying, ensure_normalized
+from .grid_fields import GridSpec, ensure_decaying, ensure_finite, ensure_normalized
 
 NODE_FLOOR = 1e-60
 
@@ -47,8 +47,7 @@ def ensure_wave_density(density: np.ndarray, grid: GridSpec) -> None:
     """Refuse a |psi|^2 that is not, in this order, finite, normalized, at or
     above ``NODE_FLOOR`` (the paper's claim holds in the absence of nodes)
     and decaying at the box edges."""
-    if not np.all(np.isfinite(density)):
-        raise ValueError("wave density contains non-finite entries")
+    ensure_finite(density, "wave density")
     ensure_normalized(density, grid, "wave density")
     floor = float(density.min())
     if floor < NODE_FLOOR:

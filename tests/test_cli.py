@@ -8,6 +8,7 @@ config-error path the parser promises to catch.
 import hashlib
 import json
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,9 @@ import pytest
 
 from madelung_lab import (GaussianPacketSpec, GridSpec, PerturbationSpec, decompose,
                           gaussian_packet, make_family)
+from madelung_lab import cli
 from madelung_lab.cli import EXPERIMENTS, Checks, main, parse_config
-from madelung_lab.nelson_sde import MARGINAL_TIMES
+from madelung_lab.nelson_sde import MARGINAL_TIMES, simulate_ensemble
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 NODE_AT_ZERO = "packet: min |psi|^2 = 0.000e+00 is below the node floor 1.0e-60"
@@ -40,6 +42,14 @@ PINNED_BENCHMARK = ("experiment = gaussian-benchmark\ngrid.n_x = 256\ngrid.n_t =
 PINNED_SHA256 = {
     "summary.json": "67539140f73d29436bea89f389166a65a12455844d9a23c533744a4a48a7789a",
     "marginals.csv": "3d011c5e0cb48e63900b88503ff618431a84c985a4f00ef6f961105691e1ecbc",
+}
+# a theorem1-verify on a small lattice and the sha256 of its two outputs,
+# recorded while every competitor member was built on the whole lattice
+PINNED_THEOREM = ("experiment = theorem1-verify\ngrid.n_x = 256\ngrid.n_t = 64\n"
+                  "theorem.n_specs = 3\n")
+PINNED_THEOREM_SHA256 = {
+    "summary.json": "92b3f8b071e8024234457184299931e5ac24745639f5cd0bd7e98ba8b488494a",
+    "y_profiles.csv": "f4bc511e4cea7ba27ba39520c89332cd9340381447a7333bb51952c89d42cf90",
 }
 # keys whose settings are now constants, with the values they last held:
 # the perturbation recipe of ``competitors``, the always written couple CSV
@@ -428,6 +438,35 @@ class TestRun:
         capsys.readouterr()
         for name, digest in PINNED_SHA256.items():
             assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() == digest, name
+
+    def test_theorem_outputs_keep_their_bytes(self, tmp_path, monkeypatch, capsys):
+        out_dir = tmp_path / "out"
+        monkeypatch.setenv("OUTPUT_DIR", str(out_dir))
+        # one family fails to construct at this size; the bytes are the pin
+        assert run_cli(["run", write_config(tmp_path, PINNED_THEOREM)]) == 2
+        capsys.readouterr()
+        for name, digest in PINNED_THEOREM_SHA256.items():
+            assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() == digest, name
+
+    def test_each_ensemble_is_released_before_the_next_is_stepped(
+            self, tmp_path, monkeypatch, capsys):
+        stepped = []
+
+        def tracked(*args, **kwargs):
+            assert [ref() for ref in stepped] == [None] * len(stepped)
+            ens = simulate_ensemble(*args, **kwargs)
+            stepped.append(weakref.ref(ens))
+            return ens
+
+        monkeypatch.setattr(cli, "simulate_ensemble", tracked)
+        monkeypatch.setenv("OUTPUT_DIR", str(tmp_path / "out"))
+        path = write_config(tmp_path, "experiment = gaussian-benchmark\ngrid.n_x = 256\n"
+                                      "grid.n_t = 64\nmc.N = 400\nmc.n = 64\n"
+                                      "mc.n_list = 64,256,512\n")
+        assert run_cli(["run", path]) in (0, 2)
+        capsys.readouterr()
+        # three sizes of mc.n_list and the two constant-drift controls
+        assert len(stepped) == 5
 
     def test_failing_check_exits_two(self, tmp_path, monkeypatch, capsys):
         # 400 samples cannot reproduce the marginals to 0.03 in L1

@@ -7,6 +7,8 @@ and on the deliberately broken couple (expected to be flagged).
 """
 
 import hashlib
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -232,7 +234,7 @@ class TestFamily:
 
     def test_members_built_once_each_and_never_the_base(self, default_family,
                                                         monkeypatch):
-        # couple(y) differentiates one log density bump per member it
+        # member_rows differentiates one log density bump per member it
         # builds; the y = 0 point reuses the base and differentiates none
         calls = []
 
@@ -356,24 +358,64 @@ class TestHull:
             assert (a.value.hex(), a.error_radius.hex()) \
                 == (b.value.hex(), b.error_radius.hex()), y
 
+    @staticmethod
+    def assert_reports_match_the_oracle(fam):
+        # the spliced row integrals give the full-lattice member's report
+        for y, got in evaluate_family(fam):
+            want = quantum_action(full_lattice_member(fam, y))
+            assert (got.value.hex(), got.error_radius.hex(), got.kind, got.grid) \
+                == (want.value.hex(), want.error_radius.hex(), want.kind, want.grid), y
+
     @pytest.mark.parametrize("seed", range(1000, 1020))
     def test_packet_members_equal_the_full_lattice_build(self, packet_couple, seed):
         self.assert_members_match_the_oracle(
             make_family(packet_couple, PerturbationSpec(seed)))
 
+    @pytest.mark.parametrize("seed", range(1000, 1020))
+    def test_packet_reports_equal_the_full_lattice_build(self, packet_couple, seed):
+        fam = make_family(packet_couple, PerturbationSpec(seed))
+        # the coarse series holds the even rows: here the member's start
+        # at its second row, on the mismatched base at its first
+        assert fam.hull[0].start % 2 == 1
+        self.assert_reports_match_the_oracle(fam)
+
     def test_violating_spec_members_equal_the_full_lattice_build(self, packet_couple):
-        self.assert_members_match_the_oracle(
-            make_family(packet_couple, PerturbationSpec(453114006)))
+        fam = make_family(packet_couple, PerturbationSpec(453114006))
+        self.assert_members_match_the_oracle(fam)
+        self.assert_reports_match_the_oracle(fam)
 
     @pytest.mark.parametrize("seed", range(1000, 1003))
     def test_mismatched_members_equal_the_full_lattice_build(self, packet_spec, seed):
         base = spreading_mismatched_couple(packet_spec, GridSpec(-12.0, 12.0, 256, 128))
-        self.assert_members_match_the_oracle(make_family(base, PerturbationSpec(seed)))
+        fam = make_family(base, PerturbationSpec(seed))
+        assert fam.hull[0].start % 2 == 0
+        self.assert_members_match_the_oracle(fam)
+        self.assert_reports_match_the_oracle(fam)
 
     def test_zero_perturbation_members_equal_the_full_lattice_build(self, grid,
                                                                      packet_couple):
         zeros = ScalarField(grid, np.zeros((grid.n_t + 1, grid.n_x)))
-        self.assert_members_match_the_oracle(CompetitorFamily(packet_couple, zeros))
+        fam = CompetitorFamily(packet_couple, zeros)
+        self.assert_members_match_the_oracle(fam)
+        self.assert_reports_match_the_oracle(fam)
+        base = quantum_action(packet_couple)
+        assert all(rep == base for _, rep in evaluate_family(fam))
+
+    def test_member_with_a_negative_density_is_refused_as_such(self, packet_couple):
+        # five times a perturbation that just fits: rho + y g < 0 at y = -1,
+        # refused before its log is taken (no RuntimeWarning)
+        grid = packet_couple.rho.grid
+        g = make_family(packet_couple, PerturbationSpec(1000)).g.values
+        fam = CompetitorFamily(packet_couple, ScalarField(grid, 5.0 * g))
+        low = (packet_couple.rho.values - 5.0 * g).min()
+        assert low < 0.0
+        refusal = re.escape(f"density must be strictly positive, min = {low:.3e}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=refusal):
+                evaluate_family(fam)
+            with pytest.raises(ValueError, match=refusal):
+                fam.couple(-1.0)
 
     def test_profile_bytes_are_pinned(self, packet_couple):
         fam = make_family(packet_couple, PerturbationSpec(1012))

@@ -13,9 +13,9 @@ from madelung_lab import (BoundaryLeak, GaussianPacketSpec, GridSpec,
                           PerturbationSpec, ScalarField, decompose,
                           gaussian_packet, make_family)
 from madelung_lab import grid_fields
-from madelung_lab.grid_fields import (box_integral, edge_leak, fd_dt, fd_dx,
-                                      spectral_antiderivative, spectral_dx,
-                                      time_integrate)
+from madelung_lab.grid_fields import (edge_leak, fd_dt, fd_dx,
+                                      row_integrals, spectral_antiderivative,
+                                      spectral_dx, time_integrate)
 
 
 @pytest.fixture()
@@ -162,6 +162,18 @@ class TestLookup:
         expected = table[2].take(j) * offset + f.values[2].take(j)
         assert np.array_equal(bits(got), bits(expected))
 
+    def test_time_before_the_first_node_is_refused(self):
+        # row k holds k: a negative node would read a row near t = 1
+        grid = GridSpec(-12.0, 12.0, 64, 16)
+        f = ScalarField(grid, np.arange(grid.n_t + 1.0)[:, None] * np.ones(grid.n_x))
+        positions = np.array([0.0, 1.0])
+        assert np.array_equal(f.at(positions, -1e-12), [0.0, 0.0])
+        assert np.array_equal(f.at(positions, 1.5), [16.0, 16.0])
+        object.__setattr__(f, "values", None)  # no row may be read
+        for t in (-0.1, -0.5, -1.0):
+            with pytest.raises(ValueError, match=f"t = {t} lies before"):
+                f.at(positions, t)
+
 
 def complex_spectral_dx(values, grid):
     """The full complex-FFT derivative, Nyquist mode zeroed: the oracle
@@ -178,7 +190,7 @@ def gaussian_rows(grid):
 
 def bump_rows(grid, y):
     """log(1 + y g / rho) of the seed-1000 family around the default
-    packet: the field ``CompetitorFamily.couple`` differentiates."""
+    packet: the field ``CompetitorFamily.member_rows`` differentiates."""
     base = decompose(gaussian_packet(GaussianPacketSpec(), grid))[2]
     g = make_family(base, PerturbationSpec(seed=1000)).g.values
     return np.log1p(np.where(np.abs(g) > 0.0, y * g / base.rho.values, 0.0))
@@ -267,25 +279,25 @@ class TestIntegration:
     def test_normal_density_integrates_to_one(self, small_grid):
         # scipy oracle: quad of the same density over the box
         oracle, _ = scipy_integrate.quad(normal_density, -12.0, 12.0)
-        got = box_integral(normal_density(small_grid.x), small_grid)
+        got = float(row_integrals(normal_density(small_grid.x), small_grid, "integrand"))
         assert abs(got - 1.0) < 1e-9
         assert abs(got - oracle) < 1e-9
 
     def test_odd_integrand_vanishes(self, small_grid):
         f = small_grid.x * normal_density(small_grid.x)
-        assert abs(box_integral(f, small_grid)) < 1e-12
+        assert abs(float(row_integrals(f, small_grid, "integrand"))) < 1e-12
 
     def test_second_moment(self, small_grid):
         f = small_grid.x**2 * normal_density(small_grid.x)
-        assert abs(box_integral(f, small_grid) - 1.0) < 1e-9
+        assert abs(float(row_integrals(f, small_grid, "integrand")) - 1.0) < 1e-9
 
     def test_refinement_converges(self):
         # doubling n_x changes the rectangle integral of a decaying
         # smooth density at rounding level only (spectral accuracy)
         coarse = GridSpec(-12.0, 12.0, 256, 4)
         fine = GridSpec(-12.0, 12.0, 512, 4)
-        a = box_integral(normal_density(coarse.x), coarse)
-        b = box_integral(normal_density(fine.x), fine)
+        a = float(row_integrals(normal_density(coarse.x), coarse, "integrand"))
+        b = float(row_integrals(normal_density(fine.x), fine, "integrand"))
         assert abs(a - b) < 1e-12
 
     def test_time_integrate_trapezoid_error_on_quadratic(self, small_grid):
