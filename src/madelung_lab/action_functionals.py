@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .grid_fields import GridSpec, ScalarField, row_integrals, time_integrate
-from .madelung import DriftField, FluidCouple, action_integrand
+from .madelung import DriftField, FluidCouple, action_integrands
 
 
 @dataclass(frozen=True)
@@ -55,12 +55,10 @@ def series_report(kind: str, grid: GridSpec, fine: np.ndarray,
     return ActionReport(value, abs(value - half), kind, asdict(grid))
 
 
-def action_rows(rho: np.ndarray, v: np.ndarray, log_density_gradient: np.ndarray,
-                grid: GridSpec, fisher_weight: float,
+def action_rows(integrand: np.ndarray, grid: GridSpec,
                 first_row: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Row integrals of the action integrand on rows from ``first_row`` on,
+    """Row integrals of an action integrand on rows from ``first_row`` on,
     and on the coarse grid's among them (even rows, every second column)."""
-    integrand = action_integrand(rho, v, log_density_gradient, fisher_weight)
     return (row_integrals(integrand, grid, "action integrand"),
             row_integrals(integrand[first_row % 2::2, ::2], grid.coarsen(),
                           "action integrand"))
@@ -68,9 +66,9 @@ def action_rows(rho: np.ndarray, v: np.ndarray, log_density_gradient: np.ndarray
 
 def _couple_report(couple: FluidCouple, fisher_weight: float, kind: str) -> ActionReport:
     grid = couple.rho.grid
-    return series_report(kind, grid, *action_rows(
-        couple.rho.values, couple.v.values, couple.log_density_gradient.values,
-        grid, fisher_weight))
+    integrand, = action_integrands(couple.rho.values, couple.v.values,
+                                   couple.log_density_gradient.values, (fisher_weight,))
+    return series_report(kind, grid, *action_rows(integrand, grid))
 
 
 def quantum_action(couple: FluidCouple) -> ActionReport:

@@ -32,7 +32,7 @@ from .action_functionals import classical_action, quantum_action
 from .errors import OrderingViolated
 from .grid_fields import (GridSpec, cumulative_trapezoid, ensure_normalized, fd_dt, fd_dx,
                           row_integrals, spectral_antiderivative)
-from .madelung import FluidCouple, gaussian_couple
+from .madelung import FluidCouple, ensure_positive, gaussian_couple
 from .schrodinger import GaussianPacketSpec, normal_density, packet_mean, packet_sigma_sq
 
 _NEWTON_ITERATIONS = 30
@@ -132,8 +132,7 @@ def monge_map_1d(rho0: np.ndarray, rho1: np.ndarray,
     for name, dens in (("source", rho0), ("target", rho1)):
         if dens.shape != (grid.n_x,):
             raise ValueError(f"{name} density has shape {dens.shape}")
-        if dens.min() <= 0.0:
-            raise ValueError(f"{name} density must be strictly positive")
+        ensure_positive(dens, f"{name} density")
         ensure_normalized(dens, grid, f"{name} density")
     cdf0 = _grid_cdf(rho0, grid)
     cdf1 = _grid_cdf(rho1, grid)

@@ -52,7 +52,7 @@ from .action_functionals import ActionReport, action_rows, series_report
 from .errors import AmplitudeInfeasible, MadelungLabError, SupportLeak
 from .grid_fields import (ScalarField, ensure_finite, fd_dt, spectral_antiderivative,
                           spectral_dx, taper)
-from .madelung import FluidCouple, ensure_couple_rows, ensure_positive
+from .madelung import FluidCouple, action_integrands, ensure_couple_rows, ensure_positive
 
 Y_GRID = (-1.0, -0.75, -0.5, -0.25, -0.125, 0.0,
           0.125, 0.25, 0.5, 0.75, 1.0)
@@ -235,11 +235,13 @@ class CompetitorFamily:
         object.__setattr__(self, "hull",
                            (_span(live.any(axis=1)), _span(live.any(axis=0))))
 
-    def member_rows(self, y: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def member_rows(self, y: float) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                             np.ndarray]:
         """rho + y g, v + y u / (rho + y g) and d(log(rho + y g))/dx on the hull
         rows at full width, checked by the couple's rules, positivity first
-        (before the log). The other rows are the base's, which obey the
-        rules, so a failing rule reports the whole member's worst value."""
+        (before the log), and the quantum action integrand of those rows.
+        The other rows are the base's, which obey the rules, so a failing
+        rule reports the whole member's worst value."""
         if abs(y) > 1.0:
             raise ValueError(f"y must lie in [-1, 1], got {y}")
         base = self.base
@@ -247,7 +249,7 @@ class CompetitorFamily:
         rows, cols = self.hull
         rho, g = base.rho.values[rows, cols], self.g.values[rows, cols]
         bumped = rho + y * g
-        ensure_positive(bumped)
+        ensure_positive(bumped, "density")
         rho_y = base.rho.values[rows].copy()
         rho_y[:, cols] = bumped
         v_y = base.v.values[rows].copy()
@@ -260,11 +262,12 @@ class CompetitorFamily:
         log_bump = np.zeros_like(rho_y)
         np.log1p(y * g / rho, out=log_bump[:, cols], where=g != 0.0)
         log_grad = spectral_dx(log_bump, grid, "log density bump")
+        del log_bump
         log_grad += base.log_density_gradient.values[rows]
         for values in (rho_y, v_y, log_grad):
             ensure_finite(values, "scalar field")
-        ensure_couple_rows(rho_y, v_y, log_grad, grid)
-        return rho_y, v_y, log_grad
+        quantum, = ensure_couple_rows(rho_y, v_y, log_grad, grid, (-1.0,))
+        return rho_y, v_y, log_grad, quantum
 
     def couple(self, y: float) -> FluidCouple:
         """The member at y: the base's fields with the hull rows of
@@ -273,7 +276,8 @@ class CompetitorFamily:
             return self.base
         base = self.base
         fields = [f.values.copy() for f in (base.rho, base.v, base.log_density_gradient)]
-        for values, block in zip(fields, self.member_rows(y)):
+        *blocks, _ = self.member_rows(y)
+        for values, block in zip(fields, blocks):
             values[self.hull[0]] = block
         return FluidCouple(*(ScalarField(base.rho.grid, f) for f in fields),
                            provenance="competitor")
@@ -289,8 +293,8 @@ def evaluate_family(fam: CompetitorFamily) -> list[tuple[float, ActionReport]]:
     ``quantum_action(fam.couple(y))`` bit for bit."""
     base = fam.base
     grid = base.rho.grid
-    fine, coarse = action_rows(base.rho.values, base.v.values,
-                               base.log_density_gradient.values, grid, -1.0)
+    fine, coarse = action_rows(*action_integrands(
+        base.rho.values, base.v.values, base.log_density_gradient.values, (-1.0,)), grid)
     rows = fam.hull[0]
     coarse_rows = slice((rows.start + 1) // 2, (rows.stop + 1) // 2)
     profile = []
@@ -298,7 +302,7 @@ def evaluate_family(fam: CompetitorFamily) -> list[tuple[float, ActionReport]]:
         fine_y, coarse_y = fine.copy(), coarse.copy()
         if y != 0.0:
             fine_y[rows], coarse_y[coarse_rows] = action_rows(
-                *fam.member_rows(y), grid, -1.0, rows.start)
+                fam.member_rows(y)[-1], grid, rows.start)
         profile.append((y, series_report("quantum", grid, fine_y, coarse_y)))
     return profile
 

@@ -55,40 +55,53 @@ class FluidCouple:
         grid = self.rho.grid
         if self.v.grid != grid or self.log_density_gradient.grid != grid:
             raise ValueError("couple fields live on different grids")
-        ensure_positive(self.rho.values)
+        ensure_positive(self.rho.values, "density")
         ensure_couple_rows(self.rho.values, self.v.values,
-                           self.log_density_gradient.values, grid)
+                           self.log_density_gradient.values, grid, ())
 
 
-def action_integrand(rho: np.ndarray, v: np.ndarray, log_density_gradient: np.ndarray,
-                     fisher_weight: float) -> np.ndarray:
-    """(v^2 + w u^2) rho, u = (1/2) d(log rho)/dx, on any block of a couple's
-    rows: w = -1 is the quantum action's integrand, +1 the finite action's.
-    Formed in place on its own temporaries, bit for bit (v**2 + w * u**2) * rho."""
-    kernel = v**2
-    if fisher_weight != 0.0:
+def action_integrands(rho: np.ndarray, v: np.ndarray, log_density_gradient: np.ndarray,
+                      fisher_weights) -> list[np.ndarray]:
+    """(v^2 + w u^2) rho, u = (1/2) d(log rho)/dx, for each weight w in -1,
+    0, +1 of ``fisher_weights``, on any block of a couple's rows: -1 gives
+    the quantum action's integrand, 0 the classical and +1 the finite
+    action's. v^2 and u^2 are formed once, the last integrand in place on
+    v^2; each is bit for bit (v**2 + w * u**2) * rho."""
+    kinetic = v**2
+    if any(fisher_weights):
         fisher = 0.5 * log_density_gradient
         fisher *= fisher
-        fisher *= fisher_weight
-        kernel += fisher
-    kernel *= rho
-    return kernel
+    integrands = []
+    for i, weight in enumerate(fisher_weights):
+        integrand = kinetic if i == len(fisher_weights) - 1 else kinetic.copy()
+        if weight > 0.0:
+            integrand += fisher
+        elif weight < 0.0:
+            integrand -= fisher
+        integrand *= rho
+        integrands.append(integrand)
+    return integrands
 
 
-def ensure_positive(density: np.ndarray) -> None:
-    """Refuse a density with an entry <= 0 (an empty block has none)."""
+def ensure_positive(density: np.ndarray, what: str) -> None:
+    """Refuse a density with an entry <= 0 (an empty block has none),
+    naming the density ``what`` and its minimum."""
     low = density.min(initial=np.inf)
     if low <= 0.0:
-        raise ValueError(f"density must be strictly positive, min = {low:.3e}")
+        raise ValueError(f"{what} must be strictly positive, min = {low:.3e}")
 
 
 def ensure_couple_rows(rho: np.ndarray, v: np.ndarray, log_density_gradient: np.ndarray,
-                       grid: GridSpec) -> None:
+                       grid: GridSpec, fisher_weights) -> list[np.ndarray]:
     """A couple's rules past positivity and finiteness, on any block of its
-    rows: a normalized density and a decaying finite action integrand."""
+    rows: a normalized density and a decaying finite action integrand.
+    Returns the rows' action integrands of ``fisher_weights``, formed with
+    the finite one from the same v^2 and u^2."""
+    finite, *integrands = action_integrands(rho, v, log_density_gradient,
+                                            (1.0, *fisher_weights))
     ensure_normalized(rho, grid, "density")
-    ensure_decaying(action_integrand(rho, v, log_density_gradient, 1.0), grid,
-                    "finite action integrand")
+    ensure_decaying(finite, grid, "finite action integrand")
+    return integrands
 
 
 class DriftField(ScalarField):

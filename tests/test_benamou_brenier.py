@@ -7,6 +7,7 @@ with scipy.integrate.quad and scipy.special.ndtri to 1e-12.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -130,8 +131,14 @@ class TestMongeMap:
         rho = gaussian_on(flat_grid, 0.0, 1.0)
         with pytest.raises(ValueError):
             monge_map_1d(rho[:100], rho, flat_grid)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(
+                "source density must be strictly positive, min = 0.000e+00")):
             monge_map_1d(np.zeros_like(rho), rho, flat_grid)
+        dipped = rho.copy()
+        dipped[7] = -1e-9
+        with pytest.raises(ValueError, match=re.escape(
+                "target density must be strictly positive, min = -1.000e-09")):
+            monge_map_1d(rho, dipped, flat_grid)
         with pytest.raises(NormDrift):
             monge_map_1d(2.0 * rho, rho, flat_grid)
 

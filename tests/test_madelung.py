@@ -14,6 +14,7 @@ from madelung_lab import (DriftField, FluidCouple, GridSpec, NormDrift, ScalarFi
                           constant_drift, continuity_residual, decompose, drift,
                           gaussian_packet, madelung_residuals,
                           spreading_mismatched_couple)
+from madelung_lab.madelung import action_integrands
 from madelung_lab.schrodinger import packet_phase
 
 from controls import packet_velocity, plateau_couple, translating_gaussian_couple
@@ -170,3 +171,21 @@ class TestFluidCouple:
     def test_synthetic_builders_tag_provenance(self, grid):
         assert translating_gaussian_couple(grid, 0.0).provenance == "synthetic"
         assert plateau_couple(grid).provenance == "synthetic"
+
+
+class TestActionIntegrands:
+    """One call forms v^2 and u^2 once for every weight it is given."""
+
+    @pytest.mark.parametrize("weights", [(1.0,), (-1.0,), (0.0,), (1.0, -1.0),
+                                         (-1.0, 0.0, 1.0)])
+    def test_each_is_the_one_weight_formula_bit_for_bit(self, packet_couple, weights):
+        rows = slice(40, 90)
+        rho, v, lg = (f.values[rows] for f in (packet_couple.rho, packet_couple.v,
+                                               packet_couple.log_density_gradient))
+        v = v + 0.3  # a velocity that is nowhere zero
+        got = action_integrands(rho, v, lg, weights)
+        assert len(got) == len(weights)
+        for weight, integrand in zip(weights, got):
+            want = (v**2 + weight * (0.5 * lg)**2) * rho
+            assert np.array_equal(integrand, want), weight
+            assert np.array_equal(integrand, action_integrands(rho, v, lg, (weight,))[0])

@@ -44,7 +44,10 @@
   checks a wave density with ``ensure_wave_density`` or trusts the
   field, so no settable floor creeps back in either),
   ``UNWRAP_STEP_LIMIT`` in ``madelung`` (every phase meets
-  ``ensure_resolved_phase``) and ``paths`` in ``nelson_sde`` (the
+  ``ensure_resolved_phase``), the text ``strictly positive`` in
+  ``madelung``, found in string constants (every module refuses a
+  density with an entry <= 0 through ``ensure_positive``, which names
+  the minimum) and ``paths`` in ``nelson_sde`` (the
   stepping's positions, node by node, which that module reduces as each
   interval is stepped, so no other module can come to depend on
   positions the ensemble does not keep).
@@ -401,19 +404,28 @@ def named_sites(source: str, names: tuple) -> list[tuple[int, str]]:
     return bare + [site for name in names for site in name_sites(source, name)]
 
 
-def owned_by(owner: str, names: tuple, snippets: list):
+def text_sites(source: str, texts: tuple) -> list[tuple[int, str]]:
+    """(line, enclosing function) of every string constant, the literal
+    parts of an f-string included, that contains one of ``texts``."""
+    return [(node.lineno, owner) for node, owner in owned_nodes(source)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and any(text in node.value for text in texts)]
+
+
+def owned_by(owner: str, names: tuple, snippets: list, sites=named_sites):
     """The two tests of the rule that ``names`` are named only in module
     ``owner``: every library module keeps it, and each snippet, which
-    names one of them outside the owner, breaks it."""
+    names one of them outside the owner, breaks it. ``sites`` finds
+    where a source names them."""
 
     @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
     def named_only_in_owner(path):
-        sites = named_sites(path.read_text(), names)
-        assert bool(sites) if path.stem == owner else sites == []
+        found = sites(path.read_text(), names)
+        assert bool(found) if path.stem == owner else found == []
 
     @pytest.mark.parametrize("snippet", snippets)
     def sites_are_found(snippet):
-        assert named_sites(snippet, names)
+        assert sites(snippet, names)
 
     return named_only_in_owner, sites_are_found
 
@@ -456,6 +468,16 @@ test_unwrap_limit_named_only_in_madelung, test_unwrap_limit_sites_are_found = ow
                      "    return step <= madelung.UNWRAP_STEP_LIMIT\n", id="attribute"),
         pytest.param("UNWRAP_STEP_LIMIT = 2.8\n", id="second-copy"),
     ])
+test_positivity_text_only_in_madelung, test_positivity_text_sites_are_found = owned_by(
+    "madelung", ("strictly positive",), [
+        pytest.param("def monge_map_1d(rho0, rho1, grid):\n"
+                     "    for name, dens in (('source', rho0), ('target', rho1)):\n"
+                     "        if dens.min() <= 0.0:\n"
+                     "            raise ValueError(f'{name} density must be strictly "
+                     "positive')\n", id="second-copy"),
+        pytest.param("REFUSAL = 'density must be strictly positive'\n",
+                     id="module-level"),
+    ], sites=text_sites)
 test_paths_named_only_in_nelson_sde, test_paths_sites_are_found = owned_by(
     "nelson_sde", ("paths",), [
         pytest.param("def initial_mean(ens):\n    return ens.paths[:, 0].mean()\n",
