@@ -12,8 +12,8 @@ on the line.
 __version__ = "0.1.0"
 
 from .errors import (AmplitudeInfeasible, BoundaryLeak, ConfigError, Diverged,
-                     MadelungLabError, NodeDetected, NormDrift, OrderingViolated,
-                     SupportLeak, UnwrapInconsistent)
+                     FieldRefused, MadelungLabError, NodeDetected, NormDrift,
+                     OrderingViolated, SupportLeak, UnwrapInconsistent)
 from .grid_fields import GridSpec, ScalarField
 from .schrodinger import (GaussianPacketSpec, WaveField, free_propagate,
                           gaussian_packet, packet_classical_action,

@@ -16,8 +16,9 @@ Every report carries an error radius: its distance to the same
 integrand integrated on every second node in both directions. The
 drift action retakes div b on that coarse grid. Cheap, and honest as
 long as the integrand is resolved. A report is the trapezoid in time of
-row integrals over the box, which ``action_rows`` also takes on a block
-of a couple's rows: a competitor member is integrated on its hull rows.
+a couple's row integrals (``row_series``); ``spliced_report`` puts a
+block's rows in place of theirs: a competitor member is integrated on
+its hull rows.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ def series_report(kind: str, grid: GridSpec, fine: np.ndarray,
     return ActionReport(value, abs(value - half), kind, asdict(grid))
 
 
-def action_rows(integrand: np.ndarray, grid: GridSpec,
-                first_row: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def _action_rows(integrand: np.ndarray, grid: GridSpec,
+                 first_row: int) -> tuple[np.ndarray, np.ndarray]:
     """Row integrals of an action integrand on rows from ``first_row`` on,
     and on the coarse grid's among them (even rows, every second column)."""
     return (row_integrals(integrand, grid, "action integrand"),
@@ -64,26 +65,39 @@ def action_rows(integrand: np.ndarray, grid: GridSpec,
                           "action integrand"))
 
 
-def _couple_report(couple: FluidCouple, fisher_weight: float, kind: str) -> ActionReport:
-    grid = couple.rho.grid
+def row_series(couple: FluidCouple, fisher_weight: float) -> tuple[np.ndarray, np.ndarray]:
+    """(fine, coarse) row integrals of the couple's action integrand of
+    ``fisher_weight``: -1 quantum, 0 classical, +1 finite action."""
     integrand, = action_integrands(couple.rho.values, couple.v.values,
                                    couple.log_density_gradient.values, (fisher_weight,))
-    return series_report(kind, grid, *action_rows(integrand, grid))
+    return _action_rows(integrand, couple.rho.grid, 0)
+
+
+def spliced_report(kind: str, grid: GridSpec, series: tuple[np.ndarray, np.ndarray],
+                   block: np.ndarray, first_row: int) -> ActionReport:
+    """The report of the row ``series`` with the rows of an integrand
+    ``block``, from ``first_row`` on, in place of its own: those of even
+    index replace the coarse series' rows."""
+    stop = first_row + len(block)
+    fine, coarse = (values.copy() for values in series)
+    fine[first_row:stop], coarse[(first_row + 1) // 2:(stop + 1) // 2] = _action_rows(
+        block, grid, first_row)
+    return series_report(kind, grid, fine, coarse)
 
 
 def quantum_action(couple: FluidCouple) -> ActionReport:
     """Kinetic action minus the Fisher information term."""
-    return _couple_report(couple, -1.0, "quantum")
+    return series_report("quantum", couple.rho.grid, *row_series(couple, -1.0))
 
 
 def classical_action(couple: FluidCouple) -> ActionReport:
     """Pure kinetic action of the velocity field."""
-    return _couple_report(couple, 0.0, "classical")
+    return series_report("classical", couple.rho.grid, *row_series(couple, 0.0))
 
 
 def finite_action_norm(couple: FluidCouple) -> ActionReport:
     """Kinetic plus osmotic action; finiteness is the admissibility bar."""
-    return _couple_report(couple, 1.0, "finite-action")
+    return series_report("finite-action", couple.rho.grid, *row_series(couple, 1.0))
 
 
 def _drift_integrand(b: DriftField, rho: np.ndarray) -> np.ndarray:

@@ -46,8 +46,7 @@ from .benamou_brenier import (GaussianMeasure, displacement_couple, euler_residu
                               transport_cost)
 from .competitors import (VIOLATION_RADII, PerturbationSpec, check_perturbation,
                           make_perturbation, verify_theorem1)
-from .errors import (BoundaryLeak, ConfigError, MadelungLabError, NodeDetected,
-                     NormDrift, UnwrapInconsistent)
+from .errors import ConfigError, MadelungLabError, UnwrapInconsistent
 from .grid_fields import GridSpec, ScalarField, mass_error, row_integrals
 from .io_formats import couple_to_csv, table_to_csv, write_json
 from .madelung import (constant_drift, decompose, drift, ensure_resolved_phase,
@@ -495,7 +494,7 @@ def _load(config_path) -> tuple[dict, dict, GridSpec, GaussianPacketSpec]:
         density = packet_density(spec, x, t)
     try:
         ensure_wave_density(density, grid)
-    except (ValueError, NormDrift, NodeDetected, BoundaryLeak) as exc:
+    except MadelungLabError as exc:
         raise ConfigError(f"packet: {exc}") from None
     try:
         ensure_resolved_phase(packet_phase(spec, x, t))
@@ -509,7 +508,7 @@ def _load(config_path) -> tuple[dict, dict, GridSpec, GaussianPacketSpec]:
         for pert in _perturbation_specs(cfg):
             try:
                 check_perturbation(make_perturbation(pert, rho).values, grid)
-            except ValueError as exc:
+            except MadelungLabError as exc:
                 raise ConfigError(f"grid: seed {pert.seed}: {exc}") from None
     return cfg, entries, grid, spec
 

@@ -13,11 +13,11 @@ equation. In one dimension that correction integrates exactly:
 
 with u vanishing outside the support of g because the right hand side
 has zero spatial mean. A family is just (base, g): it solves u once
-at construction, and ``CompetitorFamily.member_rows(y)`` builds the
-member at y where it differs from the base. The member at y = 0 is the
-base couple itself, so ``evaluate_family`` builds ten members, not eleven.
-Evaluating the quantum action at the fixed probe points
-``Y_GRID`` then probes whether the base couple is the minimizer among
+at construction, and ``CompetitorFamily.member_rows(y)``, the one member
+builder, builds the member at y where it differs from the base. The member
+at y = 0 is the base couple itself, so ``evaluate_family`` builds ten
+members, not eleven. Evaluating the quantum action at the fixed probe
+points ``Y_GRID`` then probes whether the base couple is the minimizer among
 couples with the same endpoint densities: for a wave field couple the
 derivative at y = 0 vanishes (to quadrature accuracy) and the profile
 is convex.
@@ -36,10 +36,10 @@ A family records its hull: the rows and the columns outside which g
 and u are exactly zero (u reaches one row past g on each side, through
 the time difference of g). A member is built, checked and integrated on
 the hull rows alone, at full width, since its log density gradient
-differs there; the base's row integrals fill the other rows. A zero row
-transforms to zeros, so the member is the one a whole-lattice build
-gives, value for value, while masking the transform's ringing off the
-support columns would move the error radii.
+differs there; ``spliced_report`` fills the other rows with the base's
+row integrals. A zero row transforms to zeros, so the hull rows are the
+ones a whole-lattice build gives, value for value, while masking the
+transform's ringing off the support columns would move the error radii.
 """
 
 from __future__ import annotations
@@ -48,11 +48,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .action_functionals import ActionReport, action_rows, series_report
-from .errors import AmplitudeInfeasible, MadelungLabError, SupportLeak
+from .action_functionals import ActionReport, row_series, series_report, spliced_report
+from .errors import AmplitudeInfeasible, FieldRefused, MadelungLabError, SupportLeak
 from .grid_fields import (ScalarField, ensure_finite, fd_dt, spectral_antiderivative,
                           spectral_dx, taper)
-from .madelung import FluidCouple, action_integrands, ensure_couple_rows, ensure_positive
+from .madelung import FluidCouple, ensure_couple_rows, ensure_positive
 
 Y_GRID = (-1.0, -0.75, -0.5, -0.25, -0.125, 0.0,
           0.125, 0.25, 0.5, 0.75, 1.0)
@@ -106,13 +106,13 @@ def raw_perturbation(spec: PerturbationSpec, grid) -> np.ndarray:
     """Space profile times window, scaled so max |g| = AMPLITUDE."""
     a, b = SPACE_SUPPORT
     if not (grid.x_min < a and b < grid.x_max):
-        raise ValueError(f"space support {SPACE_SUPPORT} must sit strictly "
-                         f"inside the box [{grid.x_min}, {grid.x_max}]")
+        raise FieldRefused(f"space support {SPACE_SUPPORT} must sit strictly "
+                           f"inside the box [{grid.x_min}, {grid.x_max}]")
     g = (_space_profile(spec.seed, grid.x)[np.newaxis, :]
          * _window(grid.t)[:, np.newaxis])
     peak = float(np.max(np.abs(g)))
     if peak == 0.0:
-        raise ValueError("perturbation degenerated to zero")
+        raise FieldRefused("perturbation degenerated to zero")
     return g * (AMPLITUDE / peak)
 
 
@@ -157,10 +157,10 @@ def check_perturbation(g: np.ndarray, grid) -> None:
     """
     mass = float(np.max(np.abs(grid.dx * g.sum(axis=-1))))
     if mass > 1e-10:
-        raise ValueError(f"perturbation must have zero mass at every time, "
-                         f"largest |mass| {mass:.3e}")
+        raise FieldRefused(f"perturbation must have zero mass at every time, "
+                           f"largest |mass| {mass:.3e}")
     if np.any(g[0] != 0.0) or np.any(g[-1] != 0.0):
-        raise ValueError("perturbation must vanish at both endpoints")
+        raise FieldRefused("perturbation must vanish at both endpoints")
 
 
 def _span(live: np.ndarray) -> slice:
@@ -269,19 +269,6 @@ class CompetitorFamily:
         quantum, = ensure_couple_rows(rho_y, v_y, log_grad, grid, (-1.0,))
         return rho_y, v_y, log_grad, quantum
 
-    def couple(self, y: float) -> FluidCouple:
-        """The member at y: the base's fields with the hull rows of
-        ``member_rows``; at y = 0, ``base`` itself, provenance included."""
-        if y == 0.0:
-            return self.base
-        base = self.base
-        fields = [f.values.copy() for f in (base.rho, base.v, base.log_density_gradient)]
-        *blocks, _ = self.member_rows(y)
-        for values, block in zip(fields, blocks):
-            values[self.hull[0]] = block
-        return FluidCouple(*(ScalarField(base.rho.grid, f) for f in fields),
-                           provenance="competitor")
-
 
 def make_family(base: FluidCouple, spec: PerturbationSpec) -> CompetitorFamily:
     return CompetitorFamily(base, make_perturbation(spec, base.rho))
@@ -289,22 +276,14 @@ def make_family(base: FluidCouple, spec: PerturbationSpec) -> CompetitorFamily:
 
 def evaluate_family(fam: CompetitorFamily) -> list[tuple[float, ActionReport]]:
     """Quantum action at the probe points ``Y_GRID`` of the family: each
-    member's row integrals on its hull rows, spliced into the base's, give
-    ``quantum_action(fam.couple(y))`` bit for bit."""
-    base = fam.base
-    grid = base.rho.grid
-    fine, coarse = action_rows(*action_integrands(
-        base.rho.values, base.v.values, base.log_density_gradient.values, (-1.0,)), grid)
-    rows = fam.hull[0]
-    coarse_rows = slice((rows.start + 1) // 2, (rows.stop + 1) // 2)
-    profile = []
-    for y in Y_GRID:
-        fine_y, coarse_y = fine.copy(), coarse.copy()
-        if y != 0.0:
-            fine_y[rows], coarse_y[coarse_rows] = action_rows(
-                fam.member_rows(y)[-1], grid, rows.start)
-        profile.append((y, series_report("quantum", grid, fine_y, coarse_y)))
-    return profile
+    member's hull rows, spliced into the base's row series, give the
+    quantum action of the whole member bit for bit."""
+    grid = fam.base.rho.grid
+    series = row_series(fam.base, -1.0)
+    first_row = fam.hull[0].start
+    return [(y, spliced_report("quantum", grid, series, fam.member_rows(y)[-1], first_row)
+             if y else series_report("quantum", grid, *series))
+            for y in Y_GRID]
 
 
 def _profile_stats(profile: dict[float, ActionReport]) -> dict:
@@ -331,9 +310,9 @@ def verify_theorem1(base: FluidCouple, specs) -> dict:
     Verdict per spec: 'violated' only when the minimum margin falls
     below 3 combined error radii (``VIOLATION_RADII`` radii: a margin is
     the difference of two actions); smaller dips are 'inconclusive'.
-    Construction failures (a lab error or a ValueError from the
-    perturbation recipe) are reported as such, never as violations;
-    any other exception is a bug and propagates.
+    Construction failures (a lab error, the recipe's ``FieldRefused``
+    among them) are reported as such, never as violations; any other
+    exception, a plain ValueError too, is a bug and propagates.
 
     The minimization claim is expected to hold only for wave field
     derived bases; other couples run fine (that is the negative
@@ -345,7 +324,7 @@ def verify_theorem1(base: FluidCouple, specs) -> dict:
         try:
             fam = make_family(base, spec)
             profile = dict(evaluate_family(fam))
-        except (MadelungLabError, ValueError) as exc:
+        except MadelungLabError as exc:
             entry.update(verdict="failed-to-construct", error=str(exc))
             results.append(entry)
             continue

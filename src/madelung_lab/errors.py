@@ -30,6 +30,12 @@ class NodeDetected(MadelungLabError):
     """
 
 
+class FieldRefused(MadelungLabError, ValueError):
+    """A field or perturbation breaks a rule of its construction (non-finite,
+    not positive, not held by the grid, with mass or endpoint values); also
+    a ValueError."""
+
+
 class UnwrapInconsistent(MadelungLabError):
     """Neighbouring phase samples jump too much for reliable unwrapping."""
 

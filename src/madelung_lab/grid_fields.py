@@ -43,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BoundaryLeak, NormDrift
+from .errors import BoundaryLeak, FieldRefused, NormDrift
 
 # Relative magnitude a decaying field may show at the box edges before
 # spectral operations and box quadrature refuse it.
@@ -146,7 +146,7 @@ class GridSpec:
 
 def ensure_finite(values: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(values)):
-        raise ValueError(f"{what} contains non-finite entries")
+        raise FieldRefused(f"{what} contains non-finite entries")
 
 
 def _checked_values(values: np.ndarray, shape: tuple, what: str) -> np.ndarray:

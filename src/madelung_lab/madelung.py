@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnwrapInconsistent
+from .errors import FieldRefused, UnwrapInconsistent
 from .grid_fields import (GridSpec, ScalarField, ensure_decaying, ensure_normalized,
                           fd_dt, fd_dx, spectral_dx)
 from .schrodinger import (GaussianPacketSpec, WaveField, normal_density, packet_mean,
@@ -88,7 +88,7 @@ def ensure_positive(density: np.ndarray, what: str) -> None:
     naming the density ``what`` and its minimum."""
     low = density.min(initial=np.inf)
     if low <= 0.0:
-        raise ValueError(f"{what} must be strictly positive, min = {low:.3e}")
+        raise FieldRefused(f"{what} must be strictly positive, min = {low:.3e}")
 
 
 def ensure_couple_rows(rho: np.ndarray, v: np.ndarray, log_density_gradient: np.ndarray,

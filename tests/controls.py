@@ -3,15 +3,16 @@ the library against.
 
 None of these is run by an experiment, so they live with the tests:
 the translating Gaussian and the plateau are couples with closed-form
-actions and drifts, and the packet's velocity is an oracle of
+actions and drifts, the packet's velocity is an oracle of
 ``decompose`` (its phase, which ``validate`` reads, is
-``schrodinger.packet_phase``).
+``schrodinger.packet_phase``), and the whole-lattice competitor member
+is the oracle of the hull rows that the library builds.
 """
 
 import numpy as np
 
 from madelung_lab import FluidCouple, GaussianPacketSpec, GridSpec, ScalarField
-from madelung_lab.grid_fields import fd_dx, taper
+from madelung_lab.grid_fields import fd_dx, spectral_dx, taper
 from madelung_lab.madelung import gaussian_couple
 from madelung_lab.schrodinger import packet_sigma_sq
 
@@ -51,3 +52,18 @@ def packet_velocity(spec: GaussianPacketSpec, x, t):
     var = packet_sigma_sq(spec, t)
     moving = np.asarray(x, dtype=float) - spec.mu0 - spec.p * t
     return moving * t / (4.0 * spec.sigma0**2 * var) + spec.p
+
+
+def full_lattice_member(fam, y: float) -> FluidCouple:
+    """The member at y of a competitor family with every field formed on the
+    whole lattice: the oracle of ``CompetitorFamily.member_rows``, which
+    builds only the hull rows."""
+    base, g, u = fam.base, fam.g.values, fam.u.values
+    grid = base.rho.grid
+    rho_y = base.rho.values + y * g
+    v_y = base.v.values + y * u / rho_y
+    ratio = np.where(np.abs(g) > 0.0, y * g / base.rho.values, 0.0)
+    log_grad = base.log_density_gradient.values + spectral_dx(
+        np.log1p(ratio), grid, "log density bump")
+    return FluidCouple(ScalarField(grid, rho_y), ScalarField(grid, v_y),
+                       ScalarField(grid, log_grad), provenance="competitor")

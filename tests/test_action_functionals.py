@@ -23,7 +23,7 @@ from madelung_lab import (ActionReport, BoundaryLeak, DriftField, FluidCouple,
                           quantum_action, spreading_mismatched_couple)
 from madelung_lab.benamou_brenier import packet_endpoint_measures
 
-from controls import plateau_couple, translating_gaussian_couple
+from controls import full_lattice_member, plateau_couple, translating_gaussian_couple
 
 QUANTUM_CLOSED = 0.25 - np.arctan(0.5)                # default packet
 QUANTUM_GRID_512x256 = -0.21364740555021075           # frozen
@@ -152,7 +152,8 @@ def coarse_couple(couple):
 
 @pytest.fixture(scope="module")
 def radius_couples(grid, packet_spec, packet_couple):
-    member = make_family(packet_couple, PerturbationSpec(seed=1000)).couple(0.5)
+    fam = make_family(packet_couple, PerturbationSpec(seed=1000))
+    member = full_lattice_member(fam, 0.5)
     geodesic = displacement_couple(*packet_endpoint_measures(packet_spec), grid)
     return {"wave": packet_couple, "competitor": member, "geodesic": geodesic}
 

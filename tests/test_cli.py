@@ -379,6 +379,16 @@ class TestRun:
         path = write_config(tmp_path, "experiment = bb-compare\ntransport.seed = 3\n")
         assert run_cli(["run", path]) == 0
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "validate prints valid, yet on 256x64 the family of seed 1000 raises "
+        "SupportLeak (continuity data leaks 6.459e-09 past the support, peak "
+        "3.818e-01), so run reports it failed-to-construct and exits 2; the "
+        "leak depends on the base's velocity, which validate does not build"))
+    def test_validate_refuses_a_family_that_leaks(self, tmp_path, capsys):
+        path = write_config(tmp_path, "experiment = theorem1-verify\ngrid.n_x = 256\n"
+                                      "grid.n_t = 64\ntheorem.n_specs = 1\n")
+        assert run_cli(["validate", path]) == 1
+
     def test_mismatched_base_is_detected(self, tmp_path, monkeypatch, capsys):
         # the negative control base: every family finds it not stationary.
         # A 128 x 32 grid is refused: there the families fail the zero-mass

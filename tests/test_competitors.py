@@ -13,9 +13,9 @@ import warnings
 import numpy as np
 import pytest
 
-from madelung_lab import (AmplitudeInfeasible, CompetitorFamily, FluidCouple,
-                          GaussianPacketSpec, GridSpec, PerturbationSpec,
-                          ScalarField, SupportLeak,
+from madelung_lab import (AmplitudeInfeasible, CompetitorFamily, FieldRefused,
+                          FluidCouple, GaussianPacketSpec, GridSpec,
+                          MadelungLabError, PerturbationSpec, ScalarField, SupportLeak,
                           continuity_residual, decompose, evaluate_family,
                           gaussian_packet, make_family, make_perturbation,
                           quantum_action, spreading_mismatched_couple,
@@ -24,6 +24,9 @@ from madelung_lab import competitors
 from madelung_lab.competitors import (AMPLITUDE, SPACE_SUPPORT, Y_GRID,
                                       positivity_head_room, raw_perturbation)
 from madelung_lab.grid_fields import fd_dt, spectral_antiderivative, spectral_dx
+from madelung_lab.madelung import action_integrands
+
+from controls import full_lattice_member
 
 # head room of the seed-1012 perturbation against the default packet
 # density (frozen; the one seed in 1000..1019 that needs rescaling)
@@ -49,19 +52,6 @@ def full_lattice_correction(base, g):
     rhs = np.where(supported[np.newaxis, :], rhs, 0.0)
     u = -spectral_antiderivative(rhs, grid, "divergence data")
     return np.where(supported[np.newaxis, :], u, 0.0)
-
-
-def full_lattice_member(fam, y):
-    """The member at y with every field formed on the whole lattice (the oracle)."""
-    base, g, u = fam.base, fam.g.values, fam.u.values
-    grid = base.rho.grid
-    rho_y = base.rho.values + y * g
-    v_y = base.v.values + y * u / rho_y
-    ratio = np.where(np.abs(g) > 0.0, y * g / base.rho.values, 0.0)
-    log_grad = base.log_density_gradient.values + spectral_dx(
-        np.log1p(ratio), grid, "log density bump")
-    return FluidCouple(ScalarField(grid, rho_y), ScalarField(grid, v_y),
-                       ScalarField(grid, log_grad), provenance="competitor")
 
 
 @pytest.fixture(scope="module")
@@ -156,18 +146,19 @@ class TestPerturbation:
 
 
 class TestVelocityCorrection:
-    # X_y is read off a family member as its velocity minus the base's
+    # X_y is read off a family member as its velocity minus the base's;
+    # TestHull shows the whole-lattice member's hull rows are member_rows'
     def test_correction_restores_continuity(self, packet_couple, default_family):
         base_residual = continuity_residual(packet_couple.rho, packet_couple.v)
         for y in (-1.0, 0.5, 1.0):
-            couple = default_family.couple(y)
+            couple = full_lattice_member(default_family, y)
             assert continuity_residual(couple.rho, couple.v) < 10.0 * base_residual
 
     def test_flux_correction_linear_in_y(self, packet_couple, default_family):
         g = default_family.g
-        couple_half = default_family.couple(0.5)
+        couple_half = full_lattice_member(default_family, 0.5)
         x_half = couple_half.v.values - packet_couple.v.values
-        x_one = default_family.couple(1.0).v.values - packet_couple.v.values
+        x_one = full_lattice_member(default_family, 1.0).v.values - packet_couple.v.values
         flux_half = x_half * couple_half.rho.values
         flux_one = x_one * (packet_couple.rho.values + g.values)
         assert np.max(np.abs(flux_half - 0.5 * flux_one)) < 1e-14
@@ -175,7 +166,7 @@ class TestVelocityCorrection:
     def test_correction_supported_with_the_bump(self, grid, packet_couple,
                                                 default_family):
         # the support is the hull of the columns where g is ever nonzero
-        x_one = default_family.couple(1.0).v.values - packet_couple.v.values
+        x_one = full_lattice_member(default_family, 1.0).v.values - packet_couple.v.values
         columns = np.flatnonzero(np.abs(default_family.g.values).max(axis=0))
         outside = (np.arange(grid.n_x) < columns[0]) | (np.arange(grid.n_x) > columns[-1])
         assert outside.any()
@@ -198,12 +189,16 @@ class TestVelocityCorrection:
         assert np.max(np.abs(fam.u.values - exact)) < 1e-3
 
     def test_y_zero_returns_base_values(self, packet_couple, default_family):
-        # the base itself, provenance included, not a rebuilt copy
-        assert default_family.couple(0.0) is packet_couple
+        rows = default_family.hull[0]
+        *blocks, _ = default_family.member_rows(0.0)
+        for block, name in zip(blocks, ("rho", "v", "log_density_gradient")):
+            assert np.array_equal(block, getattr(packet_couple, name).values[rows]), name
 
     def test_y_outside_range_rejected(self, default_family):
-        with pytest.raises(ValueError):
-            default_family.couple(1.5)
+        # a caller's error, not a lab refusal that becomes a verdict
+        with pytest.raises(ValueError, match="y must lie in") as caught:
+            default_family.member_rows(1.5)
+        assert not isinstance(caught.value, MadelungLabError)
 
     def test_leaking_continuity_data_rejected(self, packet_couple):
         # a hard-cut odd bump has a value jump at the cut whose spectral
@@ -264,11 +259,11 @@ class TestFamily:
         good_g = np.zeros((grid.n_t + 1, grid.n_x))
         lopsided = good_g.copy()
         lopsided[5] = 0.01  # nonzero mass at one time
-        with pytest.raises(ValueError):
+        with pytest.raises(FieldRefused, match="zero mass"):
             CompetitorFamily(packet_couple, ScalarField(grid, lopsided))
         endpoint = good_g.copy()
         endpoint[0] = np.exp(-grid.x**2) - np.exp(-grid.x**2).mean()
-        with pytest.raises(ValueError):
+        with pytest.raises(FieldRefused, match="both endpoints"):
             CompetitorFamily(packet_couple, ScalarField(grid, endpoint))
         elsewhere = GridSpec(-12.0, 12.0, 512, 128)
         with pytest.raises(ValueError, match="different grid"):
@@ -313,6 +308,15 @@ class TestVerdicts:
         assert not report["all_pass"]
         assert "error" in report["specs"][0]
 
+    def test_construction_refusals_are_lab_errors(self, narrow_base, sparse_base):
+        # the recipe's refusals become verdicts as lab errors, and a caller
+        # that catches ValueError still catches them
+        assert issubclass(FieldRefused, MadelungLabError)
+        assert issubclass(FieldRefused, ValueError)
+        for base in (narrow_base, sparse_base):
+            with pytest.raises(FieldRefused):
+                make_family(base, PerturbationSpec(seed=1000))
+
     def test_grid_that_samples_no_bump_fails_to_construct(self, sparse_base):
         report = verify_theorem1(sparse_base, [PerturbationSpec(seed=1000)])
         assert report["specs"] == [{"seed": 1000, "verdict": "failed-to-construct",
@@ -327,6 +331,16 @@ class TestVerdicts:
         monkeypatch.setattr(competitors, "make_family", broken)
         with pytest.raises(TypeError):
             verify_theorem1(packet_couple, [PerturbationSpec(seed=1000)])
+
+    def test_plain_value_errors_propagate(self, packet_couple, monkeypatch):
+        # a numpy shape or broadcast bug raises a plain ValueError: a bug,
+        # not a refusal of the recipe, so it is no verdict either
+        def broken(self, y):
+            raise ValueError("operands could not be broadcast together")
+        monkeypatch.setattr(CompetitorFamily, "member_rows", broken)
+        with pytest.raises(ValueError, match="broadcast") as caught:
+            verify_theorem1(packet_couple, [PerturbationSpec(seed=1000)])
+        assert not isinstance(caught.value, MadelungLabError)
 
     def test_no_specs_is_vacuously_true(self, packet_couple):
         report = verify_theorem1(packet_couple, [])
@@ -346,17 +360,24 @@ class TestHull:
 
     @staticmethod
     def assert_members_match_the_oracle(fam):
+        # member_rows' blocks are the oracle's hull rows, and off the hull
+        # the oracle is the base
         assert np.array_equal(fam.u.values, full_lattice_correction(fam.base, fam.g.values))
+        names = ("rho", "v", "log_density_gradient")
+        rows = fam.hull[0]
+        off_hull = np.ones(fam.g.values.shape[0], dtype=bool)
+        off_hull[rows] = False
         for y in Y_GRID:
             if y == 0.0:
                 continue
-            got, want = fam.couple(y), full_lattice_member(fam, y)
-            for name in ("rho", "v", "log_density_gradient"):
-                assert np.array_equal(getattr(got, name).values,
-                                      getattr(want, name).values), (y, name)
-            a, b = quantum_action(got), quantum_action(want)
-            assert (a.value.hex(), a.error_radius.hex()) \
-                == (b.value.hex(), b.error_radius.hex()), y
+            *blocks, quantum = fam.member_rows(y)
+            want = [getattr(full_lattice_member(fam, y), name).values for name in names]
+            for name, block, values in zip(names, blocks, want):
+                assert np.array_equal(block, values[rows]), (y, name)
+                assert np.array_equal(values[off_hull],
+                                      getattr(fam.base, name).values[off_hull]), (y, name)
+            assert np.array_equal(quantum, action_integrands(
+                *(values[rows] for values in want), (-1.0,))[0]), y
 
     @staticmethod
     def assert_reports_match_the_oracle(fam):
@@ -414,8 +435,8 @@ class TestHull:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=refusal):
                 evaluate_family(fam)
-            with pytest.raises(ValueError, match=refusal):
-                fam.couple(-1.0)
+            with pytest.raises(FieldRefused, match=refusal):
+                fam.member_rows(-1.0)
 
     def test_profile_bytes_are_pinned(self, packet_couple):
         fam = make_family(packet_couple, PerturbationSpec(1012))
@@ -465,8 +486,5 @@ class TestHull:
         fam = CompetitorFamily(packet_couple, zeros)
         assert not fam.u.values.any()
         for y in Y_GRID:
-            member = fam.couple(y)
-            for name in ("rho", "v", "log_density_gradient"):
-                assert np.array_equal(getattr(member, name).values,
-                                      getattr(packet_couple, name).values), (y, name)
+            assert all(len(block) == 0 for block in fam.member_rows(y)), y
         assert sum(n for _, n in rows) == 0

@@ -13,6 +13,11 @@
 * Every module-level ``def`` or ``class`` of the library is named by
   library code outside its own body (the package ``__init__`` aside)
   or by ``perfbench/``: a function only tests call is test code.
+* Every method of a library class, dunders aside, is read as an
+  attribute by library code outside its own body or by ``perfbench/``:
+  a method only tests call is test code too. Matching is by name, so
+  the rule guards new methods, not names that collide with another
+  attribute that is read.
 * Every key of the CLI's ``KEYS`` table is read as ``cfg["key"]``: a
   config key no experiment reads is not kept as a dead knob.
 * ``np.interp`` is called only by ``sample_initial``, whose inverse-CDF
@@ -214,6 +219,46 @@ HELPER = "def helper(x):\n    return 2 * x\n"
 ])
 def test_uncalled_definition_is_caught(source, reader):
     assert uncalled_definitions([source], [source, reader])
+
+
+def unread_methods(sources: list[str], readers: list[str]) -> list[str]:
+    """``Class.method`` for every method of a class of ``sources``, dunders
+    aside, whose name no source in ``readers`` reads as an attribute outside
+    the body of a ``def`` of that name. Matching is by name: a read of
+    ``setup.couple`` counts for every method named ``couple``, so the rule
+    guards new methods, not names that collide with a read attribute."""
+    read = {node.attr for source in readers for node, owner in owned_nodes(source)
+            if isinstance(node, ast.Attribute) and node.attr != owner}
+    return sorted(f"{cls.name}.{item.name}" for source in sources
+                  for cls in ast.walk(ast.parse(source)) if isinstance(cls, ast.ClassDef)
+                  for item in cls.body
+                  if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not (item.name.startswith("__") and item.name.endswith("__"))
+                  and item.name not in read)
+
+
+def test_every_method_has_a_reader():
+    assert unread_methods(MODULES, MODULES + list(BENCHMARK.values())) == []
+
+
+TOOL = ("class Tool:\n    def __init__(self):\n        self.size = 1\n\n"
+        "    def helper(self, x):\n        return 2 * x\n")
+
+
+@pytest.mark.parametrize("source, reader", [
+    pytest.param(TOOL, "def other(tool):\n    return tool.size\n", id="uncalled"),
+    pytest.param("class Tool:\n    def helper(self, x):\n"
+                 "        return self.helper(x - 1) if x else 0\n", "",
+                 id="only-its-own-body"),
+    pytest.param(TOOL, "def other(tool):\n    return helper(tool)\n", id="bare-name"),
+])
+def test_unread_method_is_caught(source, reader):
+    assert unread_methods([source], [source, reader]) == ["Tool.helper"]
+
+
+def test_method_read_by_another_module_passes():
+    reader = "from .tools import Tool\n\ndef twice(x):\n    return Tool().helper(x)\n"
+    assert unread_methods([TOOL], [TOOL, reader]) == []
 
 
 @pytest.mark.parametrize("reader", [
