@@ -103,7 +103,7 @@ KEYS = {
     "mc.N": (int, 100000, 1),
     "mc.n": (int, 256, 1),
     "mc.substeps": (int, 4, 1),
-    "mc.seed": (int, 2025, None),
+    "mc.seed": (int, 2025, 0),
     "mc.n_list": (_integers, (64, 128, 256, 512), 1),
     "theorem.base": (_theorem_base, "schrodinger", None),
     "theorem.n_specs": (int, 20, 1),

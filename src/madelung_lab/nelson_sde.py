@@ -21,20 +21,23 @@ whole lattice reads c everywhere, so its track steps by the scalar c
 and takes no lookup. Every estimator forms its mean and standard error
 by one rule, :meth:`MCEstimate.of_samples`.
 
-Determinism: initial samples come from a Philox stream keyed by
-(seed, 1); trajectory noise is keyed by (seed, 2 + block) where blocks
-are fixed runs of 8192 consecutive trajectories. Every estimate is
-therefore reproducible bit for bit regardless of scheduling, and
-trajectory k's noise does not depend on N. Each partition interval
-steps on a (substeps, block size) array of noise. The arrays are drawn
-in jobs of several intervals, one job ahead of the stepping, on one
-worker thread that each call opens and closes, into two buffers that
-the jobs fill in turn; the jobs follow the stream order, and a
-generator fills a (k, substeps, width) array with the values of k
-successive (substeps, width) fills, so the stream is the one a draw per
-substep would give. The noise is drawn as standard normals scaled by
-sqrt(h) in place: the values of ``normal(0, sqrt(h))`` except that a
--0.0 draw keeps its sign.
+Determinism: every random number comes from an SFC64 stream keyed by
+(seed, stream) through numpy's ``SeedSequence``, and distinct pairs give
+independent streams. Initial samples take stream 1. The noise of block
+b, the 8192 consecutive trajectories from 8192 b on, takes stream
+2 + b. Every estimate is therefore reproducible bit for bit regardless
+of scheduling. Trajectory k's initial sample does not depend on N, and
+neither does its noise while its block is full: a block's stream fills
+one (substeps, width) array per partition interval, so the noise of
+the last block, partial when N is not a multiple of 8192, depends on
+its width. The arrays are drawn in jobs of several intervals, one job
+ahead of the stepping, on one worker thread that each call opens and
+closes, into two buffers that the jobs fill in turn; the jobs follow
+the stream order, and a generator fills a (k, substeps, width) array
+with the values of k successive (substeps, width) fills, so the stream
+is the one a draw per substep would give. The noise is drawn as
+standard normals scaled by sqrt(h) in place: the values of
+``normal(0, sqrt(h))`` except that a -0.0 draw keeps its sign.
 
 Memory: no position is held beyond the interval being stepped. Each
 partition interval is reduced as soon as it is stepped: per trajectory,
@@ -144,6 +147,13 @@ def _marginal_nodes(n: int) -> dict:
     return nodes
 
 
+def _stream(seed: int, stream: int) -> np.random.Generator:
+    """The generator of ``seed``'s stream number ``stream``: SFC64 keyed by
+    the pair through ``SeedSequence``, which takes every integer seed >= 0
+    exactly and refuses a negative one."""
+    return np.random.Generator(np.random.SFC64([seed, stream]))
+
+
 def sample_initial(rho0: np.ndarray, grid: GridSpec, n_samples: int,
                    seed: int) -> np.ndarray:
     """Inverse-CDF samples from a density given on the spatial grid.
@@ -163,8 +173,7 @@ def sample_initial(rho0: np.ndarray, grid: GridSpec, n_samples: int,
     ensure_normalized(rho0, grid, "initial density")
     cdf = cumulative_trapezoid(rho0, grid)
     cdf = cdf / cdf[-1]
-    rng = np.random.Generator(np.random.Philox(key=[seed, _INIT_STREAM]))
-    return np.interp(rng.random(n_samples), cdf, grid.x)
+    return np.interp(_stream(seed, _INIT_STREAM).random(n_samples), cdf, grid.x)
 
 
 def _check_inside(positions: np.ndarray, grid: GridSpec, t: float) -> None:
@@ -207,8 +216,7 @@ def _noise(pool: ThreadPoolExecutor, seed: int, N: int, n: int,
     pending = None
     for block_index, start in enumerate(range(0, N, BLOCK)):
         width = min(BLOCK, N - start)
-        rng = np.random.Generator(
-            np.random.Philox(key=[seed, _NOISE_STREAM_BASE + block_index]))
+        rng = _stream(seed, _NOISE_STREAM_BASE + block_index)
         k = max(1, _JOB_VALUES // (substeps * width))
         for first in range(0, n, k):
             rows = min(k, n - first)

@@ -6,14 +6,16 @@ the translating Gaussian and the plateau are couples with closed-form
 actions and drifts, the packet's velocity is an oracle of
 ``decompose`` (its phase, which ``validate`` reads, is
 ``schrodinger.packet_phase``), and the whole-lattice competitor member
-is the oracle of the hull rows that the library builds.
+is the oracle of the hull rows that the library builds. The reference
+paths are the oracle of the Monte-Carlo stepping and its streams.
 """
 
 import numpy as np
 
 from madelung_lab import FluidCouple, GaussianPacketSpec, GridSpec, ScalarField
-from madelung_lab.grid_fields import fd_dx, spectral_dx, taper
+from madelung_lab.grid_fields import cumulative_trapezoid, fd_dx, spectral_dx, taper
 from madelung_lab.madelung import gaussian_couple
+from madelung_lab.nelson_sde import BLOCK
 from madelung_lab.schrodinger import packet_sigma_sq
 
 
@@ -67,3 +69,52 @@ def full_lattice_member(fam, y: float) -> FluidCouple:
         np.log1p(ratio), grid, "log density bump")
     return FluidCouple(ScalarField(grid, rho_y), ScalarField(grid, v_y),
                        ScalarField(grid, log_grad), provenance="competitor")
+
+
+def _generator(seed: int, stream: int) -> np.random.Generator:
+    return np.random.Generator(np.random.SFC64([seed, stream]))
+
+
+def reference_paths(drifts, weights, rho0, grid: GridSpec, N: int, n: int,
+                    substeps: int, seed: int) -> np.ndarray:
+    """The (N, n + 1) recorded positions at the partition nodes, stepped
+    without the library's stepper: the oracle of ``nelson_sde``'s paths.
+
+    The initial samples invert the trapezoid CDF of ``rho0`` on uniforms
+    of stream (seed, 1). Each block of ``BLOCK`` trajectories draws its
+    whole noise in one call from stream (seed, 2 + block) and scales it
+    by sqrt(h). Every drift is read by ``np.interp`` on the grid row of
+    the time node at or before the substep's left end, and the
+    arithmetic follows the kernel's order: a component steps by
+    pull * h + dW, and a mixture's recorded track steps by beta * h + dW
+    with beta formed before the components move.
+    """
+    h = 1.0 / (n * substeps)
+    if rho0 is None:
+        x0 = np.zeros(N)
+    else:
+        cdf = cumulative_trapezoid(np.asarray(rho0, dtype=float), grid)
+        x0 = np.interp(_generator(seed, 1).random(N), cdf / cdf[-1], grid.x)
+    mixing = len(drifts) > 1
+    paths = np.empty((N, n + 1))
+    paths[:, 0] = x0
+    for block, start in enumerate(range(0, N, BLOCK)):
+        rows = slice(start, min(start + BLOCK, N))
+        noise = _generator(seed, 2 + block).standard_normal(
+            (n * substeps, rows.stop - start))
+        noise *= np.sqrt(h)
+        components = [x0[rows].copy() for _ in drifts]
+        recorded = x0[rows].copy() if mixing else components[0]
+        for sub, dw in enumerate(noise):
+            t = sub * h
+            node = min(int(t * grid.n_t + 1e-9), grid.n_t)
+            pulls = [np.interp(q, grid.x, b.values[node])
+                     for b, q in zip(drifts, components)]
+            if mixing:
+                beta = sum(w * pull for w, pull in zip(weights, pulls))
+                recorded += beta * h + dw
+            for q, pull in zip(components, pulls):
+                q += pull * h + dw
+            if (sub + 1) % substeps == 0:
+                paths[rows, (sub + 1) // substeps] = recorded
+    return paths

@@ -30,18 +30,16 @@ PHASE_UNRESOLVED = ("grid: phase increment 3.003 rad between adjacent samples; "
 COARSE_PHASE = ("grid.x_min = -10\ngrid.x_max = 10\ngrid.n_x = 32\ngrid.n_t = 8\n"
                 "packet.sigma0 = 0.71\n")
 # a gaussian-benchmark whose ensembles span two full blocks of 8192 paths
-# and 37 more, on a small lattice, and the sha256 of two of its outputs.
-# marginals.csv was recorded while every ensemble still held its whole
-# path matrix. summary.json was re-recorded when each trajectory's squared
-# increments came to be summed left to right instead of by einsum: the
-# constant-3 control's standard error and the band of its check moved by
-# one ulp, and no other byte
+# and 37 more, on a small lattice, and the sha256 of two of its outputs,
+# recorded when the streams became SFC64: every Monte-Carlo number moved
+# and the same two checks fail. The stream itself is pinned against an
+# oracle in test_nelson_sde
 PINNED_BENCHMARK = ("experiment = gaussian-benchmark\ngrid.n_x = 256\ngrid.n_t = 64\n"
                     "mc.N = 16421\nmc.n = 64\nmc.substeps = 2\nmc.seed = 7\n"
                     "mc.n_list = 64,256,512\n")
 PINNED_SHA256 = {
-    "summary.json": "67539140f73d29436bea89f389166a65a12455844d9a23c533744a4a48a7789a",
-    "marginals.csv": "3d011c5e0cb48e63900b88503ff618431a84c985a4f00ef6f961105691e1ecbc",
+    "summary.json": "b94212961814c1a3db13b30277e3649693205ebeb33ffb57d3c8c47591b15bcc",
+    "marginals.csv": "21cfa82b61d5a3ce2c0cad89b48033db098bff8fe166f4d90c9abe00d65132a6",
 }
 # a theorem1-verify on a small lattice and the sha256 of its two outputs,
 # recorded while every competitor member was built on the whole lattice
@@ -299,6 +297,8 @@ class TestValidate:
         pytest.param("experiment = theorem1-verify\ntheorem.seed = -3\n",
                      "theorem.seed: must be at least 0, got -3",
                      id="negative-theorem-seed"),
+        pytest.param("experiment = gaussian-benchmark\nmc.seed = -3\n",
+                     "mc.seed: must be at least 0, got -3", id="negative-mc-seed"),
     ])
     def test_refused_before_running(self, text, expected, tmp_path, monkeypatch,
                                     capsys):

@@ -29,29 +29,25 @@ from madelung_lab.nelson_sde import (_JOB_VALUES, BLOCK, _check_inside,
                                      _initial_positions, _path_blocks,
                                      _summed_divergence, marginals)
 
+from controls import reference_paths
+
 CONTROL_N = 20_000
 CONTROL_PARTITION = 64
 
-# sha256 of the float64 (N, n + 1) path matrix in row-major order,
-# recorded with the earlier kernel (drift read by np.interp's binary
-# search, one noise draw per substep): the O(1) lookup and the one draw
-# per partition interval keep both streams.
-SINGLE_DRIFT_SHA256 = "987085e6a331c0740fb37702016aeb4a281d5c1d3029761436f4c91babd2d658"
-MIXTURE_SHA256 = "45a441759b7a0ed0b884b33344046e1afc67edeebdcfa5495c94076b9c19a021"
-# recorded with one noise draw per partition interval, before the draws
-# were batched into jobs of several intervals run one job ahead: a
-# sweep-sized block takes an 8-interval and a 4-interval job, and the
-# two-block mixture's jobs cross the block boundary
-SWEEP_SHA256 = "36c6ce0046a8704a7dd7dda4c19f06fdc507f8357da9d715aec2a039be5ad2cc"
+# sha256 of the float64 (N, n + 1) path matrix in row-major order. Each
+# case checks first that the stepping equals controls.reference_paths bit
+# for bit, so the pins were recorded from that oracle, not from the kernel.
+# The sweep-sized block takes an 8-interval and a 4-interval noise job,
+# and the two-block mixture's jobs cross the block boundary.
+SINGLE_DRIFT_SHA256 = "6a4e198cad7d34bc53457a7f65c4e4b6574d5b26fefb3b13980294a009603642"
+MIXTURE_SHA256 = "180c96496f645bcd6eb0b1c83dfe5bc6e8029c62c4d3c3a4602b92db70492373"
+SWEEP_SHA256 = "a695f78d5c713ca7ea3943c5dfc55be2a9f4a48e801db168591699b1acf5710a"
 MIXTURE_TWO_BLOCKS_SHA256 = \
-    "ba0aeaf3dda2596a470762869930ee3d20370dc0477e2441071ebeb1fc3fc788"
-# recorded with every track's pull read by the lookup and the noise drawn
-# by normal(0, sqrt(h)): a constant track's pull is its scalar value and
-# the noise is scaled standard normals, and both streams stay
+    "80954a102de3fa6f146082392382f5991185955faa01ab7c11eb28d19cf14e28"
 CONSTANT_DRIFT_SHA256 = \
-    "ee05147cabd048947d0a7829b1fc1c5f723a9f22ee2c7f850bbb924e7397fd91"
+    "e3a02f1c71b795c2e6bd66458d6f0db2f3d3b46c9e4ef83fd9e2d904928ee7c7"
 ZERO_DRIFT_SHA256 = \
-    "4eb8a6c4a5c9fbd7233eb7670267634f5b777eb492c6146100d887786cb6ce58"
+    "ef43a5e8ac2caca7c221a16d6abc95204272275b08a1943366c5860672e31fee"
 
 
 def path_matrix(drifts, weights, rho0, grid, N, n, substeps, seed) -> np.ndarray:
@@ -70,6 +66,14 @@ def path_matrix(drifts, weights, rho0, grid, N, n, substeps, seed) -> np.ndarray
 def paths_sha256(*args) -> str:
     """The sha256 of :func:`path_matrix`'s float64 bytes in row-major order."""
     return hashlib.sha256(path_matrix(*args).astype("<f8").tobytes()).hexdigest()
+
+
+def fingerprint(*args) -> str:
+    """The sha256 of :func:`path_matrix`, once it has matched the oracle
+    ``reference_paths`` bit for bit."""
+    paths = path_matrix(*args)
+    assert paths.tobytes() == reference_paths(*args).tobytes()
+    return hashlib.sha256(paths.astype("<f8").tobytes()).hexdigest()
 
 
 def same_reductions(a, b) -> bool:
@@ -118,6 +122,14 @@ class TestSampling:
         c = sample_initial(rho0, grid, 1000, 6)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_seeds_past_64_bits_keep_their_own_streams(self, grid, packet_couple):
+        # every integer seed >= 0 keys its stream exactly: none is rounded
+        # through a float or wrapped onto a smaller seed's key
+        rho0 = packet_couple.rho.values[0]
+        seeds = (0, 2**63, 2**63 + 1, 2**64 - 1, 2**64)
+        draws = [sample_initial(rho0, grid, 16, seed) for seed in seeds]
+        assert len({d.tobytes() for d in draws}) == len(seeds)
 
     def test_shape_validation(self, grid):
         with pytest.raises(ValueError):
@@ -233,33 +245,42 @@ class TestStreamFingerprint:
     def test_single_drift_over_two_blocks(self, control_grid, packet):
         # the second block is partial; three substeps per interval
         b, rho0 = packet
-        assert paths_sha256([b], [1.0], rho0, control_grid, BLOCK + 37, 8, 3, 7) \
+        assert fingerprint([b], [1.0], rho0, control_grid, BLOCK + 37, 8, 3, 7) \
             == SINGLE_DRIFT_SHA256
 
     def test_two_drift_mixture(self, control_grid, packet):
         b, rho0 = packet
-        assert paths_sha256([b, constant_drift(control_grid, 0.5)], [0.25, 0.75],
-                            rho0, control_grid, 1000, 8, 3, 7) == MIXTURE_SHA256
+        assert fingerprint([b, constant_drift(control_grid, 0.5)], [0.25, 0.75],
+                           rho0, control_grid, 1000, 8, 3, 7) == MIXTURE_SHA256
 
     def test_sweep_sized_block(self, control_grid, packet):
         b, rho0 = packet
-        assert paths_sha256([b], [1.0], rho0, control_grid, 1024, 12, 4, 7) \
+        assert fingerprint([b], [1.0], rho0, control_grid, 1024, 12, 4, 7) \
             == SWEEP_SHA256
 
     def test_two_drift_mixture_over_two_blocks(self, control_grid, packet):
         b, rho0 = packet
-        assert paths_sha256([b, constant_drift(control_grid, 0.5)], [0.25, 0.75],
-                            rho0, control_grid, BLOCK + 37, 8, 3, 7) \
+        assert fingerprint([b, constant_drift(control_grid, 0.5)], [0.25, 0.75],
+                           rho0, control_grid, BLOCK + 37, 8, 3, 7) \
             == MIXTURE_TWO_BLOCKS_SHA256
 
     def test_constant_drift_over_two_blocks(self, control_grid, packet):
         _, rho0 = packet
-        assert paths_sha256([constant_drift(control_grid, 3.0)], [1.0], rho0,
-                            control_grid, BLOCK + 37, 8, 3, 7) == CONSTANT_DRIFT_SHA256
+        assert fingerprint([constant_drift(control_grid, 3.0)], [1.0], rho0,
+                           control_grid, BLOCK + 37, 8, 3, 7) == CONSTANT_DRIFT_SHA256
 
     def test_zero_drift_from_the_origin(self, control_grid):
-        assert paths_sha256([constant_drift(control_grid, 0.0)], [1.0], None,
-                            control_grid, BLOCK + 37, 8, 3, 7) == ZERO_DRIFT_SHA256
+        assert fingerprint([constant_drift(control_grid, 0.0)], [1.0], None,
+                           control_grid, BLOCK + 37, 8, 3, 7) == ZERO_DRIFT_SHA256
+
+    def test_a_full_block_steps_on_the_same_noise_at_every_N(self, control_grid,
+                                                             packet):
+        # one trajectory more opens a second block and leaves the first alone
+        b, rho0 = packet
+        args = ([b], [1.0], rho0, control_grid)
+        full = path_matrix(*args, BLOCK, 4, 2, 7)
+        grown = path_matrix(*args, BLOCK + 1, 4, 2, 7)
+        assert full.tobytes() == grown[:BLOCK].tobytes()
 
 
 class TestConstantTracks:

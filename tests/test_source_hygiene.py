@@ -31,11 +31,12 @@
   way, and in ``madelung_residuals``, the independent check of the
   energy equation: every other reader takes the attached field, so no
   log-gradient fallback creeps back in.
-* ``Philox`` appears only in ``sample_initial`` and ``_noise``,
-  ``standard_normal`` only in ``_scaled_normals``, which ``_noise`` runs
-  a job ahead of the stepping, and ``normal`` nowhere: the trajectory
-  noise has one draw site, so no second, unpipelined draw path creeps
-  back in.
+* ``SFC64`` appears only in ``_stream``, the one helper that keys every
+  random stream, ``Philox`` nowhere, ``standard_normal`` only in
+  ``_scaled_normals``, which ``_noise`` runs a job ahead of the
+  stepping, and ``normal`` nowhere: every stream has one generator and
+  one keying, and the trajectory noise has one draw site, so no second
+  generator and no second, unpipelined draw path creeps back in.
 * Each name of a row of ``owned_by`` below is named only in that row's
   owner module: no other module imports, reads, calls or redefines it,
   so no second copy of what it stands for creeps back in. The rows are
@@ -95,7 +96,7 @@ BENCHMARK = {path.stem: path.read_text() for path in PERFBENCH}
 BLANKET = {"Exception", "BaseException"}
 INTERP_ALLOWED = {"sample_initial"}
 LOG_GRADIENT_ALLOWED = {"decompose", "madelung_residuals"}
-DRAW_ALLOWED = {"Philox": {"sample_initial", "_noise"}, "normal": set(),
+DRAW_ALLOWED = {"SFC64": {"_stream"}, "Philox": set(), "normal": set(),
                 "standard_normal": {"_scaled_normals"}}
 ALLOCATORS = {"empty", "zeros", "ones", "full"}
 RECIPE = ("SPACE_SUPPORT", "TIME_WINDOW", "AMPLITUDE", "MODES", "raw_perturbation")
@@ -408,8 +409,8 @@ def test_log_gradient_allowed_sites_pass():
 
 
 def stray_draws(source: str) -> list[tuple[int, str]]:
-    """(line, enclosing function) of every ``Philox``, ``normal`` or
-    ``standard_normal`` site outside the functions allowed to draw it."""
+    """(line, enclosing function) of every ``SFC64``, ``Philox``, ``normal``
+    or ``standard_normal`` site outside the functions allowed to name it."""
     return [site for name, allowed in DRAW_ALLOWED.items()
             for site in name_sites(source, name) if site[1] not in allowed]
 
@@ -423,12 +424,17 @@ def test_noise_has_one_draw_site(path):
     pytest.param("import numpy as np\n\nclass E:\n    def step(self, rng, h):\n"
                  "        return rng.normal(0.0, h, self.width)\n", id="method"),
     pytest.param("from numpy.random import Philox\n", id="import"),
+    pytest.param("import numpy as np\n\ndef _stream(seed, stream):\n"
+                 "    return np.random.Generator(np.random.Philox(key=[seed, stream]))\n",
+                 id="philox-in-the-stream-helper"),
     pytest.param("import numpy\n\nDRAW = numpy.random.default_rng(0).normal\n",
                  id="module-level"),
-    pytest.param("import numpy as np\n\ndef _noise(seed):\n"
-                 "    return np.random.Generator(np.random.Philox(seed)).normal\n\n"
-                 "def mixture_ensemble(seed):\n"
-                 "    return np.random.Philox(key=[seed, 2])\n", id="second-site"),
+    pytest.param("import numpy as np\n\ndef _stream(seed, stream):\n"
+                 "    return np.random.Generator(np.random.SFC64([seed, stream]))\n\n"
+                 "def _noise(seed, block):\n"
+                 "    return np.random.Generator(np.random.SFC64([seed, 2 + block]))\n",
+                 id="second-site"),
+    pytest.param("from numpy.random import SFC64\n", id="sfc64-import"),
     pytest.param("def _scaled_normals(rng, shape, root_h):\n"
                  "    return rng.standard_normal(shape) * root_h\n\n"
                  "def mixture_ensemble(rng, shape):\n"
@@ -439,6 +445,15 @@ def test_noise_has_one_draw_site(path):
 ])
 def test_draw_sites_are_found(snippet):
     assert stray_draws(snippet)
+
+
+def test_draw_allowed_sites_pass():
+    snippet = ("import numpy as np\n\ndef _stream(seed, stream):\n"
+               "    return np.random.Generator(np.random.SFC64([seed, stream]))\n\n"
+               "def _scaled_normals(rng, out, root_h):\n"
+               "    rng.standard_normal(out=out)\n"
+               "    out *= root_h\n")
+    assert stray_draws(snippet) == []
 
 
 def named_sites(source: str, names: tuple) -> list[tuple[int, str]]:
