@@ -264,7 +264,8 @@ class CompetitorFamily:
         log_grad = spectral_dx(log_bump, grid, "log density bump")
         del log_bump
         log_grad += base.log_density_gradient.values[rows]
-        for values in (rho_y, v_y, log_grad):
+        # off the hull columns rho_y and v_y are the base's finite rows
+        for values in (rho_y[:, cols], v_y[:, cols], log_grad):
             ensure_finite(values, "scalar field")
         quantum, = ensure_couple_rows(rho_y, v_y, log_grad, grid, (-1.0,))
         return rho_y, v_y, log_grad, quantum

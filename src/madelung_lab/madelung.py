@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FieldRefused, UnwrapInconsistent
-from .grid_fields import (GridSpec, ScalarField, ensure_decaying, ensure_normalized,
-                          fd_dt, fd_dx, spectral_dx)
+from .grid_fields import (GridSpec, ScalarField, cleared_rows, ensure_decaying,
+                          ensure_normalized, fd_dt, fd_dx, guard_columns, spectral_dx)
 from .schrodinger import (GaussianPacketSpec, WaveField, normal_density, packet_mean,
                           packet_sigma_sq)
 
@@ -67,6 +67,8 @@ def action_integrands(rho: np.ndarray, v: np.ndarray, log_density_gradient: np.n
     the quantum action's integrand, 0 the classical and +1 the finite
     action's. v^2 and u^2 are formed once, the last integrand in place on
     v^2; each is bit for bit (v**2 + w * u**2) * rho."""
+    if not fisher_weights:
+        return []
     kinetic = v**2
     if any(fisher_weights):
         fisher = 0.5 * log_density_gradient
@@ -95,13 +97,20 @@ def ensure_couple_rows(rho: np.ndarray, v: np.ndarray, log_density_gradient: np.
                        grid: GridSpec, fisher_weights) -> list[np.ndarray]:
     """A couple's rules past positivity and finiteness, on any block of its
     rows: a normalized density and a decaying finite action integrand.
-    Returns the rows' action integrands of ``fisher_weights``, formed with
-    the finite one from the same v^2 and u^2."""
-    finite, *integrands = action_integrands(rho, v, log_density_gradient,
-                                            (1.0, *fisher_weights))
+    Returns the rows' action integrands of ``fisher_weights``. The finite
+    integrand is formed on the ``guard_columns`` first, elementwise so bit
+    for bit, and on the rows those do not clear only when there are such
+    rows; the refusal is the one of the whole integrand."""
     ensure_normalized(rho, grid, "density")
-    ensure_decaying(finite, grid, "finite action integrand")
-    return integrands
+    columns = guard_columns(grid)
+    finite, = action_integrands(rho[:, columns], v[:, columns],
+                                log_density_gradient[:, columns], (1.0,))
+    uncleared = ~cleared_rows(finite)
+    if uncleared.any():
+        finite, = action_integrands(rho[uncleared], v[uncleared],
+                                    log_density_gradient[uncleared], (1.0,))
+        ensure_decaying(finite, grid, "finite action integrand")
+    return action_integrands(rho, v, log_density_gradient, fisher_weights)
 
 
 class DriftField(ScalarField):

@@ -5,17 +5,22 @@ must reproduce exactly, analytic Gaussians, and scipy quadrature for
 the integral checks.
 """
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate as scipy_integrate
 
 from madelung_lab import (BoundaryLeak, GaussianPacketSpec, GridSpec,
-                          PerturbationSpec, ScalarField, decompose,
-                          gaussian_packet, make_family)
+                          PerturbationSpec, ScalarField, classical_action, decompose,
+                          finite_action_norm, gaussian_packet, make_family,
+                          quantum_action, verify_theorem1)
 from madelung_lab import grid_fields
-from madelung_lab.grid_fields import (edge_leak, fd_dt, fd_dx,
-                                      row_integrals, spectral_antiderivative,
-                                      spectral_dx, time_integrate)
+from madelung_lab.grid_fields import (BOUNDARY_TOL, edge_leak, ensure_decaying,
+                                      fd_dt, fd_dx, row_integrals,
+                                      spectral_antiderivative, spectral_dx,
+                                      time_integrate)
 
 
 @pytest.fixture()
@@ -395,3 +400,142 @@ class TestEdgeLeak:
             spectral_dx(vals, small_grid, "probe field")
         assert str(caught.value) == ("probe field has relative boundary magnitude "
                                      "2.500e-01, above the tolerance 1.0e-12")
+
+
+# eight nodes: the edges 0 and 7 around the probes 3, 4 and 5
+GUARD_GRID = GridSpec(-1.0, 1.0, 8, 2)
+PROBES = grid_fields.guard_columns(GUARD_GRID)[1:-1]
+SPECIAL = (0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, -1e300)
+
+
+@st.composite
+def guard_rows(draw) -> np.ndarray:
+    """One row of GUARD_GRID: arbitrary doubles, zeros, or random entries
+    whose edges sit at chosen multiples of the largest probe, maybe with
+    the peak on a probe, the probes zero or a special entry anywhere."""
+    n_x = GUARD_GRID.n_x
+    kind = draw(st.sampled_from(["any", "zero", "probed", "zero-probes"]))
+    if kind == "any":
+        entry = st.one_of(st.floats(), st.sampled_from(SPECIAL))
+        return np.array(draw(st.lists(entry, min_size=n_x, max_size=n_x)))
+    if kind == "zero":
+        return np.array(draw(st.lists(st.sampled_from([0.0, -0.0]),
+                                      min_size=n_x, max_size=n_x)))
+    scale = draw(st.floats(1e-300, 1e300)) * draw(st.sampled_from([1.0, -1.0]))
+    row = scale * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n_x,
+                                         max_size=n_x)))
+    if kind == "zero-probes":
+        row[PROBES] = draw(st.sampled_from([0.0, -0.0]))
+    elif draw(st.booleans()):
+        row[draw(st.sampled_from(PROBES))] = scale  # a probe holds the peak
+    probe = np.abs(row[PROBES]).max()
+    for col in (0, n_x - 1):
+        factor = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 1e3, 1e9]))
+        edge = factor * (BOUNDARY_TOL * probe)
+        row[col] = draw(st.sampled_from([edge, -edge, np.nextafter(edge, np.inf)]))
+    if draw(st.booleans()):
+        row[draw(st.integers(0, n_x - 1))] = draw(st.sampled_from(SPECIAL))
+    return row
+
+
+@st.composite
+def guard_blocks(draw) -> np.ndarray:
+    """Blocks of guard rows: none, one as a 1-D array, a 2-D block or a
+    3-D stack."""
+    rows = draw(st.lists(guard_rows(), max_size=6))
+    values = np.array(rows).reshape(len(rows), GUARD_GRID.n_x)
+    shape = draw(st.sampled_from(["1-D", "2-D", "3-D"]))
+    if shape == "1-D" and len(rows) <= 1:
+        return values.reshape(-1)
+    if shape == "3-D" and len(rows) % 2 == 0:
+        return values.reshape(2, -1, GUARD_GRID.n_x)
+    return values
+
+
+def leak_refusal(what: str, leak: float) -> str:
+    return (f"{what} has relative boundary magnitude {leak:.3e}, "
+            f"above the tolerance {BOUNDARY_TOL:.1e}")
+
+
+class TestDecayGuard:
+    """``ensure_decaying`` decides most rows from their edge and centre
+    columns and refuses exactly what the scan of every row refuses."""
+
+    @given(values=guard_blocks())
+    @settings(max_examples=400, deadline=None, database=None)
+    def test_refuses_exactly_what_the_scan_refuses(self, values):
+        leak = edge_leak(values, GUARD_GRID)
+        if leak <= BOUNDARY_TOL:
+            ensure_decaying(values, GUARD_GRID, "probe")
+        else:
+            with pytest.raises(BoundaryLeak) as caught:
+                ensure_decaying(values, GUARD_GRID, "probe")
+            assert str(caught.value) == leak_refusal("probe", leak)
+
+    def test_edges_that_round_above_the_tolerance_are_refused(self):
+        # 1e-12 * 117 rounds up: over the peak it reads 1.0000000000000002e-12,
+        # so the scan refuses the row, though the edges are <= 1e-12 * 117
+        row = np.zeros(GUARD_GRID.n_x)
+        row[4], row[0], row[-1] = 117.0, BOUNDARY_TOL * 117.0, -BOUNDARY_TOL * 117.0
+        assert abs(row[0]) <= BOUNDARY_TOL * row[4]
+        assert edge_leak(row, GUARD_GRID) > BOUNDARY_TOL
+        with pytest.raises(BoundaryLeak) as caught:
+            ensure_decaying(row, GUARD_GRID, "probe")
+        assert str(caught.value) == leak_refusal("probe", edge_leak(row, GUARD_GRID))
+
+    @pytest.mark.parametrize("col", range(1, 15))
+    def test_a_nan_inside_a_row_is_refused(self, col):
+        grid = GridSpec(-12.0, 12.0, 16, 2)
+        values = np.vstack([normal_density(grid.x)] * 2)
+        values[1, col] = np.nan
+        assert np.isnan(edge_leak(values, grid))
+        for guarded in (ensure_decaying, grid_fields.row_integrals):
+            with pytest.raises(BoundaryLeak) as caught:
+                guarded(values, grid, "probe")
+            assert str(caught.value) == leak_refusal("probe", np.nan)
+
+    @pytest.mark.parametrize("col", [0, -1])
+    @pytest.mark.parametrize("edge", [np.inf, -np.inf])
+    def test_an_infinite_edge_is_refused_without_a_warning(self, col, edge):
+        values = np.vstack([normal_density(GUARD_GRID.x)] * 2)
+        values[0, col] = edge
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(edge_leak(values, GUARD_GRID))
+            with pytest.raises(BoundaryLeak) as caught:
+                ensure_decaying(values, GUARD_GRID, "probe")
+        assert str(caught.value) == leak_refusal("probe", np.nan)
+
+    @staticmethod
+    def counted_scans(monkeypatch) -> list:
+        scans = []
+        scan = grid_fields.edge_leak
+
+        def counted(values, grid):
+            scans.append(np.shape(values))
+            return scan(values, grid)
+
+        monkeypatch.setattr(grid_fields, "edge_leak", counted)
+        return scans
+
+    def test_only_the_uncleared_rows_are_scanned(self, monkeypatch, small_grid):
+        scans = self.counted_scans(monkeypatch)
+        values = np.vstack([normal_density(small_grid.x)] * 4)
+        ensure_decaying(values, small_grid, "bells")
+        assert scans == []
+        values[1:3, grid_fields.guard_columns(small_grid)[1:-1]] = 0.0  # zero probes
+        ensure_decaying(values, small_grid, "bells")
+        assert scans == [(2, small_grid.n_x)]
+
+    def test_the_packet_pass_makes_no_full_scan(self, monkeypatch):
+        # the shipped packet on the 512x256 box: its couple, five families
+        # and the couple's three actions never scan a row for its peak
+        scans = self.counted_scans(monkeypatch)
+        grid = GridSpec(-12.0, 12.0, 512, 256)
+        _, _, couple = decompose(gaussian_packet(GaussianPacketSpec(), grid))
+        report = verify_theorem1(couple, [PerturbationSpec(seed)
+                                          for seed in range(1000, 1005)])
+        for action in (quantum_action, classical_action, finite_action_norm):
+            action(couple)
+        assert report["n_pass"] == 5
+        assert scans == []

@@ -9,12 +9,16 @@ once on the default lattice plus the second-order refinement ratio.
 import numpy as np
 import pytest
 
-from madelung_lab import (DriftField, FluidCouple, GridSpec, NormDrift, ScalarField,
+from madelung_lab import (BoundaryLeak, DriftField, FluidCouple, GridSpec,
+                          MadelungLabError, NormDrift, ScalarField,
                           UnwrapInconsistent, WaveField,
                           constant_drift, continuity_residual, decompose, drift,
                           gaussian_packet, madelung_residuals,
                           spreading_mismatched_couple)
-from madelung_lab.madelung import action_integrands
+from madelung_lab import grid_fields, madelung
+from madelung_lab.grid_fields import (BOUNDARY_TOL, edge_leak, ensure_normalized,
+                                      guard_columns)
+from madelung_lab.madelung import action_integrands, ensure_couple_rows
 from madelung_lab.schrodinger import packet_phase
 
 from controls import packet_velocity, plateau_couple, translating_gaussian_couple
@@ -171,6 +175,88 @@ class TestFluidCouple:
     def test_synthetic_builders_tag_provenance(self, grid):
         assert translating_gaussian_couple(grid, 0.0).provenance == "synthetic"
         assert plateau_couple(grid).provenance == "synthetic"
+
+
+def full_integrand_rule(rho, v, lg, grid, fisher_weights):
+    """ensure_couple_rows as the scan of the whole finite integrand, formed
+    with the integrands of ``fisher_weights`` from the same v^2 and u^2."""
+    finite, *integrands = action_integrands(rho, v, lg, (1.0, *fisher_weights))
+    ensure_normalized(rho, grid, "density")
+    leak = edge_leak(finite, grid)
+    if not leak <= BOUNDARY_TOL:
+        raise BoundaryLeak(f"finite action integrand has relative boundary magnitude "
+                           f"{leak:.3e}, above the tolerance {BOUNDARY_TOL:.1e}")
+    return integrands
+
+
+def rule_outcome(rule, *args):
+    """The integrands' bytes, or the refusal's type and text."""
+    try:
+        return [integrand.tobytes() for integrand in rule(*args)]
+    except MadelungLabError as exc:
+        return type(exc), str(exc)
+
+
+class TestEnsureCoupleRows:
+    """The finite integrand is formed on the guard columns first, and on
+    the rows they cannot clear only when there are such rows."""
+
+    @staticmethod
+    def rows_at_rest(grid, widths):
+        # normalized bells at rest: v = 0, and the log density gradient is
+        # zero on the probe columns, so the finite integrand is too
+        x = grid.x[np.newaxis, :]
+        var = np.asarray(widths)[:, np.newaxis] ** 2
+        rho = np.exp(-x**2 / (2.0 * var))
+        rho /= grid.dx * rho.sum(axis=1, keepdims=True)
+        lg = -x / var
+        lg[:, guard_columns(grid)[1:-1]] = 0.0
+        return rho, np.zeros_like(rho), lg
+
+    # widths of the rows, rows given v = 0.3 (nowhere zero, so the probes
+    # see them), rows scanned and the refusal: the rows of width 5 and 6
+    # leak, the probes clear the v = 0.3 row of width 1, and a mass drift
+    # is refused before the integrand is looked at
+    CASES = {
+        "uncleared": ([1.0, 1.1, 1.2, 1.3, 1.4], [], 5, None),
+        "leaking": ([1.0, 1.1, 1.2, 1.3, 6.0], [], 5, BoundaryLeak),
+        "mixed": ([1.0, 1.1, 5.0, 1.3, 6.0], [0, 2], 4, BoundaryLeak),
+        "mass-drift": ([1.0, 1.1, 1.2, 1.3, 1.4], [], 0, NormDrift),
+    }
+
+    @pytest.mark.parametrize("weights", [(), (-1.0,), (-1.0, 0.0, 1.0)])
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_the_full_integrand_rule(self, case, weights, monkeypatch):
+        widths, moving, scanned, refusal = self.CASES[case]
+        grid = GridSpec(-12.0, 12.0, 64, 4)
+        rho, v, lg = self.rows_at_rest(grid, widths)
+        v[moving] = 0.3
+        if case == "mass-drift":
+            rho[3] *= 1.01
+        scans = []
+        monkeypatch.setattr(grid_fields, "edge_leak",
+                            lambda values, grid: scans.append(len(values))
+                            or edge_leak(values, grid))
+        got = rule_outcome(ensure_couple_rows, rho, v, lg, grid, weights)
+        assert sum(scans) == scanned
+        assert got == rule_outcome(full_integrand_rule, rho, v, lg, grid, weights)
+        if refusal is None:
+            assert len(got) == len(weights)
+        else:
+            assert got[0] is refusal
+
+    def test_cleared_rows_form_only_the_guard_columns(self, packet_couple, monkeypatch):
+        # the packet's rows are all cleared: the finite integrand is formed
+        # on the five guard columns alone, then the quantum one on the
+        # whole block, and no row is scanned
+        scans, formed = [], []
+        monkeypatch.setattr(grid_fields, "edge_leak", lambda *args: scans.append(args))
+        monkeypatch.setattr(madelung, "action_integrands",
+                            lambda rho, *rest: formed.append(rho.shape)
+                            or action_integrands(rho, *rest))
+        fields = (packet_couple.rho, packet_couple.v, packet_couple.log_density_gradient)
+        ensure_couple_rows(*(f.values for f in fields), packet_couple.rho.grid, (-1.0,))
+        assert (scans, formed) == ([], [(257, 5), (257, 512)])
 
 
 class TestActionIntegrands:

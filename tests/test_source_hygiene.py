@@ -549,6 +549,40 @@ test_paths_named_only_in_nelson_sde, test_paths_sites_are_found = owned_by(
     ])
 
 
+def stray_leak_scans(source: str) -> list[tuple[int, str]]:
+    """(line, enclosing function) of every name, attribute or import of
+    ``edge_leak`` outside ``ensure_decaying``: the guard clears rows by
+    their guard columns first, and a caller of the scan would skip that."""
+    return [site for site in named_sites(source, ("edge_leak",))
+            if site[1] != "ensure_decaying"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_edge_leak_only_in_the_decay_guard(path):
+    assert stray_leak_scans(path.read_text()) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    pytest.param("def row_integrals(values, grid, what):\n"
+                 "    if edge_leak(values, grid) > 1e-12:\n"
+                 "        raise ValueError(what)\n", id="call"),
+    pytest.param("from . import grid_fields\n\nclass Couple:\n    def check(self, v):\n"
+                 "        return grid_fields.edge_leak(v, self.grid)\n", id="method"),
+    pytest.param("from .grid_fields import edge_leak\n", id="import"),
+    pytest.param("SCAN = edge_leak\n", id="module-level"),
+])
+def test_edge_leak_sites_are_found(snippet):
+    assert stray_leak_scans(snippet)
+
+
+def test_edge_leak_in_the_decay_guard_passes():
+    snippet = ("def edge_leak(values, grid):\n    return 0.0\n\n"
+               "def ensure_decaying(values, grid, what):\n"
+               "    leak = edge_leak(values, grid)\n")
+    assert stray_leak_scans(snippet) == []
+    assert named_sites(snippet, ("edge_leak",)) == [(5, "ensure_decaying")]
+
+
 def _numpy_call(node: ast.AST) -> bool:
     """Whether ``node`` calls a function reached from ``np`` or ``numpy``."""
     if not isinstance(node, ast.Call):
