@@ -18,7 +18,10 @@ drift action retakes div b on that coarse grid. Cheap, and honest as
 long as the integrand is resolved. A report is the trapezoid in time of
 a couple's row integrals (``row_series``); ``spliced_report`` puts a
 block's rows in place of theirs: a competitor member is integrated on
-its hull rows.
+its hull rows. Each integrand is formed once, for its one Fisher weight
+(``action_integrand``), and its row integrals are the decay guard's row
+sums times dx (``row_integrals``), so a row that is not finite or does
+not decay is refused, never integrated.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .grid_fields import GridSpec, ScalarField, row_integrals, time_integrate
-from .madelung import DriftField, FluidCouple, action_integrands
+from .madelung import DriftField, FluidCouple, action_integrand
 
 
 @dataclass(frozen=True)
@@ -68,8 +71,8 @@ def _action_rows(integrand: np.ndarray, grid: GridSpec,
 def row_series(couple: FluidCouple, fisher_weight: float) -> tuple[np.ndarray, np.ndarray]:
     """(fine, coarse) row integrals of the couple's action integrand of
     ``fisher_weight``: -1 quantum, 0 classical, +1 finite action."""
-    integrand, = action_integrands(couple.rho.values, couple.v.values,
-                                   couple.log_density_gradient.values, (fisher_weight,))
+    integrand = action_integrand(couple.rho.values, couple.v.values,
+                                 couple.log_density_gradient.values, fisher_weight)
     return _action_rows(integrand, couple.rho.grid, 0)
 
 

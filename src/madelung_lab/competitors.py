@@ -52,7 +52,7 @@ from .action_functionals import ActionReport, row_series, series_report, spliced
 from .errors import AmplitudeInfeasible, FieldRefused, MadelungLabError, SupportLeak
 from .grid_fields import (ScalarField, ensure_finite, fd_dt, spectral_antiderivative,
                           spectral_dx, taper)
-from .madelung import FluidCouple, ensure_couple_rows, ensure_positive
+from .madelung import FluidCouple, action_integrand, ensure_couple_rows, ensure_positive
 
 Y_GRID = (-1.0, -0.75, -0.5, -0.25, -0.125, 0.0,
           0.125, 0.25, 0.5, 0.75, 1.0)
@@ -267,8 +267,8 @@ class CompetitorFamily:
         # off the hull columns rho_y and v_y are the base's finite rows
         for values in (rho_y[:, cols], v_y[:, cols], log_grad):
             ensure_finite(values, "scalar field")
-        quantum, = ensure_couple_rows(rho_y, v_y, log_grad, grid, (-1.0,))
-        return rho_y, v_y, log_grad, quantum
+        ensure_couple_rows(rho_y, v_y, log_grad, grid)
+        return rho_y, v_y, log_grad, action_integrand(rho_y, v_y, log_grad, -1.0)
 
 
 def make_family(base: FluidCouple, spec: PerturbationSpec) -> CompetitorFamily:

@@ -22,18 +22,20 @@ Quadrature over the box is the plain rectangle rule (it is spectrally
 accurate for smooth decaying integrands on a periodic grid) and carries
 the same decay guard; ``row_integrals`` applies it to every row of a
 field, or of a block of rows. Time quadrature is the trapezoid rule.
-The guard, ``ensure_decaying``, refuses a field whose ``edge_leak`` is
-above ``BOUNDARY_TOL`` or NaN: in some row the larger edge magnitude
-exceeds ``BOUNDARY_TOL`` of the row's peak |value|, an edge is
-infinite, or an entry is NaN. Any one entry is a lower bound of its
-row's peak, so the edge and centre columns decide most rows alone
-(``guard_columns``: the two edges and three probes, the centre and an
-eighth of the box to either side). ``cleared_rows`` clears a row whose
-edges are zero or whose larger edge over its largest |probe| is at most
-``BOUNDARY_TOL``. Only the rows left uncleared, or every row when one
-whole-array maximum shows a NaN, are scanned for their peaks. The
-largest leak lies on an uncleared row, so the refusal and its message
-are those of the scan of every row.
+The guard, ``ensure_decaying``, makes one pass over the array, its row
+sums, which ``row_integrals`` scales by dx. It refuses a row whose sum
+is not finite (a NaN or infinite entry, or a sum past the largest
+double) with :class:`FieldRefused`, and a field whose ``edge_leak`` is
+above ``BOUNDARY_TOL`` with :class:`BoundaryLeak`: in some row the
+larger edge magnitude exceeds ``BOUNDARY_TOL`` of the row's peak
+|value|. Any one entry is a lower bound of its row's peak, so the edge
+and centre columns decide most rows alone (``guard_columns``: the two
+edges and three probes, the centre and an eighth of the box to either
+side). ``cleared_rows`` clears a row whose edges are zero or whose
+larger edge over its largest |probe| is at most ``BOUNDARY_TOL``. Only
+the rows left uncleared are scanned for their peaks. The largest leak
+lies on an uncleared row, so the refusal and its message are those of
+the scan of every row.
 A density counts as normalized when its mass is 1 within ``MASS_TOL``
 in every slice (``mass_error``); ``ensure_normalized`` is that rule.
 Off the lattice a field is read by ``ScalarField.at``: linear in x,
@@ -244,19 +246,18 @@ class ScalarField:
 def edge_leak(values: np.ndarray, grid: GridSpec) -> float:
     """Largest edge magnitude relative to the same time slice's peak.
 
-    Works on any array whose last axis is the spatial one. Slices that
-    vanish identically contribute zero, and so does an empty array. A
-    slice's peak |value| is the larger of its maximum and minus its
-    minimum, so only the two edge columns are passed through ``abs``.
-    A slice holding a NaN, or with an infinite edge, leaks NaN.
+    Works on any array of finite entries whose last axis is the spatial
+    one. Slices that vanish identically contribute zero, and so does an
+    empty array. A slice's peak |value| is the larger of its maximum and
+    minus its minimum, so only the two edge columns are passed through
+    ``abs``.
     """
     flat = np.asarray(values, dtype=float).reshape(-1, grid.n_x)
     if flat.size == 0:
         return 0.0
     peak = np.maximum(flat.max(axis=1), -flat.min(axis=1))
     edge = np.maximum(np.abs(flat[:, 0]), np.abs(flat[:, -1]))
-    with np.errstate(invalid="ignore"):  # an infinite edge over its infinite peak
-        return float(np.max(edge / np.where(peak == 0.0, 1.0, peak)))
+    return float(np.max(edge / np.where(peak == 0.0, 1.0, peak)))
 
 
 def guard_columns(grid: GridSpec) -> list[int]:
@@ -270,33 +271,35 @@ def guard_columns(grid: GridSpec) -> list[int]:
 
 def cleared_rows(columns: np.ndarray) -> np.ndarray:
     """Whether each row of ``guard_columns`` entries shows its slice's
-    ``edge_leak`` to be at most ``BOUNDARY_TOL``, NaN elsewhere in the
-    slice aside: both edges are zero, or the larger edge over the largest
-    |probe| is at most the tolerance, since no probe exceeds the slice's
-    peak. It is ``edge_leak``'s own division, so a row it clears is one
-    the scan passes; ``edge <= BOUNDARY_TOL * probe`` would clear some
-    whose leak rounds above the tolerance."""
+    ``edge_leak`` to be at most ``BOUNDARY_TOL``: both edges are zero, or
+    the larger edge over the largest |probe| is at most the tolerance,
+    since no probe exceeds the slice's peak. It is ``edge_leak``'s own
+    division, so a row it clears is one the scan passes; ``edge <=
+    BOUNDARY_TOL * probe`` would clear some whose leak rounds above the
+    tolerance."""
     edge = np.maximum(np.abs(columns[..., 0]), np.abs(columns[..., -1]))
     probe = np.abs(columns[..., 1:-1]).max(axis=-1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return (edge == 0.0) | (edge / probe <= BOUNDARY_TOL)
 
 
-def ensure_decaying(values: np.ndarray, grid: GridSpec, what: str) -> None:
-    """Refuse ``values`` whose ``edge_leak`` is above ``BOUNDARY_TOL`` or NaN,
-    scanning only the rows that ``cleared_rows`` leaves, or every row when
-    one whole-array maximum shows a NaN."""
+def ensure_decaying(values: np.ndarray, grid: GridSpec, what: str) -> np.ndarray:
+    """The sum of each spatial slice of ``values``, as one flat array;
+    refused when a sum is not finite or when the ``edge_leak`` of the
+    rows that ``cleared_rows`` leaves is above ``BOUNDARY_TOL``."""
     flat = np.asarray(values, dtype=float).reshape(-1, grid.n_x)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, or past the range
+        sums = flat.sum(axis=1)
+    if not np.isfinite(sums).all():
+        raise FieldRefused(f"{what} has a row whose sum is not finite")
     suspect = ~cleared_rows(flat[:, guard_columns(grid)])
-    if np.isnan(np.max(flat, initial=0.0)):
-        suspect[:] = True
-    if not suspect.any():
-        return
-    leak = edge_leak(flat[suspect], grid)
-    if not leak <= BOUNDARY_TOL:
-        raise BoundaryLeak(
-            f"{what} has relative boundary magnitude {leak:.3e}, "
-            f"above the tolerance {BOUNDARY_TOL:.1e}")
+    if suspect.any():
+        leak = edge_leak(flat[suspect], grid)
+        if leak > BOUNDARY_TOL:
+            raise BoundaryLeak(
+                f"{what} has relative boundary magnitude {leak:.3e}, "
+                f"above the tolerance {BOUNDARY_TOL:.1e}")
+    return sums
 
 
 def mass_error(density: np.ndarray, grid: GridSpec) -> float:
@@ -363,8 +366,7 @@ def spectral_antiderivative(values: np.ndarray, grid: GridSpec,
 def row_integrals(values: np.ndarray, grid: GridSpec, what: str) -> np.ndarray:
     """Rectangle rule over the box of every spatial slice of a decaying
     field, any number of rows; each row's sum is the same alone or in a block."""
-    ensure_decaying(values, grid, what)
-    return grid.dx * values.sum(axis=-1)
+    return grid.dx * ensure_decaying(values, grid, what).reshape(values.shape[:-1])
 
 
 def cumulative_trapezoid(values: np.ndarray, grid: GridSpec) -> np.ndarray:

@@ -7,9 +7,10 @@ table back reproduces the values bit for bit. The bytes are those of
 fmt="%.17g")``, written without a Python step per row or per value: one
 private writer puts the header line down, lays out each chunk of rows in
 one numpy pass and writes it as ``template % ints`` of ``_FORMAT_ROWS``
-rows at a time. ``table_to_csv`` hands it ``BLOCK_ROWS`` rows at a time,
-``couple_to_csv`` one time node at a time, with each grid x formatted
-once into a row piece ``",<x>,"`` and each node's t once.
+rows at a time. ``table_to_csv`` hands it the whole table as one chunk
+(the lab's tables hold a few thousand rows at most), ``couple_to_csv``
+one time node at a time, with each grid x formatted once into a row
+piece ``",<x>,"`` and each node's t once.
 
 The writer does not run ``%.17g`` per value. For a chunk, numpy finds
 each double's correctly rounded 17-digit significand N as an integer
@@ -40,8 +41,6 @@ import numpy as np
 
 from .grid_fields import GridSpec
 
-# Rows laid out by one kernel call in ``table_to_csv``.
-BLOCK_ROWS = 1024
 # Rows formatted by one ``%`` operation, so that its template and output
 # stay near 2 and 4 KB. With a whole time node per operation (16 and
 # 31 KB), a process that keeps objects between calls, as perfbench's
@@ -300,8 +299,7 @@ def _write_csv(path, header: str, chunks) -> None:
 def table_to_csv(path, header: str, columns) -> None:
     """Rows of the given equal-length columns under a comma separated header."""
     table = np.asarray(np.column_stack(columns), dtype=float)
-    _write_csv(path, header, (((), table[start:start + BLOCK_ROWS])
-                              for start in range(0, len(table), BLOCK_ROWS)))
+    _write_csv(path, header, [((), table)])
 
 
 def couple_to_csv(path, grid: GridSpec, rho_values: np.ndarray,

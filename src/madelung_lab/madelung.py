@@ -14,9 +14,11 @@ difference rule (exact on quadratics, hence on every Gaussian case).
 A :class:`FluidCouple` is three fields on one grid, rho, v and
 d(log rho)/dx; each constructor, ``decompose`` of a wave field or
 ``gaussian_couple`` of closed forms, attaches the last by its best route.
-The drift b = v + (1/2) d(log rho)/dx is a :class:`DriftField`, a
-scalar field that steers the diffusion ensembles in
-:mod:`madelung_lab.nelson_sde`; off the lattice it is read by
+``ensure_couple_rows`` checks any block of a couple's rows, and
+``action_integrand`` forms their (v^2 + w u^2) rho for one Fisher
+weight w, u = (1/2) d(log rho)/dx. The drift b = v + u is a
+:class:`DriftField`, a scalar field that steers the diffusion ensembles
+in :mod:`madelung_lab.nelson_sde`; off the lattice it is read by
 :meth:`ScalarField.at`, the rule the path estimators share.
 """
 
@@ -57,32 +59,26 @@ class FluidCouple:
             raise ValueError("couple fields live on different grids")
         ensure_positive(self.rho.values, "density")
         ensure_couple_rows(self.rho.values, self.v.values,
-                           self.log_density_gradient.values, grid, ())
+                           self.log_density_gradient.values, grid)
 
 
-def action_integrands(rho: np.ndarray, v: np.ndarray, log_density_gradient: np.ndarray,
-                      fisher_weights) -> list[np.ndarray]:
-    """(v^2 + w u^2) rho, u = (1/2) d(log rho)/dx, for each weight w in -1,
-    0, +1 of ``fisher_weights``, on any block of a couple's rows: -1 gives
-    the quantum action's integrand, 0 the classical and +1 the finite
-    action's. v^2 and u^2 are formed once, the last integrand in place on
-    v^2; each is bit for bit (v**2 + w * u**2) * rho."""
-    if not fisher_weights:
-        return []
-    kinetic = v**2
-    if any(fisher_weights):
+def action_integrand(rho: np.ndarray, v: np.ndarray, log_density_gradient: np.ndarray,
+                     weight: float) -> np.ndarray:
+    """(v^2 + w u^2) rho, u = (1/2) d(log rho)/dx, for the weight w of -1, 0
+    or +1, on any block of a couple's rows: -1 gives the quantum action's
+    integrand, 0 the classical and +1 the finite action's. It is formed in
+    place on v^2, with u^2 only when w is not 0, and is bit for bit
+    (v**2 + w * (0.5 * log_density_gradient)**2) * rho."""
+    integrand = v**2
+    if weight:
         fisher = 0.5 * log_density_gradient
         fisher *= fisher
-    integrands = []
-    for i, weight in enumerate(fisher_weights):
-        integrand = kinetic if i == len(fisher_weights) - 1 else kinetic.copy()
         if weight > 0.0:
             integrand += fisher
-        elif weight < 0.0:
+        else:
             integrand -= fisher
-        integrand *= rho
-        integrands.append(integrand)
-    return integrands
+    integrand *= rho
+    return integrand
 
 
 def ensure_positive(density: np.ndarray, what: str) -> None:
@@ -94,23 +90,20 @@ def ensure_positive(density: np.ndarray, what: str) -> None:
 
 
 def ensure_couple_rows(rho: np.ndarray, v: np.ndarray, log_density_gradient: np.ndarray,
-                       grid: GridSpec, fisher_weights) -> list[np.ndarray]:
+                       grid: GridSpec) -> None:
     """A couple's rules past positivity and finiteness, on any block of its
-    rows: a normalized density and a decaying finite action integrand.
-    Returns the rows' action integrands of ``fisher_weights``. The finite
+    rows: a normalized density and a decaying finite action integrand. The
     integrand is formed on the ``guard_columns`` first, elementwise so bit
     for bit, and on the rows those do not clear only when there are such
     rows; the refusal is the one of the whole integrand."""
     ensure_normalized(rho, grid, "density")
     columns = guard_columns(grid)
-    finite, = action_integrands(rho[:, columns], v[:, columns],
-                                log_density_gradient[:, columns], (1.0,))
-    uncleared = ~cleared_rows(finite)
+    uncleared = ~cleared_rows(action_integrand(rho[:, columns], v[:, columns],
+                                               log_density_gradient[:, columns], 1.0))
     if uncleared.any():
-        finite, = action_integrands(rho[uncleared], v[uncleared],
-                                    log_density_gradient[uncleared], (1.0,))
-        ensure_decaying(finite, grid, "finite action integrand")
-    return action_integrands(rho, v, log_density_gradient, fisher_weights)
+        ensure_decaying(action_integrand(rho[uncleared], v[uncleared],
+                                         log_density_gradient[uncleared], 1.0),
+                        grid, "finite action integrand")
 
 
 class DriftField(ScalarField):

@@ -49,6 +49,15 @@ PINNED_THEOREM_SHA256 = {
     "summary.json": "92b3f8b071e8024234457184299931e5ac24745639f5cd0bd7e98ba8b488494a",
     "y_profiles.csv": "f4bc511e4cea7ba27ba39520c89332cd9340381447a7333bb51952c89d42cf90",
 }
+# a bb-compare on a small lattice and the sha256 of its two outputs, whose
+# Monge CDFs and transport costs pass the decay guard; recorded while the
+# guard still took a whole-array NaN maximum besides the row sums
+PINNED_TRANSPORT = ("experiment = bb-compare\ngrid.n_x = 256\ngrid.n_t = 64\n"
+                    "transport.n_pairs = 3\n")
+PINNED_TRANSPORT_SHA256 = {
+    "summary.json": "d5a55f977b8319e94051dad03ecc53d6298cbd162500dc71c468d866c5dd4ce4",
+    "first_pair_map.csv": "94a22ac085d16f6d809a791ad55ff43016b6111bce954da54a1f199985530d8e",
+}
 # keys whose settings are now constants, with the values they last held:
 # the perturbation recipe of ``competitors``, the always written couple CSV
 # and the output directory, which is $OUTPUT_DIR or out/<experiment>
@@ -456,6 +465,14 @@ class TestRun:
         assert run_cli(["run", write_config(tmp_path, PINNED_THEOREM)]) == 2
         capsys.readouterr()
         for name, digest in PINNED_THEOREM_SHA256.items():
+            assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() == digest, name
+
+    def test_transport_outputs_keep_their_bytes(self, tmp_path, monkeypatch, capsys):
+        out_dir = tmp_path / "out"
+        monkeypatch.setenv("OUTPUT_DIR", str(out_dir))
+        assert run_cli(["run", write_config(tmp_path, PINNED_TRANSPORT)]) == 0
+        capsys.readouterr()
+        for name, digest in PINNED_TRANSPORT_SHA256.items():
             assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() == digest, name
 
     def test_each_ensemble_is_released_before_the_next_is_stepped(

@@ -24,7 +24,7 @@ from madelung_lab import competitors
 from madelung_lab.competitors import (AMPLITUDE, SPACE_SUPPORT, Y_GRID,
                                       positivity_head_room, raw_perturbation)
 from madelung_lab.grid_fields import fd_dt, spectral_antiderivative, spectral_dx
-from madelung_lab.madelung import action_integrands
+from madelung_lab.madelung import action_integrand
 
 from controls import full_lattice_member
 
@@ -376,8 +376,8 @@ class TestHull:
                 assert np.array_equal(block, values[rows]), (y, name)
                 assert np.array_equal(values[off_hull],
                                       getattr(fam.base, name).values[off_hull]), (y, name)
-            assert np.array_equal(quantum, action_integrands(
-                *(values[rows] for values in want), (-1.0,))[0]), y
+            assert np.array_equal(quantum, action_integrand(
+                *(values[rows] for values in want), -1.0)), y
 
     @staticmethod
     def assert_reports_match_the_oracle(fam):

@@ -12,15 +12,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate as scipy_integrate
 
-from madelung_lab import (BoundaryLeak, GaussianPacketSpec, GridSpec,
+from madelung_lab import (BoundaryLeak, FieldRefused, GaussianPacketSpec, GridSpec,
                           PerturbationSpec, ScalarField, classical_action, decompose,
                           finite_action_norm, gaussian_packet, make_family,
                           quantum_action, verify_theorem1)
 from madelung_lab import grid_fields
+from madelung_lab.benamou_brenier import monge_map_1d
 from madelung_lab.grid_fields import (BOUNDARY_TOL, edge_leak, ensure_decaying,
                                       fd_dt, fd_dx, row_integrals,
                                       spectral_antiderivative, spectral_dx,
                                       time_integrate)
+from madelung_lab.madelung import action_integrand
 
 
 @pytest.fixture()
@@ -316,6 +318,45 @@ class TestIntegration:
             time_integrate(np.ones(5), small_grid)
 
 
+class TestRowIntegralsBitForBit:
+    """``row_integrals`` scales the decay guard's row sums by dx; that is
+    the rectangle rule ``grid.dx * values.sum(axis=-1)`` bit for bit, on
+    every kind of array the lab integrates."""
+
+    @staticmethod
+    def assert_rectangle_rule(values, grid):
+        got = row_integrals(values, grid, "integrand")
+        want = grid.dx * values.sum(axis=-1)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_one_slice_second_moment(self, grid, packet_couple):
+        self.assert_rectangle_rule(grid.x**2 * packet_couple.rho.values[-1], grid)
+
+    def test_one_slice_transport_cost(self, grid):
+        rho0 = normal_density(grid.x)
+        rho1 = normal_density((grid.x - 1.0) / 1.3) / 1.3
+        plan = monge_map_1d(rho0, rho1, grid)
+        self.assert_rectangle_rule((plan.map_samples - grid.x) ** 2 * rho0, grid)
+
+    def test_block_of_rows(self, grid, packet_couple):
+        fields = (packet_couple.rho, packet_couple.v, packet_couple.log_density_gradient)
+        block = action_integrand(*(f.values[40:90] for f in fields), -1.0)
+        self.assert_rectangle_rule(block, grid)
+
+    @pytest.mark.parametrize("first_row", [40, 41], ids=["even", "odd"])
+    def test_strided_coarse_slice(self, grid, packet_couple, first_row):
+        # what an action report integrates on the coarse grid: the even
+        # rows of a block from first_row on, every second column
+        fields = (packet_couple.rho, packet_couple.v, packet_couple.log_density_gradient)
+        block = action_integrand(*(f.values[first_row:first_row + 51] for f in fields),
+                                 -1.0)
+        coarse = block[first_row % 2::2, ::2]
+        assert not coarse.flags.c_contiguous
+        self.assert_rectangle_rule(coarse, grid.coarsen())
+
+
 class TestAntiderivative:
     def test_roundtrip_of_derivative(self, small_grid):
         x = small_grid.x
@@ -457,16 +498,34 @@ def leak_refusal(what: str, leak: float) -> str:
             f"above the tolerance {BOUNDARY_TOL:.1e}")
 
 
+def nonfinite_refusal(what: str) -> str:
+    return f"{what} has a row whose sum is not finite"
+
+
+def finite_row(row: np.ndarray) -> bool:
+    """Every entry is finite and so is the row's own sum."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.isfinite(row).all() and np.isfinite(row.sum()))
+
+
 class TestDecayGuard:
-    """``ensure_decaying`` decides most rows from their edge and centre
-    columns and refuses exactly what the scan of every row refuses."""
+    """``ensure_decaying`` refuses a row that is not finite, decides most
+    rows from their edge and centre columns and refuses exactly what the
+    scan of every row refuses."""
 
     @given(values=guard_blocks())
     @settings(max_examples=400, deadline=None, database=None)
     def test_refuses_exactly_what_the_scan_refuses(self, values):
+        rows = np.reshape(values, (-1, GUARD_GRID.n_x))
+        if not all(finite_row(row) for row in rows):
+            with pytest.raises(FieldRefused) as caught:
+                ensure_decaying(values, GUARD_GRID, "probe")
+            assert str(caught.value) == nonfinite_refusal("probe")
+            return
         leak = edge_leak(values, GUARD_GRID)
         if leak <= BOUNDARY_TOL:
-            ensure_decaying(values, GUARD_GRID, "probe")
+            sums = ensure_decaying(values, GUARD_GRID, "probe")
+            assert sums.tobytes() == np.array([row.sum() for row in rows]).tobytes()
         else:
             with pytest.raises(BoundaryLeak) as caught:
                 ensure_decaying(values, GUARD_GRID, "probe")
@@ -483,28 +542,50 @@ class TestDecayGuard:
             ensure_decaying(row, GUARD_GRID, "probe")
         assert str(caught.value) == leak_refusal("probe", edge_leak(row, GUARD_GRID))
 
+    @staticmethod
+    def assert_refused_as_not_finite(values, grid):
+        # by the guard and by the quadrature, with no warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for guarded in (ensure_decaying, row_integrals):
+                with pytest.raises(FieldRefused) as caught:
+                    guarded(values, grid, "probe")
+                assert str(caught.value) == nonfinite_refusal("probe")
+
     @pytest.mark.parametrize("col", range(1, 15))
     def test_a_nan_inside_a_row_is_refused(self, col):
         grid = GridSpec(-12.0, 12.0, 16, 2)
         values = np.vstack([normal_density(grid.x)] * 2)
         values[1, col] = np.nan
-        assert np.isnan(edge_leak(values, grid))
-        for guarded in (ensure_decaying, grid_fields.row_integrals):
-            with pytest.raises(BoundaryLeak) as caught:
-                guarded(values, grid, "probe")
-            assert str(caught.value) == leak_refusal("probe", np.nan)
+        self.assert_refused_as_not_finite(values, grid)
 
     @pytest.mark.parametrize("col", [0, -1])
     @pytest.mark.parametrize("edge", [np.inf, -np.inf])
     def test_an_infinite_edge_is_refused_without_a_warning(self, col, edge):
         values = np.vstack([normal_density(GUARD_GRID.x)] * 2)
         values[0, col] = edge
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert np.isnan(edge_leak(values, GUARD_GRID))
-            with pytest.raises(BoundaryLeak) as caught:
-                ensure_decaying(values, GUARD_GRID, "probe")
-        assert str(caught.value) == leak_refusal("probe", np.nan)
+        self.assert_refused_as_not_finite(values, GUARD_GRID)
+
+    @pytest.mark.parametrize("col", [5, 8], ids=["off-the-probes", "probe"])
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf])
+    def test_an_infinite_entry_off_the_edges_is_refused(self, col, entry):
+        # it is its row's peak, so the edges over it leak 0: the scan alone
+        # passes the row, and its integral would read inf
+        grid = GridSpec(-12.0, 12.0, 16, 2)
+        assert (col in grid_fields.guard_columns(grid)) == (col == 8)
+        values = np.vstack([normal_density(grid.x)] * 2)
+        values[1, col] = entry
+        assert edge_leak(values[:1], grid) <= BOUNDARY_TOL
+        self.assert_refused_as_not_finite(values, grid)
+
+    def test_a_row_whose_sum_overflows_is_refused(self):
+        # finite entries, edges far below the tolerance, a sum past 1.8e308
+        grid = GridSpec(-12.0, 12.0, 16, 2)
+        values = np.vstack([normal_density(grid.x)] * 2)
+        values[1] = 1.5e308 * np.exp(-grid.x**2 / 2.0)
+        assert np.isfinite(values).all()
+        assert edge_leak(values, grid) <= BOUNDARY_TOL
+        self.assert_refused_as_not_finite(values, grid)
 
     @staticmethod
     def counted_scans(monkeypatch) -> list:

@@ -18,7 +18,7 @@ from madelung_lab import (BoundaryLeak, DriftField, FluidCouple, GridSpec,
 from madelung_lab import grid_fields, madelung
 from madelung_lab.grid_fields import (BOUNDARY_TOL, edge_leak, ensure_normalized,
                                       guard_columns)
-from madelung_lab.madelung import action_integrands, ensure_couple_rows
+from madelung_lab.madelung import action_integrand, ensure_couple_rows
 from madelung_lab.schrodinger import packet_phase
 
 from controls import packet_velocity, plateau_couple, translating_gaussian_couple
@@ -177,16 +177,28 @@ class TestFluidCouple:
         assert plateau_couple(grid).provenance == "synthetic"
 
 
-def full_integrand_rule(rho, v, lg, grid, fisher_weights):
-    """ensure_couple_rows as the scan of the whole finite integrand, formed
-    with the integrands of ``fisher_weights`` from the same v^2 and u^2."""
-    finite, *integrands = action_integrands(rho, v, lg, (1.0, *fisher_weights))
+def one_weight_formula(rho, v, lg, weight):
+    return (v**2 + weight * (0.5 * lg)**2) * rho
+
+
+def full_integrand_rule(rho, v, lg, grid, weights):
+    """ensure_couple_rows as the scan of the whole finite integrand, then
+    the formula's integrand of each of ``weights``."""
+    finite = one_weight_formula(rho, v, lg, 1.0)
     ensure_normalized(rho, grid, "density")
     leak = edge_leak(finite, grid)
     if not leak <= BOUNDARY_TOL:
         raise BoundaryLeak(f"finite action integrand has relative boundary magnitude "
                            f"{leak:.3e}, above the tolerance {BOUNDARY_TOL:.1e}")
-    return integrands
+    return [one_weight_formula(rho, v, lg, weight) for weight in weights]
+
+
+def checked_integrands(rho, v, lg, grid, weights):
+    """What a caller of ensure_couple_rows forms once the rows pass: a
+    couple nothing, a competitor member its quantum integrand, the three
+    reports one integrand each."""
+    assert ensure_couple_rows(rho, v, lg, grid) is None
+    return [action_integrand(rho, v, lg, weight) for weight in weights]
 
 
 def rule_outcome(rule, *args):
@@ -237,7 +249,7 @@ class TestEnsureCoupleRows:
         monkeypatch.setattr(grid_fields, "edge_leak",
                             lambda values, grid: scans.append(len(values))
                             or edge_leak(values, grid))
-        got = rule_outcome(ensure_couple_rows, rho, v, lg, grid, weights)
+        got = rule_outcome(checked_integrands, rho, v, lg, grid, weights)
         assert sum(scans) == scanned
         assert got == rule_outcome(full_integrand_rule, rho, v, lg, grid, weights)
         if refusal is None:
@@ -247,20 +259,21 @@ class TestEnsureCoupleRows:
 
     def test_cleared_rows_form_only_the_guard_columns(self, packet_couple, monkeypatch):
         # the packet's rows are all cleared: the finite integrand is formed
-        # on the five guard columns alone, then the quantum one on the
-        # whole block, and no row is scanned
+        # on the five guard columns alone, and no row is scanned
         scans, formed = [], []
         monkeypatch.setattr(grid_fields, "edge_leak", lambda *args: scans.append(args))
-        monkeypatch.setattr(madelung, "action_integrands",
+        monkeypatch.setattr(madelung, "action_integrand",
                             lambda rho, *rest: formed.append(rho.shape)
-                            or action_integrands(rho, *rest))
+                            or action_integrand(rho, *rest))
         fields = (packet_couple.rho, packet_couple.v, packet_couple.log_density_gradient)
-        ensure_couple_rows(*(f.values for f in fields), packet_couple.rho.grid, (-1.0,))
-        assert (scans, formed) == ([], [(257, 5), (257, 512)])
+        ensure_couple_rows(*(f.values for f in fields), packet_couple.rho.grid)
+        assert (scans, formed) == ([], [(257, 5)])
 
 
 class TestActionIntegrands:
-    """One call forms v^2 and u^2 once for every weight it is given."""
+    """Each call forms one weight's integrand, in place on v^2, and leaves
+    its inputs as they were, so integrands of several weights can be
+    formed from the same rows."""
 
     @pytest.mark.parametrize("weights", [(1.0,), (-1.0,), (0.0,), (1.0, -1.0),
                                          (-1.0, 0.0, 1.0)])
@@ -269,9 +282,8 @@ class TestActionIntegrands:
         rho, v, lg = (f.values[rows] for f in (packet_couple.rho, packet_couple.v,
                                                packet_couple.log_density_gradient))
         v = v + 0.3  # a velocity that is nowhere zero
-        got = action_integrands(rho, v, lg, weights)
-        assert len(got) == len(weights)
-        for weight, integrand in zip(weights, got):
-            want = (v**2 + weight * (0.5 * lg)**2) * rho
-            assert np.array_equal(integrand, want), weight
-            assert np.array_equal(integrand, action_integrands(rho, v, lg, (weight,))[0])
+        inputs = [a.tobytes() for a in (rho, v, lg)]
+        for weight in weights:
+            got = action_integrand(rho, v, lg, weight)
+            assert got.tobytes() == one_weight_formula(rho, v, lg, weight).tobytes(), weight
+            assert [a.tobytes() for a in (rho, v, lg)] == inputs, weight

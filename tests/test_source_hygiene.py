@@ -67,6 +67,11 @@
   matrix as an argument (``np.diff(ens.paths)``): what such a call
   returns is a second buffer of that matrix's size. Reads of a slice
   (a column ``ens.paths[:, i]``) stay allowed.
+* ``edge_leak`` is named only in ``ensure_decaying``, and the guard's
+  helpers ``guard_columns`` and ``cleared_rows`` only in ``grid_fields``
+  and in ``madelung.ensure_couple_rows`` (and that module's import of
+  them), the one couple-side prescreen: every other caller goes through
+  the guard, which clears rows by their guard columns before it scans.
 * Every parameter with a default in a library ``def`` is set, by
   keyword, by position or through ``*args`` or ``**kwargs``, by some
   call in the library or in ``perfbench/`` to that function: a setting
@@ -581,6 +586,56 @@ def test_edge_leak_in_the_decay_guard_passes():
                "    leak = edge_leak(values, grid)\n")
     assert stray_leak_scans(snippet) == []
     assert named_sites(snippet, ("edge_leak",)) == [(5, "ensure_decaying")]
+
+
+GUARD_HELPERS = ("guard_columns", "cleared_rows")
+
+
+def stray_guard_helpers(source: str, module: str) -> list[tuple[int, str]]:
+    """(line, enclosing function) of every name, attribute or import of a
+    decay guard helper outside ``grid_fields``, save ``madelung``'s import
+    of them and ``madelung.ensure_couple_rows``, the one couple-side
+    prescreen: a second prescreen would be a second copy of the guard."""
+    if module == "grid_fields":
+        return []
+    return [(node.lineno, owner) for node, owner in owned_nodes(source)
+            if ((isinstance(node, ast.Name) and node.id in GUARD_HELPERS)
+                or (isinstance(node, ast.Attribute) and node.attr in GUARD_HELPERS)
+                or (isinstance(node, ast.alias) and node.name in GUARD_HELPERS
+                    and not (module == "madelung" and owner == "<module>")))
+            and not (module == "madelung" and owner == "ensure_couple_rows")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_guard_helpers_only_in_the_guard_and_the_couple_prescreen(path):
+    assert stray_guard_helpers(path.read_text(), path.stem) == []
+
+
+@pytest.mark.parametrize("module, snippet", [
+    pytest.param("competitors", "from .grid_fields import cleared_rows\n", id="import"),
+    pytest.param("action_functionals", "from . import grid_fields\n\n"
+                 "def rows(values, grid):\n"
+                 "    return values[:, grid_fields.guard_columns(grid)]\n",
+                 id="attribute"),
+    pytest.param("madelung", "def member_prescreen(columns):\n"
+                 "    return ~cleared_rows(columns)\n", id="second-prescreen"),
+    pytest.param("madelung", "SCREEN = cleared_rows\n", id="module-level"),
+])
+def test_guard_helper_sites_are_found(module, snippet):
+    assert stray_guard_helpers(snippet, module)
+
+
+def test_guard_helpers_in_their_allowed_sites_pass():
+    prescreen = ("from .grid_fields import cleared_rows, guard_columns\n\n"
+                 "def ensure_couple_rows(rho, grid):\n"
+                 "    return cleared_rows(rho[:, guard_columns(grid)])\n")
+    assert stray_guard_helpers(prescreen, "madelung") == []
+    assert stray_guard_helpers(prescreen, "competitors") == [(1, "<module>"),
+                                                              (1, "<module>"),
+                                                              (4, "ensure_couple_rows"),
+                                                              (4, "ensure_couple_rows")]
+    guard = "def ensure_decaying(values, grid):\n    return guard_columns(grid)\n"
+    assert stray_guard_helpers(guard, "grid_fields") == []
 
 
 def _numpy_call(node: ast.AST) -> bool:
