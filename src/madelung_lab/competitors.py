@@ -50,8 +50,7 @@ import numpy as np
 
 from .action_functionals import ActionReport, row_series, series_report, spliced_report
 from .errors import AmplitudeInfeasible, FieldRefused, MadelungLabError, SupportLeak
-from .grid_fields import (ScalarField, ensure_finite, fd_dt, spectral_antiderivative,
-                          spectral_dx, taper)
+from .grid_fields import ScalarField, fd_dt, spectral_antiderivative, spectral_dx, taper
 from .madelung import FluidCouple, action_integrand, ensure_couple_rows, ensure_positive
 
 Y_GRID = (-1.0, -0.75, -0.5, -0.25, -0.125, 0.0,
@@ -241,7 +240,8 @@ class CompetitorFamily:
         rows at full width, checked by the couple's rules, positivity first
         (before the log), and the quantum action integrand of those rows.
         The other rows are the base's, which obey the rules, so a failing
-        rule reports the whole member's worst value."""
+        rule reports the whole member's worst value. No scan looks for a
+        non-finite entry: row sums refuse it (see ``ensure_couple_rows``)."""
         if abs(y) > 1.0:
             raise ValueError(f"y must lie in [-1, 1], got {y}")
         base = self.base
@@ -264,9 +264,6 @@ class CompetitorFamily:
         log_grad = spectral_dx(log_bump, grid, "log density bump")
         del log_bump
         log_grad += base.log_density_gradient.values[rows]
-        # off the hull columns rho_y and v_y are the base's finite rows
-        for values in (rho_y[:, cols], v_y[:, cols], log_grad):
-            ensure_finite(values, "scalar field")
         ensure_couple_rows(rho_y, v_y, log_grad, grid)
         return rho_y, v_y, log_grad, action_integrand(rho_y, v_y, log_grad, -1.0)
 

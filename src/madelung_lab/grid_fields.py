@@ -25,28 +25,25 @@ field, or of a block of rows. Time quadrature is the trapezoid rule.
 The guard, ``ensure_decaying``, makes one pass over the array, its row
 sums, which ``row_integrals`` scales by dx. It refuses a row whose sum
 is not finite (a NaN or infinite entry, or a sum past the largest
-double) with :class:`FieldRefused`, and a field whose ``edge_leak`` is
-above ``BOUNDARY_TOL`` with :class:`BoundaryLeak`: in some row the
-larger edge magnitude exceeds ``BOUNDARY_TOL`` of the row's peak
-|value|. Any one entry is a lower bound of its row's peak, so the edge
-and centre columns decide most rows alone (``guard_columns``: the two
-edges and three probes, the centre and an eighth of the box to either
-side). ``cleared_rows`` clears a row whose edges are zero or whose
-larger edge over its largest |probe| is at most ``BOUNDARY_TOL``. Only
-the rows left uncleared are scanned for their peaks. The largest leak
-lies on an uncleared row, so the refusal and its message are those of
-the scan of every row.
+double) with :class:`FieldRefused`; its edge half, ``ensure_edges_decay``,
+refuses a field whose ``edge_leak`` is above ``BOUNDARY_TOL`` with
+:class:`BoundaryLeak`: in some row the larger edge magnitude exceeds
+``BOUNDARY_TOL`` of the row's peak |value|. Any one entry is a lower
+bound of its row's peak, so the edge and centre columns decide most
+rows alone (``guard_columns``: the two edges and three probes, the
+centre and an eighth of the box to either side). ``cleared_rows``
+clears a row whose edges are zero or whose larger edge over its largest
+|probe| is at most ``BOUNDARY_TOL``. Only the rows left uncleared are
+scanned for their peaks. The largest leak lies on an uncleared row, so
+the refusal and its message are those of the scan of every row.
 A density counts as normalized when its mass is 1 within ``MASS_TOL``
 in every slice (``mass_error``); ``ensure_normalized`` is that rule.
-Off the lattice a field is read by ``ScalarField.at``: linear in x,
-frozen at the time node to the left. The grid is uniform, so the lookup
-finds each position's segment in O(1) instead of by search; its result
-is bitwise equal to ``np.interp`` on that node's row. The lookup is two
-steps, ``GridSpec.locate`` and ``ScalarField.read``, so fields sharing
-a grid are read at the same positions from one location. Each field
-builds its table of segment slopes once, at its first read, and reads
-every row from it; a field's values must therefore not change after
-its first read.
+Its row sums, like the guard's, refuse a non-finite entry: only a
+``ScalarField`` scans its values for one, at construction.
+Off the lattice a field is read by ``ScalarField.at``, linear in x and
+frozen at the time node to the left: bitwise ``np.interp`` on that
+node's row, found in O(1) on the uniform grid, from a slope table the
+field builds at its first read (its values must not change after it).
 """
 
 from __future__ import annotations
@@ -163,14 +160,6 @@ def ensure_finite(values: np.ndarray, what: str) -> None:
         raise FieldRefused(f"{what} contains non-finite entries")
 
 
-def _checked_values(values: np.ndarray, shape: tuple, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != shape:
-        raise ValueError(f"{what} has shape {arr.shape}, expected {shape}")
-    ensure_finite(arr, what)
-    return arr
-
-
 @dataclass(frozen=True)
 class ScalarField:
     """Real scalar samples, one row per time node."""
@@ -179,9 +168,12 @@ class ScalarField:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        g = self.grid
-        object.__setattr__(self, "values",
-                           _checked_values(self.values, (g.n_t + 1, g.n_x), "scalar field"))
+        shape = (self.grid.n_t + 1, self.grid.n_x)
+        arr = np.asarray(self.values, dtype=float)
+        if arr.shape != shape:
+            raise ValueError(f"scalar field has shape {arr.shape}, expected {shape}")
+        ensure_finite(arr, "scalar field")
+        object.__setattr__(self, "values", arr)
 
     def at(self, positions: np.ndarray, t: float) -> np.ndarray:
         """Values at arbitrary finite positions, frozen at the time node <= t
@@ -285,32 +277,41 @@ def cleared_rows(columns: np.ndarray) -> np.ndarray:
 
 def ensure_decaying(values: np.ndarray, grid: GridSpec, what: str) -> np.ndarray:
     """The sum of each spatial slice of ``values``, as one flat array;
-    refused when a sum is not finite or when the ``edge_leak`` of the
-    rows that ``cleared_rows`` leaves is above ``BOUNDARY_TOL``."""
+    refused when a sum is not finite, then by ``ensure_edges_decay``."""
     flat = np.asarray(values, dtype=float).reshape(-1, grid.n_x)
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, or past the range
         sums = flat.sum(axis=1)
     if not np.isfinite(sums).all():
         raise FieldRefused(f"{what} has a row whose sum is not finite")
-    suspect = ~cleared_rows(flat[:, guard_columns(grid)])
+    ensure_edges_decay(flat, grid, what)
+    return sums
+
+
+def ensure_edges_decay(rows: np.ndarray, grid: GridSpec, what: str) -> None:
+    """Refuse rows of finite entries, a 2-D array, when the ``edge_leak`` of
+    those that ``cleared_rows`` leaves is above ``BOUNDARY_TOL``."""
+    suspect = ~cleared_rows(rows[:, guard_columns(grid)])
     if suspect.any():
-        leak = edge_leak(flat[suspect], grid)
+        leak = edge_leak(rows[suspect], grid)
         if leak > BOUNDARY_TOL:
             raise BoundaryLeak(
                 f"{what} has relative boundary magnitude {leak:.3e}, "
                 f"above the tolerance {BOUNDARY_TOL:.1e}")
-    return sums
 
 
 def mass_error(density: np.ndarray, grid: GridSpec) -> float:
     """Largest |dx * sum - 1| over a density's slices along the last axis
-    (0 when there are none)."""
-    return float(np.max(np.abs(grid.dx * np.sum(density, axis=-1) - 1.0), initial=0.0))
+    (0 when there are none); inf or NaN when a sum is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, or past the range
+        return float(np.max(np.abs(grid.dx * np.sum(density, axis=-1) - 1.0), initial=0.0))
 
 
 def ensure_normalized(density: np.ndarray, grid: GridSpec, what: str) -> None:
-    """Refuse a density whose ``mass_error`` is above ``MASS_TOL`` (or NaN)."""
+    """Refuse a density with a non-finite entry, then one whose ``mass_error``
+    is above ``MASS_TOL``; the entries are scanned only when a sum is not."""
     worst = mass_error(density, grid)
+    if not np.isfinite(worst):
+        ensure_finite(density, what)
     if not worst <= MASS_TOL:
         raise NormDrift(f"{what}'s mass on the box is off 1 by {worst:.3e}")
 

@@ -82,20 +82,22 @@ def action_integrand(rho: np.ndarray, v: np.ndarray, log_density_gradient: np.nd
 
 
 def ensure_positive(density: np.ndarray, what: str) -> None:
-    """Refuse a density with an entry <= 0 (an empty block has none),
+    """Refuse a density with an entry <= 0 or NaN (an empty block has none),
     naming the density ``what`` and its minimum."""
     low = density.min(initial=np.inf)
-    if low <= 0.0:
+    if not low > 0.0:
         raise FieldRefused(f"{what} must be strictly positive, min = {low:.3e}")
 
 
 def ensure_couple_rows(rho: np.ndarray, v: np.ndarray, log_density_gradient: np.ndarray,
                        grid: GridSpec) -> None:
-    """A couple's rules past positivity and finiteness, on any block of its
-    rows: a normalized density and a decaying finite action integrand. The
+    """A couple's rules past positivity, on any block of its rows: a finite,
+    normalized density and a decaying finite action integrand. The
     integrand is formed on the ``guard_columns`` first, elementwise so bit
     for bit, and on the rows those do not clear only when there are such
-    rows; the refusal is the one of the whole integrand."""
+    rows; for a finite v and d(log rho)/dx the refusal is the one of the
+    whole integrand, and a non-finite entry on a row the columns clear is
+    left to the row sums of the caller's integrand."""
     ensure_normalized(rho, grid, "density")
     columns = guard_columns(grid)
     uncleared = ~cleared_rows(action_integrand(rho[:, columns], v[:, columns],

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NodeDetected
-from .grid_fields import GridSpec, ensure_decaying, ensure_finite, ensure_normalized
+from .grid_fields import GridSpec, ensure_edges_decay, ensure_normalized
 
 NODE_FLOOR = 1e-60
 
@@ -46,14 +46,14 @@ class GaussianPacketSpec:
 def ensure_wave_density(density: np.ndarray, grid: GridSpec) -> None:
     """Refuse a |psi|^2 that is not, in this order, finite, normalized, at or
     above ``NODE_FLOOR`` (the paper's claim holds in the absence of nodes)
-    and decaying at the box edges."""
-    ensure_finite(density, "wave density")
+    and decaying at the box edges: ``ensure_normalized``'s row sums and the
+    minimum read the whole density, ``ensure_edges_decay`` its guard columns."""
     ensure_normalized(density, grid, "wave density")
     floor = float(density.min())
     if floor < NODE_FLOOR:
         raise NodeDetected(f"min |psi|^2 = {floor:.3e} is below the "
                            f"node floor {NODE_FLOOR:.1e}")
-    ensure_decaying(density, grid, "wave density")
+    ensure_edges_decay(density, grid, "wave density")
 
 
 @dataclass(frozen=True)

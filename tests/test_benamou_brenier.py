@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import madelung_lab
-from madelung_lab import (GaussianMeasure, GaussianPacketSpec, GridSpec,
+from madelung_lab import (FieldRefused, GaussianMeasure, GaussianPacketSpec, GridSpec,
                           NormDrift, TransportPlan1D, classical_action,
                           displacement_couple, euler_residual, gaussian_w2,
                           monge_map_1d, quantum_action, quantum_vs_classical,
@@ -141,6 +141,15 @@ class TestMongeMap:
             monge_map_1d(rho, dipped, flat_grid)
         with pytest.raises(NormDrift):
             monge_map_1d(2.0 * rho, rho, flat_grid)
+
+    def test_a_nan_source_is_refused_as_not_positive(self, flat_grid):
+        # NaN <= 0 is False, so only "not > 0" refuses it before its mass
+        rho = gaussian_on(flat_grid, 0.0, 1.0)
+        holed = rho.copy()
+        holed[7] = np.nan
+        with pytest.raises(FieldRefused) as caught:
+            monge_map_1d(holed, rho, flat_grid)
+        assert str(caught.value) == "source density must be strictly positive, min = nan"
 
     @pytest.mark.xfail(strict=True, reason=(
         "the map's tails are set by roundoff: scaling the source density by "

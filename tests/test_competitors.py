@@ -9,6 +9,7 @@ and on the deliberately broken couple (expected to be flagged).
 import hashlib
 import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from madelung_lab import (AmplitudeInfeasible, CompetitorFamily, FieldRefused,
 from madelung_lab import competitors
 from madelung_lab.competitors import (AMPLITUDE, SPACE_SUPPORT, Y_GRID,
                                       positivity_head_room, raw_perturbation)
-from madelung_lab.grid_fields import fd_dt, spectral_antiderivative, spectral_dx
+from madelung_lab.grid_fields import (fd_dt, guard_columns, spectral_antiderivative,
+                                      spectral_dx)
 from madelung_lab.madelung import action_integrand
 
 from controls import full_lattice_member
@@ -488,3 +490,54 @@ class TestHull:
         for y in Y_GRID:
             assert all(len(block) == 0 for block in fam.member_rows(y)), y
         assert sum(n for _, n in rows) == 0
+
+
+class TestNonFiniteMembers:
+    """A NaN or infinite entry that reaches a member's velocity (through u)
+    or its log density gradient is refused as ``FieldRefused``: by the
+    couple rule, which forms the finite integrand on the decay guard's
+    columns, or by the row sums of the quantum integrand. ``verify_theorem1``
+    reports the family as failed-to-construct. The entry sits in the
+    middle hull row, on the centre probe or on a hull column off the
+    probes of the seed-1000 family on the default packet."""
+
+    @staticmethod
+    def plant_in_u(monkeypatch, col, entry):
+        build = CompetitorFamily.__post_init__
+
+        def planted(self):
+            build(self)
+            rows, cols = self.hull
+            assert cols.start <= col < cols.stop
+            values = self.u.values.copy()
+            values[(rows.start + rows.stop) // 2, col] = entry
+            object.__setattr__(self, "u", SimpleNamespace(values=values))
+
+        monkeypatch.setattr(CompetitorFamily, "__post_init__", planted)
+
+    @staticmethod
+    def plant_in_log_gradient(monkeypatch, col, entry):
+        transform = competitors.spectral_dx
+
+        def planted(values, grid, what):
+            out = transform(values, grid, what)
+            if what == "log density bump":
+                out[len(out) // 2, col] = entry
+            return out
+
+        monkeypatch.setattr(competitors, "spectral_dx", planted)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("col", [256, 200], ids=["probe", "off-the-probes"])
+    @pytest.mark.parametrize("plant", ["plant_in_u", "plant_in_log_gradient"])
+    def test_refused_and_failed_to_construct(self, grid, packet_couple, monkeypatch,
+                                             plant, col, entry):
+        assert (col in guard_columns(grid)) == (col == 256)
+        getattr(self, plant)(monkeypatch, col, entry)
+        fam = make_family(packet_couple, PerturbationSpec(1000))
+        with pytest.raises(FieldRefused):
+            evaluate_family(fam)
+        report = verify_theorem1(packet_couple, [PerturbationSpec(1000)])
+        assert report["specs"][0]["verdict"] == "failed-to-construct"
+        assert report["n_failed"] == 1

@@ -9,7 +9,7 @@ once on the default lattice plus the second-order refinement ratio.
 import numpy as np
 import pytest
 
-from madelung_lab import (BoundaryLeak, DriftField, FluidCouple, GridSpec,
+from madelung_lab import (BoundaryLeak, DriftField, FieldRefused, FluidCouple, GridSpec,
                           MadelungLabError, NormDrift, ScalarField,
                           UnwrapInconsistent, WaveField,
                           constant_drift, continuity_residual, decompose, drift,
@@ -18,7 +18,7 @@ from madelung_lab import (BoundaryLeak, DriftField, FluidCouple, GridSpec,
 from madelung_lab import grid_fields, madelung
 from madelung_lab.grid_fields import (BOUNDARY_TOL, edge_leak, ensure_normalized,
                                       guard_columns)
-from madelung_lab.madelung import action_integrand, ensure_couple_rows
+from madelung_lab.madelung import action_integrand, ensure_couple_rows, ensure_positive
 from madelung_lab.schrodinger import packet_phase
 
 from controls import packet_velocity, plateau_couple, translating_gaussian_couple
@@ -175,6 +175,18 @@ class TestFluidCouple:
     def test_synthetic_builders_tag_provenance(self, grid):
         assert translating_gaussian_couple(grid, 0.0).provenance == "synthetic"
         assert plateau_couple(grid).provenance == "synthetic"
+
+
+class TestEnsurePositive:
+    # NaN <= 0 is False: only "not > 0" refuses a NaN minimum
+    @pytest.mark.parametrize("entry, shown", [(0.0, "0.000e+00"), (-1e-9, "-1.000e-09"),
+                                              (np.nan, "nan")], ids=["zero", "negative", "nan"])
+    def test_refuses_an_entry_that_is_not_positive(self, entry, shown):
+        density = np.full((2, 8), 0.125)
+        density[1, 3] = entry
+        with pytest.raises(FieldRefused) as caught:
+            ensure_positive(density, "density")
+        assert str(caught.value) == f"density must be strictly positive, min = {shown}"
 
 
 def one_weight_formula(rho, v, lg, weight):

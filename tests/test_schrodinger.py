@@ -10,9 +10,10 @@ at t = 0.5 for the default packet, at three lattice points.
 import numpy as np
 import pytest
 
-from madelung_lab import (BoundaryLeak, GaussianPacketSpec, GridSpec,
+from madelung_lab import (BoundaryLeak, FieldRefused, GaussianPacketSpec, GridSpec,
                           NodeDetected, NormDrift, WaveField, free_propagate,
                           gaussian_packet, packet_density, packet_initial)
+from madelung_lab.schrodinger import ensure_wave_density
 
 # (node index on the 512-point default lattice, x, psi(0.5, x))
 PROPAGATOR_ORACLE = [
@@ -140,3 +141,52 @@ class TestWaveField:
     def test_density_is_squared_magnitude(self, psi):
         assert np.allclose(psi.density(), np.abs(psi.values) ** 2,
                            rtol=0.0, atol=0.0)
+
+
+def closed_density(grid, sigma0=1.0):
+    return packet_density(GaussianPacketSpec(sigma0=sigma0), grid.x[np.newaxis, :],
+                          grid.t[:, np.newaxis])
+
+
+def with_entry(density, row, col, value):
+    out = density.copy()
+    out[row, col] = value
+    return out
+
+
+NON_FINITE = (FieldRefused, "wave density contains non-finite entries")
+OFF_BY_HALF = (NormDrift, "wave density's mass on the box is off 1 by 5.000e-01")
+NODE = (NodeDetected, "min |psi|^2 = 0.000e+00 is below the node floor 1.0e-60")
+LEAK = (BoundaryLeak, "wave density has relative boundary magnitude 4.436e-10, "
+                      "above the tolerance 1.0e-12")
+
+
+class TestWaveDensityRules:
+    """``ensure_wave_density`` refuses, in this order, a density that is not
+    finite, not normalized, below the node floor or not decaying: each
+    case breaks its rule and every later one, and gets the first's type
+    and text. A zero in the far tail moves the mass by less than 1e-11."""
+
+    @pytest.mark.parametrize("build, refusal", [
+        pytest.param(lambda g: with_entry(closed_density(g), 3, 100, np.nan),
+                     NON_FINITE, id="nan"),
+        pytest.param(lambda g: with_entry(closed_density(g), 0, 0, -np.inf),
+                     NON_FINITE, id="inf-at-the-edge"),
+        pytest.param(lambda g: with_entry(1.5 * closed_density(g, 1.8), 9, 1, np.inf),
+                     NON_FINITE, id="finite-before-normalized"),
+        pytest.param(lambda g: 1.5 * closed_density(g), OFF_BY_HALF, id="mass"),
+        pytest.param(lambda g: with_entry(1.5 * closed_density(g, 1.8), 9, 1, 0.0),
+                     OFF_BY_HALF, id="normalized-before-floor"),
+        pytest.param(lambda g: with_entry(closed_density(g), 9, 1, 0.0), NODE, id="node"),
+        pytest.param(lambda g: with_entry(closed_density(g, 1.8), 9, 1, 0.0), NODE,
+                     id="floor-before-decaying"),
+        pytest.param(lambda g: closed_density(g, 1.8), LEAK, id="leak"),
+    ])
+    def test_refusal_and_order(self, grid, build, refusal):
+        with pytest.raises(refusal[0]) as caught:
+            ensure_wave_density(build(grid), grid)
+        assert type(caught.value) is refusal[0]
+        assert str(caught.value) == refusal[1]
+
+    def test_the_packet_passes(self, grid):
+        assert ensure_wave_density(closed_density(grid), grid) is None

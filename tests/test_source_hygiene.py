@@ -67,11 +67,16 @@
   matrix as an argument (``np.diff(ens.paths)``): what such a call
   returns is a second buffer of that matrix's size. Reads of a slice
   (a column ``ens.paths[:, i]``) stay allowed.
-* ``edge_leak`` is named only in ``ensure_decaying``, and the guard's
-  helpers ``guard_columns`` and ``cleared_rows`` only in ``grid_fields``
-  and in ``madelung.ensure_couple_rows`` (and that module's import of
-  them), the one couple-side prescreen: every other caller goes through
-  the guard, which clears rows by their guard columns before it scans.
+* ``edge_leak`` is named only in ``ensure_edges_decay``, the decay
+  guard's edge half, and the guard's helpers ``guard_columns`` and
+  ``cleared_rows`` only in ``grid_fields`` and in
+  ``madelung.ensure_couple_rows`` (and that module's import of them),
+  the one couple-side prescreen: every other caller goes through the
+  guard, which clears rows by their guard columns before it scans.
+* ``ensure_finite`` is named only in ``grid_fields``: the
+  ``ScalarField`` constructor scans its values, and the row sums of the
+  decay guard and of ``ensure_normalized`` refuse a non-finite entry
+  in the pass they make anyway, so no second scan creeps back in.
 * Every parameter with a default in a library ``def`` is set, by
   keyword, by position or through ``*args`` or ``**kwargs``, by some
   call in the library or in ``perfbench/`` to that function: a setting
@@ -556,10 +561,10 @@ test_paths_named_only_in_nelson_sde, test_paths_sites_are_found = owned_by(
 
 def stray_leak_scans(source: str) -> list[tuple[int, str]]:
     """(line, enclosing function) of every name, attribute or import of
-    ``edge_leak`` outside ``ensure_decaying``: the guard clears rows by
+    ``edge_leak`` outside ``ensure_edges_decay``: the guard clears rows by
     their guard columns first, and a caller of the scan would skip that."""
     return [site for site in named_sites(source, ("edge_leak",))
-            if site[1] != "ensure_decaying"]
+            if site[1] != "ensure_edges_decay"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -582,10 +587,10 @@ def test_edge_leak_sites_are_found(snippet):
 
 def test_edge_leak_in_the_decay_guard_passes():
     snippet = ("def edge_leak(values, grid):\n    return 0.0\n\n"
-               "def ensure_decaying(values, grid, what):\n"
+               "def ensure_edges_decay(values, grid, what):\n"
                "    leak = edge_leak(values, grid)\n")
     assert stray_leak_scans(snippet) == []
-    assert named_sites(snippet, ("edge_leak",)) == [(5, "ensure_decaying")]
+    assert named_sites(snippet, ("edge_leak",)) == [(5, "ensure_edges_decay")]
 
 
 GUARD_HELPERS = ("guard_columns", "cleared_rows")
@@ -636,6 +641,38 @@ def test_guard_helpers_in_their_allowed_sites_pass():
                                                               (4, "ensure_couple_rows")]
     guard = "def ensure_decaying(values, grid):\n    return guard_columns(grid)\n"
     assert stray_guard_helpers(guard, "grid_fields") == []
+
+
+def stray_finite_scans(source: str, module: str) -> list[tuple[int, str]]:
+    """(line, enclosing function) of every name, attribute or import of
+    ``ensure_finite`` outside ``grid_fields``, the one module that scans
+    an array for non-finite entries."""
+    return [] if module == "grid_fields" else named_sites(source, ("ensure_finite",))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_finite_scans_only_in_grid_fields(path):
+    assert stray_finite_scans(path.read_text(), path.stem) == []
+
+
+@pytest.mark.parametrize("module, snippet", [
+    pytest.param("competitors", "from .grid_fields import ensure_finite\n", id="import"),
+    pytest.param("competitors", "from . import grid_fields\n\ndef member_rows(v_y):\n"
+                 "    grid_fields.ensure_finite(v_y, 'scalar field')\n", id="attribute"),
+    pytest.param("schrodinger", "def ensure_wave_density(density, grid):\n"
+                 "    ensure_finite(density, 'wave density')\n", id="call"),
+    pytest.param("madelung", "CHECK = ensure_finite\n", id="module-level"),
+])
+def test_finite_scan_sites_are_found(module, snippet):
+    assert stray_finite_scans(snippet, module)
+
+
+def test_finite_scans_in_grid_fields_pass():
+    snippet = ("def ensure_normalized(density, grid, what):\n"
+               "    if not np.isfinite(mass_error(density, grid)):\n"
+               "        ensure_finite(density, what)\n")
+    assert stray_finite_scans(snippet, "grid_fields") == []
+    assert stray_finite_scans(snippet, "schrodinger") == [(3, "ensure_normalized")]
 
 
 def _numpy_call(node: ast.AST) -> bool:
